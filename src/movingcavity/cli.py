@@ -71,13 +71,6 @@ class ConfigError(ValueError):
 # configuration
 
 
-_KNOWN_KEYS = {
-    "scenario", "bc", "mass", "epsilon", "omega_drive", "length",
-    "lx", "ly", "lz", "frequency_cutoff", "bands", "t0", "tf",
-    "dt", "dt_fd", "quad_points", "samples", "tolerance",
-    "pairs", "mode", "inject_error", "epsilons", "duration",
-}
-
 _GW_NAMES = ("gw-rigid",)
 
 
@@ -115,6 +108,9 @@ class RunConfig:
         out["pairs"] = [list(p) for p in self.pairs]
         out["epsilons"] = list(self.epsilons)
         return out
+
+
+_KNOWN_KEYS = frozenset(f.name for f in dataclasses.fields(RunConfig))
 
 
 def _coerce(name: str, value: Any, kind: type) -> Any:
@@ -635,10 +631,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument(
             "--format", default="csv", choices=("csv", "json"),
             dest="fmt",
-        )
-        cmd.add_argument(
-            "--seed", type=int, default=None,
-            help="reserved; the engine is deterministic",
         )
         cmd.add_argument("--verbose", action="store_true")
     return parser

@@ -1,44 +1,32 @@
-"""Shared domain types and metric-derived scalar quantities.
+"""Shared domain types: field parameters, boundary conditions, zero-mode rule.
 
 The engine works in natural units (hbar = c = 1) on synchronous-gauge
 metrics ds^2 = -dt^2 + h_ij(t) dx^i dx^j with diagonal, spatially constant
-h_ij.  This module holds the field parameters, boundary-condition choice,
-metric description and the scalar functions of time derived from the
-metric (expansion factor, time-derivative part of the scalar curvature,
-and their first-order-in-epsilon coefficients).
+h_ij, whose slices are flat.  This module holds the field parameters, the
+boundary-condition choice, the one rule that decides whether a Neumann
+field keeps its uniform mode, the positivity shift of the slice operator
+that follows from it, and the check that rejects non-finite or
+non-positive sizes when an object is built.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
 
 __all__ = [
     "FieldParams",
     "has_uniform_mode",
     "positivity_shift",
+    "require_positive",
     "BoundaryCondition",
-    "MetricProfile",
-    "DerivedMetricScalars",
-    "derive_metric_scalars",
-    "InvalidMetricError",
-    "EvaluationError",
     "POSITIVITY_EPS",
 ]
 
 # Strictly positive shift used when xi*R^h + m^2 fails to be positive;
 # must be negligible against any physical frequency scale.
 POSITIVITY_EPS = 1e-12
-
-
-class InvalidMetricError(ValueError):
-    """Raised for metrics that violate positive-definiteness."""
-
-
-class EvaluationError(RuntimeError):
-    """Raised when a user-supplied profile cannot be evaluated."""
 
 
 class BoundaryCondition(enum.Enum):
@@ -99,182 +87,7 @@ def positivity_shift(params: FieldParams) -> float:
     return -params.mass_term + POSITIVITY_EPS
 
 
-TimeFunc = Callable[[float], float]
-
-
-def _zero(t: float) -> float:
-    return 0.0
-
-
-@dataclass(frozen=True)
-class MetricProfile:
-    """Diagonal spatial metric h_ij(t) = h0_ij + epsilon * delta_h_ij(t).
-
-    ``delta_h`` holds one scalar function of time per spatial axis (the
-    diagonal entries of the perturbation).  Off-diagonal perturbations are
-    out of scope.  Optional analytic first and second time derivatives of
-    each delta_h entry may be supplied; otherwise 4th-order central
-    differences are used.
-    """
-
-    spatial_dim: int
-    h0: Sequence[float] = None
-    delta_h: Sequence[TimeFunc] = None
-    epsilon: float = 0.0
-    delta_h_dot: Optional[Sequence[TimeFunc]] = None
-    delta_h_ddot: Optional[Sequence[TimeFunc]] = None
-
-    def __post_init__(self):
-        if self.spatial_dim not in (1, 3):
-            raise InvalidMetricError(
-                f"spatial_dim must be 1 or 3, got {self.spatial_dim}"
-            )
-        h0 = tuple(self.h0) if self.h0 is not None else (1.0,) * self.spatial_dim
-        if len(h0) != self.spatial_dim:
-            raise InvalidMetricError("h0 must have one entry per axis")
-        if any(entry <= 0 for entry in h0):
-            raise InvalidMetricError(f"h0 must be positive-definite, got {h0}")
-        object.__setattr__(self, "h0", h0)
-        dh = self.delta_h
-        if dh is None:
-            dh = (_zero,) * self.spatial_dim
-        dh = tuple(dh)
-        if len(dh) != self.spatial_dim:
-            raise InvalidMetricError("delta_h must have one entry per axis")
-        object.__setattr__(self, "delta_h", dh)
-
-    @staticmethod
-    def flat(spatial_dim: int) -> "MetricProfile":
-        """Static flat metric (identity, no perturbation)."""
-        return MetricProfile(spatial_dim=spatial_dim, epsilon=0.0)
-
-
-def _eval_profile(f: TimeFunc, t: float) -> float:
-    try:
-        value = float(f(t))
-    except Exception as exc:  # pragma: no cover - depends on user callable
-        raise EvaluationError(f"delta_h not evaluable at t={t}: {exc}") from exc
-    if not math.isfinite(value):
-        raise EvaluationError(f"delta_h evaluated to non-finite value at t={t}")
-    return value
-
-
-def _d1(f: TimeFunc, t: float, h: float) -> float:
-    """4th-order central first derivative."""
-    return (
-        -_eval_profile(f, t + 2 * h)
-        + 8 * _eval_profile(f, t + h)
-        - 8 * _eval_profile(f, t - h)
-        + _eval_profile(f, t - 2 * h)
-    ) / (12 * h)
-
-
-def _d2(f: TimeFunc, t: float, h: float) -> float:
-    """4th-order central second derivative."""
-    return (
-        -_eval_profile(f, t + 2 * h)
-        + 16 * _eval_profile(f, t + h)
-        - 30 * _eval_profile(f, t)
-        + 16 * _eval_profile(f, t - h)
-        - _eval_profile(f, t - 2 * h)
-    ) / (12 * h * h)
-
-
-@dataclass(frozen=True)
-class DerivedMetricScalars:
-    """Scalar functions of time derived from a metric profile.
-
-    q        expansion factor d/dt log sqrt(det h)          [1/time]
-    r_bar    time-derivative part of the scalar curvature   [1/time^2]
-    delta_r  first-order coefficient of (1/2) log det h     [dimensionless]
-    delta_r_bar  first-order coefficient of r_bar           [1/time^2]
-    f_term   positivity shift of the slice operator         [1/time^2]
-    """
-
-    q: TimeFunc
-    r_bar: TimeFunc
-    delta_r: TimeFunc
-    delta_r_bar: TimeFunc
-    f_term: TimeFunc
-    profile: MetricProfile = field(repr=False, default=None)
-
-
-def derive_metric_scalars(
-    profile: MetricProfile,
-    params: FieldParams,
-    fd_step: float = 1e-4,
-) -> DerivedMetricScalars:
-    """Build the metric scalars for a diagonal metric profile.
-
-    For diagonal h_i(t) = h0_i + eps * dh_i(t):
-
-        q(t)       = (1/2) sum_i eps dh_i'(t) / h_i(t)
-        r_bar(t)   = 2 q'(t) + q(t)^2 + (1/4) sum_i (h_i'(t)/h_i(t))^2
-        delta_r(t) = (1/2) sum_i dh_i(t) / h0_i
-        delta_r_bar(t) = sum_i dh_i''(t) / h0_i
-
-    Derivatives of delta_h use analytic callables when present, else
-    4th-order central differences with step ``fd_step`` (callers should
-    scale it to ~1e-5 of the episode duration).
-    """
-    eps = profile.epsilon
-    h0 = profile.h0
-    dh = profile.delta_h
-    dim = profile.spatial_dim
-
-    def dh_dot(i: int, t: float) -> float:
-        if profile.delta_h_dot is not None:
-            return float(profile.delta_h_dot[i](t))
-        return _d1(dh[i], t, fd_step)
-
-    def dh_ddot(i: int, t: float) -> float:
-        if profile.delta_h_ddot is not None:
-            return float(profile.delta_h_ddot[i](t))
-        return _d2(dh[i], t, fd_step)
-
-    def h_entry(i: int, t: float) -> float:
-        value = h0[i] + eps * _eval_profile(dh[i], t)
-        if value <= 0:
-            raise InvalidMetricError(
-                f"metric entry h_{i}{i}({t}) = {value} is not positive"
-            )
-        return value
-
-    def q(t: float) -> float:
-        return 0.5 * sum(eps * dh_dot(i, t) / h_entry(i, t) for i in range(dim))
-
-    def q_dot(t: float) -> float:
-        total = 0.0
-        for i in range(dim):
-            hi = h_entry(i, t)
-            hdot = eps * dh_dot(i, t)
-            hddot = eps * dh_ddot(i, t)
-            total += 0.5 * (hddot / hi - (hdot / hi) ** 2)
-        return total
-
-    def r_bar(t: float) -> float:
-        qv = q(t)
-        cross = sum(
-            (eps * dh_dot(i, t) / h_entry(i, t)) ** 2 for i in range(dim)
-        )
-        return 2.0 * q_dot(t) + qv * qv + 0.25 * cross
-
-    def delta_r(t: float) -> float:
-        return 0.5 * sum(_eval_profile(dh[i], t) / h0[i] for i in range(dim))
-
-    def delta_r_bar(t: float) -> float:
-        return sum(dh_ddot(i, t) / h0[i] for i in range(dim))
-
-    shift = positivity_shift(params)
-
-    def f_term(t: float) -> float:
-        return shift
-
-    return DerivedMetricScalars(
-        q=q,
-        r_bar=r_bar,
-        delta_r=delta_r,
-        delta_r_bar=delta_r_bar,
-        f_term=f_term,
-        profile=profile,
-    )
+def require_positive(name: str, value: float) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is finite and > 0."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")

@@ -114,25 +114,27 @@ class BoundaryTrajectory:
 # (oscillatory lam > 0, evanescent lam < 0).
 
 
-def _cs(x, lam: float):
+def _cs(x, lam):
+    """c and s at points ``x`` for spectral parameters ``lam``, broadcast."""
     x = np.asarray(x, dtype=float)
-    if lam > 1e-300:
-        k = math.sqrt(lam)
-        return np.cos(k * x), np.sin(k * x) / k
-    if lam < -1e-300:
-        kap = math.sqrt(-lam)
-        return np.cosh(kap * x), np.sinh(kap * x) / kap
-    return np.ones_like(x), x.astype(float)
-
-
-def _cs_scalar(x: float, lam: float):
-    if lam > 1e-300:
-        k = math.sqrt(lam)
-        return math.cos(k * x), math.sin(k * x) / k
-    if lam < -1e-300:
-        kap = math.sqrt(-lam)
-        return math.cosh(kap * x), math.sinh(kap * x) / kap
-    return 1.0, x
+    lam = np.asarray(lam, dtype=float)
+    if lam.size and lam.min() > 0:  # all oscillatory: no mask work
+        k = np.sqrt(lam)
+        kx = k * x
+        return np.cos(kx), np.sin(kx) / k
+    k = np.sqrt(np.abs(lam))
+    shape = np.broadcast_shapes(x.shape, lam.shape)
+    k = np.broadcast_to(k, shape)
+    kx = k * x
+    c = np.ones(shape)
+    s = np.array(np.broadcast_to(x, shape))  # lam == 0: c = 1, s = x
+    for mask, cos_f, sin_f in (
+        (lam > 0, np.cos, np.sin), (lam < 0, np.cosh, np.sinh)
+    ):
+        mask = np.broadcast_to(mask, shape)
+        c[mask] = cos_f(kx[mask])
+        s[mask] = sin_f(kx[mask]) / k[mask]
+    return c, s
 
 
 @dataclass(frozen=True)
@@ -186,61 +188,28 @@ class InstantaneousBasis:
         return self.plus + self.minus
 
 
-def _boundary_row(omega, lam, x, v, bc):
-    c, s = _cs_scalar(x, lam)
+def _boundary_rows(omega, lam, x, v, bc):
+    """Boundary-condition row (on the c and s coefficients) at walls ``x``.
+
+    ``x`` and ``v`` are wall positions and speeds, broadcast against the
+    frequencies ``omega`` and their ``lam = omega^2 - (m^2 + F)``.
+    """
+    c, s = _cs(x, lam)
     if bc is BoundaryCondition.NEUMANN:
         # psi'(x_e) + omega v_e psi(x_e) = 0 at both walls
-        return (-lam * s + omega * v * c, c + omega * v * s)
+        return -lam * s + omega * v * c, c + omega * v * s
     # omega psi(x_e) + v_e psi'(x_e) = 0 at both walls
-    return (omega * c - v * lam * s, omega * s + v * c)
-
-
-def _char_det(omega, xm, xp, vm, vp, mass2f, bc) -> float:
-    lam = omega * omega - mass2f
-    rm = _boundary_row(omega, lam, xm, vm, bc)
-    rp = _boundary_row(omega, lam, xp, vp, bc)
-    return rm[0] * rp[1] - rm[1] * rp[0]
+    return omega * c - v * lam * s, omega * s + v * c
 
 
 def _char_det_vec(omegas, xm, xp, vm, vp, mass2f, bc):
     """Characteristic determinant evaluated on an array of frequencies."""
     omegas = np.asarray(omegas, dtype=float)
     lam = omegas * omegas - mass2f
-    if lam.size and lam.min() > 0:  # all-oscillatory fast path
-        k = np.sqrt(lam)
-        cm, sm = np.cos(k * xm), np.sin(k * xm) / k
-        cp, sp = np.cos(k * xp), np.sin(k * xp) / k
-        if bc is BoundaryCondition.NEUMANN:
-            rm0, rm1 = -lam * sm + omegas * vm * cm, cm + omegas * vm * sm
-            rp0, rp1 = -lam * sp + omegas * vp * cp, cp + omegas * vp * sp
-        else:
-            rm0, rm1 = omegas * cm - vm * lam * sm, omegas * sm + vm * cm
-            rp0, rp1 = omegas * cp - vp * lam * sp, omegas * sp + vp * cp
-        return rm0 * rp1 - rm1 * rp0
-    k = np.sqrt(np.abs(lam))
-    out = np.empty_like(omegas)
-    for mask, c_of, s_of in (
-        (lam > 0, np.cos, lambda kx, kk: np.sin(kx) / kk),
-        (lam < 0, np.cosh, lambda kx, kk: np.sinh(kx) / kk),
-        (lam == 0, None, None),
-    ):
-        if not np.any(mask):
-            continue
-        w, lm = omegas[mask], lam[mask]
-        if c_of is None:
-            cm, sm, cp, sp = 1.0, xm, 1.0, xp
-        else:
-            kk = k[mask]
-            cm, sm = c_of(kk * xm), s_of(kk * xm, kk)
-            cp, sp = c_of(kk * xp), s_of(kk * xp, kk)
-        if bc is BoundaryCondition.NEUMANN:
-            rm0, rm1 = -lm * sm + w * vm * cm, cm + w * vm * sm
-            rp0, rp1 = -lm * sp + w * vp * cp, cp + w * vp * sp
-        else:
-            rm0, rm1 = w * cm - vm * lm * sm, w * sm + vm * cm
-            rp0, rp1 = w * cp - vp * lm * sp, w * sp + vp * cp
-        out[mask] = rm0 * rp1 - rm1 * rp0
-    return out
+    r0, r1 = _boundary_rows(
+        omegas, lam, np.array([[xm], [xp]]), np.array([[vm], [vp]]), bc
+    )
+    return r0[0] * r1[1] - r1[0] * r0[1]
 
 
 def _scan_grid(sign, xm, xp, mass2f, bands, density, skip_low):
@@ -272,10 +241,13 @@ def _scan_grid(sign, xm, xp, mass2f, bands, density, skip_low):
 
 
 def _polish_roots(f_vec, a, b, fa, fb, max_iter=100):
-    """Vectorised Anderson-Bjorck iteration on sign-change brackets."""
+    """Vectorised Anderson-Bjorck iteration on sign-change brackets.
+
+    Raises ``SolverError`` when the roots have not converged after
+    ``max_iter`` iterations.
+    """
     a, b = a.copy(), b.copy()
     fa, fb = fa.copy(), fb.copy()
-    root = 0.5 * (a + b)
     prev = None
     for _ in range(max_iter):
         denom = np.where(fb != fa, fb - fa, 1.0)
@@ -292,13 +264,14 @@ def _polish_roots(f_vec, a, b, fa, fb, max_iter=100):
         a = np.where(opposite, b, a)
         fa = np.where(opposite, fb, gamma * fa)
         b, fb = mid, fm
-        root = mid
         if prev is not None and np.all(
             (np.abs(mid - prev) <= 2e-15 * np.abs(mid)) | (fm == 0.0)
         ):
-            break
+            return mid
         prev = mid
-    return root
+    raise SolverError(
+        f"root polish did not converge in {max_iter} iterations"
+    )
 
 
 def _find_branch_roots(
@@ -341,53 +314,41 @@ def _find_branch_roots(
 
 def _eval_many(modes: Sequence[InstantaneousMode], x):
     """Values and derivatives of many modes on shared points, batched."""
-    x = np.asarray(x, dtype=float)
-    lam = np.array([m.lam for m in modes])
-    a = np.array([m.a for m in modes])
-    b = np.array([m.b for m in modes])
-    values = np.empty((len(modes), x.size))
-    derivs = np.empty_like(values)
-    osc, evan = lam > 0, lam < 0
-    zero = ~osc & ~evan
-    for mask, cos_f, sin_f in ((osc, np.cos, np.sin), (evan, np.cosh, np.sinh)):
-        if not np.any(mask):
-            continue
-        k = np.sqrt(np.abs(lam[mask]))
-        kx = np.outer(k, x)
-        c, s = cos_f(kx), sin_f(kx) / k[:, None]
-        values[mask] = a[mask, None] * c + b[mask, None] * s
-        derivs[mask] = -lam[mask, None] * s * a[mask, None] + b[mask, None] * c
-    if np.any(zero):
-        values[zero] = a[zero, None] + np.outer(b[zero], x)
-        derivs[zero] = b[zero, None] * np.ones_like(x)
-    return values, derivs
+    lam = np.array([m.lam for m in modes])[:, None]
+    a = np.array([m.a for m in modes])[:, None]
+    b = np.array([m.b for m in modes])[:, None]
+    c, s = _cs(np.asarray(x, dtype=float)[None, :], lam)
+    return a * c + b * s, -lam * s * a + b * c
 
 
 def _build_branch_modes(roots, xm, xp, vm, vp, mass2f, bc, nodes, weights):
+    omegas = np.array(roots)
+    lams = omegas * omegas - mass2f
+    r0, r1 = _boundary_rows(
+        omegas, lams, np.array([[xm], [xp]]), np.array([[vm], [vp]]), bc
+    )
+    # coefficient vector = null direction of the 2x2 boundary system,
+    # taken from the better-conditioned row (left wall on a tie)
+    left = r0[0] ** 2 + r1[0] ** 2 >= r0[1] ** 2 + r1[1] ** 2
+    row0 = np.where(left, r0[0], r0[1])
+    row1 = np.where(left, r1[0], r1[1])
     raw = []
-    for omega in roots:
-        lam = omega * omega - mass2f
-        rm = _boundary_row(omega, lam, xm, vm, bc)
-        rp = _boundary_row(omega, lam, xp, vp, bc)
-        # coefficient vector = null direction of the 2x2 boundary system,
-        # taken from the better-conditioned row
-        row = rm if rm[0] ** 2 + rm[1] ** 2 >= rp[0] ** 2 + rp[1] ** 2 else rp
-        norm = math.hypot(row[0], row[1])
+    for omega, lam, p, q in zip(roots, lams, row0, row1):
+        norm = math.hypot(p, q)
         if norm == 0:
             raise SolverError(f"degenerate boundary rows at omega={omega}")
         raw.append(
             InstantaneousMode(
                 omega=omega,
-                lam=lam,
-                a=row[1] / norm,
-                b=-row[0] / norm,
+                lam=float(lam),
+                a=float(q / norm),
+                b=float(-p / norm),
                 x_minus=xm,
                 x_plus=xp,
             )
         )
     # normalisation: (m^2 + F + omega^2) int psi^2 + int psi'^2 = |omega|
     psi, dpsi = _eval_many(raw, nodes)
-    omegas = np.array(roots)
     quad = (mass2f + omegas**2) * ((psi * psi) @ weights) + (
         dpsi * dpsi
     ) @ weights
@@ -678,6 +639,9 @@ def evolve_transformation(
     ``absorb_phases`` the free rotation of the start basis is factored out
     before integrating, easing stiffness at large truncation.
     """
+    for name, value in (("t0", t0), ("tf", tf)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if tf <= t0:
         raise ValueError("window must satisfy t0 < tf")
     start_basis = solve_instantaneous_basis(

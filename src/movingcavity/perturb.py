@@ -17,11 +17,11 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import BoundaryCondition, FieldParams
+from .core import BoundaryCondition, require_positive
 from .staticmodes import (
     StaticBasis,
     axis_deriv_table,
@@ -41,7 +41,6 @@ __all__ = [
     "RaisedCosineEnvelope",
     "UnsupportedSpecError",
     "ValidityWindowWarning",
-    "superoperator_apply",
     "coupling_alpha",
     "coupling_beta",
     "build_coupling_matrices",
@@ -115,10 +114,6 @@ class HarmonicSum:
     def single(amplitude, frequency: float, form: str = "sin") -> "HarmonicSum":
         return HarmonicSum([HarmonicTerm(complex(amplitude), frequency, form)])
 
-    @staticmethod
-    def constant(value) -> "HarmonicSum":
-        return HarmonicSum([HarmonicTerm(complex(value), 0.0, "cos")])
-
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         total = np.zeros_like(t, dtype=complex)
@@ -153,9 +148,6 @@ class HarmonicSum:
                 return term.amplitude
         return 0.0 + 0.0j
 
-    def max_amplitude(self) -> float:
-        return max((abs(t.amplitude) for t in self.terms), default=0.0)
-
     def __repr__(self):
         body = " + ".join(
             f"({t.amplitude}) {t.form}({t.frequency} t)" for t in self.terms
@@ -170,20 +162,20 @@ FaceKey = Tuple[int, int]  # (axis, -1 or +1): one flat boundary face
 class PerturbationSpec:
     """Harmonic description of a small perturbation of the cavity.
 
+    epsilon         perturbation amplitude, positive and finite
     delta_o_coeffs  per-axis harmonic coefficients c_i(t) of the extra
                     second-derivative operator sum_i c_i(t) d^2/dx_i^2
-    potential       optional multiplicative terms, each a (harmonics,
-                    spatial function) pair
     delta_r         harmonic first-order metric trace (dimensionless)
     delta_r_bar     harmonic first-order curvature scalar (1/time^2)
     delta_x         outward boundary displacement harmonics per face,
                     keyed by (axis, sign)
     base_frequency  drive frequency when the perturbation is monochromatic
+    delta_f         time-dependent positivity shift; must stay zero, since
+                    it never contributes at first order
     """
 
     epsilon: float
     delta_o_coeffs: Tuple[HarmonicSum, ...] = ()
-    potential: Tuple[Tuple[HarmonicSum, Callable], ...] = ()
     delta_r: HarmonicSum = field(default_factory=HarmonicSum.zero)
     delta_r_bar: HarmonicSum = field(default_factory=HarmonicSum.zero)
     delta_x: Mapping[FaceKey, HarmonicSum] = field(default_factory=dict)
@@ -191,8 +183,7 @@ class PerturbationSpec:
     delta_f: HarmonicSum = field(default_factory=HarmonicSum.zero)
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        require_positive("epsilon", self.epsilon)
         if not self.delta_f.is_zero():
             raise UnsupportedSpecError(
                 "a time-dependent positivity shift never contributes at "
@@ -220,7 +211,6 @@ class PerturbationSpec:
         return PerturbationSpec(
             epsilon=self.epsilon,
             delta_o_coeffs=coeffs,
-            potential=self.potential + other.potential,
             delta_r=self.delta_r + other.delta_r,
             delta_r_bar=self.delta_r_bar + other.delta_r_bar,
             delta_x=faces,
@@ -259,12 +249,6 @@ class BogoliubovMatrix:
     beta: np.ndarray
     epsilon_used: float
     window: Optional[Tuple[float, float]]  # None means asymptotic
-
-    def identity_residual(self) -> float:
-        """Max-norm deviation of alpha alpha^† - beta beta^† from identity."""
-        a, b = self.alpha, self.beta
-        res = a @ a.conj().T - b @ b.conj().T - np.eye(a.shape[0])
-        return float(np.max(np.abs(res)))
 
 
 # ---------------------------------------------------------------------------
@@ -349,83 +333,14 @@ def _face_integrals(basis, n, m, face: FaceKey, quad_points):
     return value, grad_dot, normal_grad
 
 
-def _potential_overlap(basis, n, m, spatial, quad_points) -> float:
-    """Full tensor quadrature of spatial(x) Psi_n Psi_m over the cavity."""
-    from .staticmodes import eval_mode
-
-    lengths = basis.modes[0].lengths
-    grids = [gauss_legendre(-L / 2.0, L / 2.0, quad_points) for L in lengths]
-    mode_n, mode_m = basis.modes[n], basis.modes[m]
-    total = 0.0
-    if len(lengths) == 1:
-        for x, w in zip(*grids[0]):
-            total += w * spatial((x,)) * eval_mode(mode_n, x) * eval_mode(mode_m, x)
-        return total
-    (xs, wx), (ys, wy), (zs, wz) = grids
-    for x, w1 in zip(xs, wx):
-        for y, w2 in zip(ys, wy):
-            for z, w3 in zip(zs, wz):
-                p = (x, y, z)
-                total += (
-                    w1
-                    * w2
-                    * w3
-                    * spatial(p)
-                    * eval_mode(mode_n, p)
-                    * eval_mode(mode_m, p)
-                )
-    return total
-
-
 # ---------------------------------------------------------------------------
-# superoperator and couplings
+# couplings
 
 
 def _check_indices(basis, *indices):
     for i in indices:
         if not 0 <= i < len(basis):
             raise IndexError(f"mode index {i} outside basis of size {len(basis)}")
-
-
-def superoperator_apply(
-    spec: PerturbationSpec,
-    basis: StaticBasis,
-    n: int,
-    m: int,
-    sign: int,
-    t: float,
-):
-    """Pointwise action of the first-order bulk operator on mode n.
-
-    Returns a function x -> [sum_i c_i(t) d_i^2 + potential
-    + omega_n (omega_n + sign*omega_m) delta_r(t)
-    + xi delta_r_bar(t)] Psi_n(x), with the derivatives evaluated from the
-    closed-form modes.  ``sign`` is +1 or -1 and selects which frequency
-    combination multiplies the trace term.
-    """
-    from .staticmodes import eval_mode
-
-    _check_indices(basis, n, m)
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    mode_n = basis.modes[n]
-    omega_n = mode_n.frequency
-    omega_m = basis.modes[m].frequency
-    xi = basis.params.coupling_xi
-
-    scalar = complex(0.0)
-    for i, coeff in enumerate(spec.delta_o_coeffs):
-        scalar += coeff(t) * (-mode_n.wavenumbers[i] ** 2)
-    scalar += omega_n * (omega_n + sign * omega_m) * spec.delta_r(t)
-    scalar += xi * spec.delta_r_bar(t)
-
-    def apply(point):
-        value = scalar * eval_mode(mode_n, point)
-        for harmonics, spatial in spec.potential:
-            value += harmonics(t) * spatial(point) * eval_mode(mode_n, point)
-        return value
-
-    return apply
 
 
 def _bulk_harmonics(spec, basis, n, m, sign, quad_points) -> HarmonicSum:
@@ -442,12 +357,7 @@ def _bulk_harmonics(spec, basis, n, m, sign, quad_points) -> HarmonicSum:
     total = total + spec.delta_r * (
         omega_n * (omega_n + sign * omega_m) * overlap
     )
-    total = total + spec.delta_r_bar * (xi * overlap)
-    for harmonics, spatial in spec.potential:
-        total = total + harmonics * _potential_overlap(
-            basis, n, m, spatial, min(quad_points, 32)
-        )
-    return total
+    return total + spec.delta_r_bar * (xi * overlap)
 
 
 def _surface_harmonics(

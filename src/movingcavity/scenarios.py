@@ -18,7 +18,12 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Tuple
 
-from .core import BoundaryCondition, FieldParams, has_uniform_mode
+from .core import (
+    BoundaryCondition,
+    FieldParams,
+    has_uniform_mode,
+    require_positive,
+)
 from .exact1d import BoundaryTrajectory
 from .perturb import HarmonicSum, PerturbationSpec
 
@@ -55,14 +60,8 @@ class DceConfig:
     mass: float = 0.0
 
     def __post_init__(self):
-        if self.length <= 0:
-            raise ValueError(f"length must be positive, got {self.length}")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.omega_drive <= 0:
-            raise ValueError(
-                f"omega_drive must be positive, got {self.omega_drive}"
-            )
+        for name in ("length", "epsilon", "omega_drive"):
+            require_positive(name, getattr(self, name))
         FieldParams(mass=self.mass)  # rejects a negative or non-finite mass
         if self.epsilon > 0.1:
             warnings.warn(
@@ -194,15 +193,8 @@ class GwConfig:
     frequency_cutoff: float
 
     def __post_init__(self):
-        for name, value in (("lx", self.lx), ("ly", self.ly), ("lz", self.lz)):
-            if value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.omega_drive <= 0:
-            raise ValueError(
-                f"omega_drive must be positive, got {self.omega_drive}"
-            )
+        for name in ("lx", "ly", "lz", "epsilon", "omega_drive"):
+            require_positive(name, getattr(self, name))
         if self.epsilon > 0.1:
             warnings.warn(
                 f"metric perturbation epsilon={self.epsilon} is not small; "

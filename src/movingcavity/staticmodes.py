@@ -19,7 +19,12 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .core import BoundaryCondition, FieldParams, has_uniform_mode
+from .core import (
+    BoundaryCondition,
+    FieldParams,
+    has_uniform_mode,
+    require_positive,
+)
 
 __all__ = [
     "Interval",
@@ -47,8 +52,7 @@ class Interval:
     length: float
 
     def __post_init__(self):
-        if self.length <= 0:
-            raise ValueError(f"length must be positive, got {self.length}")
+        require_positive("length", self.length)
 
     @property
     def lengths(self) -> Tuple[float, ...]:
@@ -64,8 +68,8 @@ class Box:
     lz: float
 
     def __post_init__(self):
-        if min(self.lx, self.ly, self.lz) <= 0:
-            raise ValueError("all box lengths must be positive")
+        for name in ("lx", "ly", "lz"):
+            require_positive(name, getattr(self, name))
 
     @property
     def lengths(self) -> Tuple[float, ...]:

@@ -1,21 +1,11 @@
-"""Tests for field parameters, metric profiles, and derived scalars."""
+"""Tests for field parameters and the zero-mode rule."""
 
 import math
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from movingcavity import (
-    POSITIVITY_EPS,
-    EvaluationError,
-    FieldParams,
-    InvalidMetricError,
-    MetricProfile,
-    derive_metric_scalars,
-    has_uniform_mode,
-)
+from movingcavity import POSITIVITY_EPS, FieldParams, has_uniform_mode
+from movingcavity.core import positivity_shift
 
 
 def test_negative_mass_rejected():
@@ -41,147 +31,16 @@ def test_non_finite_coupling_rejected():
 def test_has_uniform_mode_tests_the_floating_point_mass_term(mass, expected):
     params = FieldParams(mass=mass)
     assert has_uniform_mode(params) is expected
-    shift = derive_metric_scalars(MetricProfile.flat(1), params).f_term(0.0)
+    shift = positivity_shift(params)
     assert shift == (0.0 if expected else POSITIVITY_EPS)
 
 
-def test_nonpositive_h0_rejected():
-    with pytest.raises(InvalidMetricError):
-        MetricProfile(spatial_dim=3, h0=(1.0, -0.5, 1.0))
-
-
-def test_bad_spatial_dim_rejected():
-    with pytest.raises(InvalidMetricError):
-        MetricProfile(spatial_dim=2)
-
-
-def test_non_evaluable_profile_raises():
-    profile = MetricProfile(
-        spatial_dim=1, delta_h=(lambda t: float("nan"),), epsilon=1.0
-    )
-    scalars = derive_metric_scalars(profile, FieldParams())
-    with pytest.raises(EvaluationError):
-        scalars.delta_r(0.0)
-
-
-def test_static_flat_metric_all_scalars_vanish():
-    scalars = derive_metric_scalars(MetricProfile.flat(1), FieldParams())
-    for t in np.linspace(-3.0, 3.0, 11):
-        assert scalars.q(t) == 0.0
-        assert scalars.r_bar(t) == 0.0
-        assert scalars.delta_r(t) == 0.0
-        assert scalars.delta_r_bar(t) == 0.0
-
-
-def test_transverse_wave_metric_has_zero_delta_r_and_delta_r_bar():
-    # Opposite-sign perturbation on two axes cancels in both trace scalars.
-    omega = 2.0
-    profile = MetricProfile(
-        spatial_dim=3,
-        delta_h=(
-            lambda t: math.sin(omega * t),
-            lambda t: -math.sin(omega * t),
-            lambda t: 0.0,
-        ),
-        epsilon=1e-3,
-    )
-    scalars = derive_metric_scalars(profile, FieldParams())
-    for t in np.linspace(0.0, 5.0, 17):
-        assert abs(scalars.delta_r(t)) < 1e-14
-        assert abs(scalars.delta_r_bar(t)) < 1e-8
-
-
 def test_f_term_zero_for_massive_minimal_coupling():
-    scalars = derive_metric_scalars(
-        MetricProfile.flat(1), FieldParams(mass=0.5, coupling_xi=0.0)
-    )
-    assert scalars.f_term(0.0) == 0.0
-    assert scalars.f_term(10.0) == 0.0
+    shift = positivity_shift(FieldParams(mass=0.5, coupling_xi=0.0))
+    assert shift == 0.0
 
 
 def test_f_term_positive_shift_for_massless_field():
-    scalars = derive_metric_scalars(MetricProfile.flat(1), FieldParams(mass=0.0))
-    assert scalars.f_term(0.0) == POSITIVITY_EPS
-    assert scalars.f_term(0.0) > 0
-
-
-@given(
-    st.floats(min_value=-0.4, max_value=0.4),
-    st.floats(min_value=-5.0, max_value=5.0),
-    st.sampled_from([1, 3]),
-)
-@settings(max_examples=50, deadline=None)
-def test_isotropic_scaling_delta_r_identity(amplitude, t, dim):
-    # For delta_h_ij = s(t) h0_ij, delta_r = dim * s(t) / 2 exactly.
-    s = lambda u: amplitude * math.cos(0.7 * u)
-    profile = MetricProfile(
-        spatial_dim=dim, delta_h=(s,) * dim, epsilon=0.1
-    )
-    scalars = derive_metric_scalars(profile, FieldParams())
-    assert scalars.delta_r(t) == pytest.approx(dim * s(t) / 2.0, rel=1e-12)
-
-
-def test_delta_r_matches_log_det_finite_difference():
-    # delta_r is d/d(eps) of (1/2) log det h at eps = 0.
-    dh = (lambda t: math.sin(t), lambda t: 0.3 * math.cos(2 * t), lambda t: t * 0.1)
-    h0 = (1.0, 2.0, 0.5)
-    profile = MetricProfile(spatial_dim=3, h0=h0, delta_h=dh, epsilon=1e-3)
-    scalars = derive_metric_scalars(profile, FieldParams())
-    deps = 1e-6
-    for t in (0.0, 0.8, 2.3):
-        def half_log_det(eps):
-            return 0.5 * sum(
-                math.log(h0[i] + eps * dh[i](t)) for i in range(3)
-            )
-        fd = (half_log_det(deps) - half_log_det(-deps)) / (2 * deps)
-        assert scalars.delta_r(t) == pytest.approx(fd, rel=1e-8)
-
-
-def test_q_and_r_bar_against_analytic_single_axis():
-    # h(t) = 1 + eps sin t gives q = eps cos t / (2 h) and
-    # r_bar = 2 q' + q^2 + (1/4)(h'/h)^2 in closed form.
-    eps = 0.2
-    profile = MetricProfile(
-        spatial_dim=1,
-        delta_h=(math.sin,),
-        epsilon=eps,
-        delta_h_dot=(math.cos,),
-        delta_h_ddot=(lambda t: -math.sin(t),),
-    )
-    scalars = derive_metric_scalars(profile, FieldParams())
-    for t in np.linspace(0.0, 6.0, 13):
-        h = 1.0 + eps * math.sin(t)
-        hdot = eps * math.cos(t)
-        hddot = -eps * math.sin(t)
-        q_exact = 0.5 * hdot / h
-        qdot_exact = 0.5 * (hddot / h - (hdot / h) ** 2)
-        rbar_exact = 2 * qdot_exact + q_exact**2 + 0.25 * (hdot / h) ** 2
-        assert scalars.q(t) == pytest.approx(q_exact, abs=1e-12)
-        assert scalars.r_bar(t) == pytest.approx(rbar_exact, abs=1e-12)
-
-
-def test_finite_difference_derivatives_match_analytic():
-    # Same profile without analytic derivatives; central differences
-    # should agree with the analytic path to high accuracy.
-    eps = 0.2
-    analytic = derive_metric_scalars(
-        MetricProfile(
-            spatial_dim=1,
-            delta_h=(math.sin,),
-            epsilon=eps,
-            delta_h_dot=(math.cos,),
-            delta_h_ddot=(lambda t: -math.sin(t),),
-        ),
-        FieldParams(),
-    )
-    numeric = derive_metric_scalars(
-        MetricProfile(spatial_dim=1, delta_h=(math.sin,), epsilon=eps),
-        FieldParams(),
-        fd_step=1e-4,
-    )
-    for t in np.linspace(0.0, 6.0, 13):
-        assert numeric.q(t) == pytest.approx(analytic.q(t), abs=1e-10)
-        assert numeric.r_bar(t) == pytest.approx(analytic.r_bar(t), abs=1e-6)
-        assert numeric.delta_r_bar(t) == pytest.approx(
-            analytic.delta_r_bar(t), abs=1e-6
-        )
+    shift = positivity_shift(FieldParams(mass=0.0))
+    assert shift == POSITIVITY_EPS
+    assert shift > 0

@@ -9,7 +9,11 @@ from movingcavity.core import BoundaryCondition, FieldParams
 from movingcavity.exact1d import (
     BoundaryTrajectory,
     InvalidTrajectoryError,
+    SolverError,
     StabilityError,
+    _char_det_vec,
+    _cs,
+    _polish_roots,
     assemble_vhat,
     bogoliubov_identity_residual,
     evolve_transformation,
@@ -63,6 +67,42 @@ def test_superluminal_wall_rejected():
     )
     with pytest.raises(InvalidTrajectoryError):
         traj.velocities(0.0)
+
+
+# ---------------------------------------------------------------------------
+# basis functions and root polish
+
+
+def test_cs_mixed_regimes_match_elementwise_evaluation():
+    # one call over oscillatory, evanescent and lam == 0 entries
+    lam = np.array([2.0, -1.5, 0.0, 0.3, -4.0, 0.0])[:, None]
+    x = np.linspace(-1.2, 0.9, 7)[None, :]
+    c, s = _cs(x, lam)
+    for i in range(lam.shape[0]):
+        for j in range(x.shape[1]):
+            ci, si = _cs(x[0, j], lam[i, 0])
+            assert c[i, j] == pytest.approx(float(ci), rel=1e-15, abs=0)
+            assert s[i, j] == pytest.approx(float(si), rel=1e-15, abs=0)
+    assert np.all(c[2] == 1.0) and np.all(s[2] == x[0])
+
+
+def test_cs_continuous_through_zero_lam():
+    x = np.linspace(-2.0, 2.0, 9)
+    c0, s0 = _cs(x, 0.0)
+    for lam in (1e-12, -1e-12):
+        c, s = _cs(x, lam)
+        assert np.max(np.abs(c - c0)) < 1e-11
+        assert np.max(np.abs(s - s0)) < 1e-11
+
+
+def test_polish_roots_raises_when_iterations_run_out():
+    # static Dirichlet walls at +-pi/2: roots at omega = 1, 2, ...
+    det = lambda w: _char_det_vec(w, -math.pi / 2, math.pi / 2, 0.0, 0.0, 0.0, D)
+    a, b = np.array([0.9, 1.8]), np.array([1.1, 2.3])
+    with pytest.raises(SolverError):
+        _polish_roots(det, a, b, det(a), det(b), max_iter=2)
+    roots = _polish_roots(det, a, b, det(a), det(b))
+    assert roots == pytest.approx([1.0, 2.0], rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +256,17 @@ def test_absorb_phases_matches_plain_evolution():
         traj, FieldParams(), D, 0.0, 2.0, 4, step=0.01, absorb_phases=True
     )
     assert np.max(np.abs(plain.U - rotated.U)) < 1e-6
+
+
+@pytest.mark.parametrize("name, value", [
+    ("t0", math.nan), ("t0", -math.inf), ("tf", math.nan), ("tf", math.inf),
+])
+def test_non_finite_window_rejected(name, value):
+    window = {"t0": 0.0, "tf": 1.0, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        evolve_transformation(
+            dce_trajectory(), FieldParams(), D, window["t0"], window["tf"], 2
+        )
 
 
 def test_oversized_step_raises_stability_error():

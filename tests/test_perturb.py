@@ -74,6 +74,12 @@ def test_spec_rejects_nonzero_positivity_shift():
         PerturbationSpec(epsilon=1e-3, delta_f=HarmonicSum.single(1.0, 2.0))
 
 
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
+def test_spec_rejects_non_finite_epsilon(epsilon):
+    with pytest.raises(ValueError, match="epsilon"):
+        PerturbationSpec(epsilon=epsilon)
+
+
 def test_spec_addition_requires_matching_epsilon():
     a = PerturbationSpec(epsilon=1e-3)
     b = PerturbationSpec(epsilon=2e-3)

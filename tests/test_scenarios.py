@@ -115,6 +115,18 @@ def test_dce_config_non_finite_mass_rejected(mass):
         )
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["length", "epsilon", "omega_drive"])
+def test_dce_config_non_finite_field_rejected(name, value):
+    fields = dict(
+        variant=DceVariant.RIGHT_ONLY, length=1.0, bc=N, epsilon=1e-3,
+        omega_drive=2.0,
+    )
+    fields[name] = value
+    with pytest.raises(ValueError, match=name):
+        DceConfig(**fields)
+
+
 @pytest.mark.parametrize("mass", [0.0, 1e-170])
 def test_massless_neumann_rejects_constant_mode_index(mass):
     # 1e-170 squares to 0 in floating point: the field counts as massless
@@ -155,6 +167,12 @@ def gw_config(bc=D, epsilon=1e-3):
         lx=1.0, ly=1.3, lz=0.9, bc=bc, epsilon=epsilon, omega_drive=5.0,
         frequency_cutoff=25.0,
     )
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_gw_config_non_finite_epsilon_rejected(value):
+    with pytest.raises(ValueError, match="epsilon"):
+        gw_config(epsilon=value)
 
 
 def test_rigid_walls_keep_proper_length_constant():

@@ -99,6 +99,14 @@ def test_box_neumann_massless_excludes_all_zero_index():
     assert (1, 0, 0) in indices
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_lengths_rejected(value):
+    with pytest.raises(ValueError, match="length"):
+        Interval(value)
+    with pytest.raises(ValueError, match="ly"):
+        Box(1.0, value, 1.0)
+
+
 def test_box_cutoff_below_spectrum_raises():
     with pytest.raises(EmptyBasisError):
         solve_box_modes(Box(math.pi, math.pi, math.pi), FieldParams(), D, 1.0)
