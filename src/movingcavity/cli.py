@@ -273,6 +273,38 @@ def _flatten_columns(columns: Sequence[str], row: Sequence[Any]) -> List[str]:
     return flat
 
 
+def _csv_template(rows: Sequence[Sequence[Any]]) -> Optional[str]:
+    """One printf template for every CSV line of ``rows``, or None.
+
+    The template follows the first row: %.17g for a float, %d for an int
+    and %s for a string, which is the text the csv writer gives for these
+    cells.  None sends the table to the csv writer: a cell of another type,
+    a row whose cell types differ from the first row's, or a string the
+    writer would quote or that is empty.
+    """
+    if not rows:
+        return None
+    kinds = tuple(map(type, rows[0]))
+    formats = []
+    for kind in kinds:
+        if issubclass(kind, (float, np.floating)):
+            formats.append("%.17g")
+        elif kind is int or issubclass(kind, np.integer):
+            formats.append("%d")
+        elif kind is str:
+            formats.append("%s")
+        else:
+            return None
+    if any(tuple(map(type, row)) != kinds for row in rows):
+        return None
+    for i, kind in enumerate(kinds):
+        if kind is str and any(
+            not row[i] or any(c in row[i] for c in ',"\r\n') for row in rows
+        ):
+            return None
+    return ",".join(formats) + "\n"
+
+
 def write_table(
     columns: Sequence[str],
     rows: Sequence[Sequence[Any]],
@@ -304,14 +336,19 @@ def write_table(
         writer = csv.writer(buffer, lineterminator="\n")
         header_row = rows[0] if rows else [0.0] * len(columns)
         writer.writerow(_flatten_columns(columns, header_row))
-        for row in rows:
-            cells = []
-            for item in _flatten_row(row):
-                if isinstance(item, (float, np.floating)):
-                    cells.append(_fmt(item))
-                else:
-                    cells.append(str(item))
-            writer.writerow(cells)
+        template = _csv_template(rows)
+        if template is not None:
+            for row in rows:
+                buffer.write(template % tuple(row))
+        else:
+            for row in rows:
+                cells = []
+                for item in _flatten_row(row):
+                    if isinstance(item, (float, np.floating)):
+                        cells.append(_fmt(item))
+                    else:
+                        cells.append(str(item))
+                writer.writerow(cells)
         text = buffer.getvalue()
     else:
         raise ConfigError(f"field 'format': expected csv or json, got {fmt!r}")
@@ -365,6 +402,16 @@ def _selected_pairs(config: RunConfig, size: int) -> List[Tuple[int, int]]:
     return [(n, m) for n in range(size) for m in range(size)]
 
 
+def _polar(values: np.ndarray) -> Tuple[List[float], List[float]]:
+    """|z| and arg z of each entry, arg 0 where z is 0, as Python floats.
+
+    The magnitude is Python's abs of each complex: numpy's array abs
+    differs from it in the last bit.
+    """
+    phases = np.where(values != 0, np.angle(values), 0.0)
+    return list(map(abs, values.tolist())), phases.tolist()
+
+
 def cmd_evolve(config: RunConfig, fmt: str, output: Optional[str]) -> int:
     spec = _build_scenario_objects(config)[0]
     basis = _static_basis(config)
@@ -373,30 +420,32 @@ def cmd_evolve(config: RunConfig, fmt: str, output: Optional[str]) -> int:
         quad_points=config.quad_points or 64,
     )
     pairs = _selected_pairs(config, len(basis))
+    first = [n for n, _ in pairs]
+    second = [m for _, m in pairs]
     times = np.linspace(config.t0, config.tf, config.samples + 1)[1:]
     columns = ["t", "n", "m", "abs_alpha", "arg_alpha", "abs_beta", "arg_beta"]
     rows = []
     epsilon = config.epsilon
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ValidityWindowWarning)
-        for t in times:
+        for t in times.tolist():
             if epsilon == 0.0:
                 size = len(basis)
                 result_alpha = np.eye(size, dtype=complex)
                 result_beta = np.zeros((size, size), dtype=complex)
             else:
                 result = bogoliubov_perturbative(
-                    couplings, basis, epsilon, config.t0, float(t)
+                    couplings, basis, epsilon, config.t0, t
                 )
                 result_alpha, result_beta = result.alpha, result.beta
-            for n, m in pairs:
-                a = result_alpha[n, m]
-                b = result_beta[n, m]
-                rows.append([
-                    float(t), n, m,
-                    abs(a), float(np.angle(a)) if a != 0 else 0.0,
-                    abs(b), float(np.angle(b)) if b != 0 else 0.0,
-                ])
+            rows.extend(
+                [t, n, m, abs_a, arg_a, abs_b, arg_b]
+                for n, m, abs_a, arg_a, abs_b, arg_b in zip(
+                    first, second,
+                    *_polar(result_alpha[first, second]),
+                    *_polar(result_beta[first, second]),
+                )
+            )
     write_table(columns, rows, config.meta(), fmt, output)
     return EXIT_OK
 

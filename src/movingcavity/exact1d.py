@@ -655,9 +655,11 @@ def evolve_transformation(
     if dt_fd is None:
         dt_fd = dt / 10.0
     if verbose:
-        print(
-            f"integrating {n_steps} steps of dt={dt:.6g} "
-            f"(guidance dt <= {0.1 / omega_max:.6g}), dt_fd={dt_fd:.6g}"
+        import logging  # imported here so that quiet runs do not pay for it
+
+        logging.getLogger(__name__).info(
+            "integrating %d steps of dt=%.6g (guidance dt <= %.6g), "
+            "dt_fd=%.6g", n_steps, dt, 0.1 / omega_max, dt_fd,
         )
 
     omega0 = start_basis.frequencies  # fixed phase reference

@@ -11,7 +11,7 @@ envelope (closed-form Fourier transforms).
 
 from __future__ import annotations
 
-import cmath
+import dataclasses
 import enum
 import functools
 import math
@@ -233,12 +233,43 @@ class Resonance:
 
 @dataclass(frozen=True)
 class CouplingMatrices:
-    """First-order coupling harmonics for every mode pair of a basis."""
+    """First-order coupling harmonics for every mode pair of a basis.
 
-    alpha_hat: np.ndarray  # (N, N) object array of HarmonicSum
-    beta_hat: np.ndarray  # (N, N) object array of HarmonicSum
+    ``alpha[h, n, m]`` and ``beta[h, n, m]`` are the complex amplitudes of
+    harmonic ``harmonics[h]``, a (frequency, form) key in ``HarmonicSum``
+    order, in the mode-mixing and pair-creation coupling of the pair
+    (n, m).  ``alpha_hat`` and ``beta_hat`` present the same numbers as
+    read-only (N, N) object arrays of ``HarmonicSum``.
+    """
+
+    harmonics: Tuple[Tuple[float, str], ...]
+    alpha: np.ndarray  # (H, N, N) complex
+    beta: np.ndarray  # (H, N, N) complex
     basis: StaticBasis
     drive_frequency: Optional[float] = None
+
+    @functools.cached_property
+    def alpha_hat(self) -> np.ndarray:
+        return _harmonic_sums(self.harmonics, self.alpha)
+
+    @functools.cached_property
+    def beta_hat(self) -> np.ndarray:
+        return _harmonic_sums(self.harmonics, self.beta)
+
+
+def _harmonic_sums(harmonics, amplitudes: np.ndarray) -> np.ndarray:
+    """(N, N) object array of the HarmonicSum of each pair's amplitudes."""
+    size = amplitudes.shape[1]
+    per_pair = amplitudes.reshape(len(harmonics), size * size).T.tolist()
+    sums = np.empty(size * size, dtype=object)
+    for k, amps in enumerate(per_pair):
+        sums[k] = HarmonicSum(
+            [HarmonicTerm(a, freq, form)
+             for a, (freq, form) in zip(amps, harmonics)]
+        )
+    sums = sums.reshape(size, size)
+    sums.flags.writeable = False
+    return sums
 
 
 @dataclass(frozen=True)
@@ -252,16 +283,21 @@ class BogoliubovMatrix:
 
 
 # ---------------------------------------------------------------------------
-# quadrature tables, cached per (basis, points)
+# quadrature integrals for all mode pairs
 
 
-@functools.lru_cache(maxsize=32)
-def _axis_tables(basis: StaticBasis, quad_points: int):
-    """Per-axis Gram matrices and endpoint tables for all modes of a basis.
+def _pair_integrals(basis: StaticBasis, faces, quad_points: int):
+    """Volume overlaps and face integrals of every mode pair of a basis.
 
-    Returns (value_gram, deriv_gram, end_values, end_derivs) where the
-    first two are lists of (N, N) arrays per axis and the last two are
-    lists of (N, 2) arrays per axis (columns: left face, right face).
+    Returns (overlap, surfaces): ``overlap[n, m]`` is the integral of
+    Psi_n Psi_m over the cavity, and ``surfaces[face]`` holds three (N, N)
+    arrays for each face key in ``faces``:
+      value        integral of Psi_n Psi_m over the face
+      grad_dot     integral of grad(Psi_n) . grad(Psi_m) over the face
+      normal_grad  integral of (n.grad Psi_n)(n.grad Psi_m) over the face
+    Each entry takes the same floating-point operations, in the same order,
+    as an evaluation for that one pair, so it does not depend on which
+    other modes share the basis.
     """
     lengths = basis.modes[0].lengths
     dim = len(lengths)
@@ -276,61 +312,40 @@ def _axis_tables(basis: StaticBasis, quad_points: int):
         ends = np.array([-half, half])
         end_values.append(axis_value_table(basis, axis, ends))
         end_derivs.append(axis_deriv_table(basis, axis, ends))
-    return value_gram, deriv_gram, end_values, end_derivs
+    norms = np.array([m.normalization for m in basis.modes])
+    scale = np.outer(norms, norms)
 
-
-def _norms(basis: StaticBasis) -> np.ndarray:
-    return np.array([m.normalization for m in basis.modes])
-
-
-def _volume_overlap(basis, n, m, quad_points) -> float:
-    value_gram, _, _, _ = _axis_tables(basis, quad_points)
-    prod = 1.0
+    overlap = 1.0
     for gram in value_gram:
-        prod *= gram[n, m]
-    norms = _norms(basis)
-    return prod * norms[n] * norms[m]
+        overlap = overlap * gram
+    overlap = overlap * norms[:, None] * norms[None, :]
 
-
-def _face_integrals(basis, n, m, face: FaceKey, quad_points):
-    """Surface integrals over one face for the pair (n, m).
-
-    Returns (value, grad_dot, normal_grad):
-      value        integral of Psi_n Psi_m over the face
-      grad_dot     integral of grad(Psi_n) . grad(Psi_m) over the face
-      normal_grad  integral of (n.grad Psi_n)(n.grad Psi_m) over the face
-    """
-    value_gram, deriv_gram, end_values, end_derivs = _axis_tables(
-        basis, quad_points
-    )
-    axis, sign = face
-    dim = len(basis.modes[0].lengths)
-    col = 0 if sign < 0 else 1
-    norms = _norms(basis)
-    scale = norms[n] * norms[m]
-
-    tangential = 1.0
-    for j in range(dim):
-        if j != axis:
-            tangential *= value_gram[j][n, m]
-
-    fn = end_values[axis][n, col] * end_values[axis][m, col]
-    dn = end_derivs[axis][n, col] * end_derivs[axis][m, col]
-
-    value = scale * fn * tangential
-    normal_grad = scale * dn * tangential
-
-    grad_dot = dn * tangential
-    for j in range(dim):
-        if j == axis:
-            continue
-        prod = fn * deriv_gram[j][n, m]
-        for k in range(dim):
-            if k != axis and k != j:
-                prod *= value_gram[k][n, m]
-        grad_dot += prod
-    grad_dot *= scale
-    return value, grad_dot, normal_grad
+    surfaces = {}
+    for axis, sign in faces:
+        col = 0 if sign < 0 else 1
+        tangential = 1.0
+        for j in range(dim):
+            if j != axis:
+                tangential = tangential * value_gram[j]
+        ends_v = end_values[axis][:, col]
+        ends_d = end_derivs[axis][:, col]
+        fn = ends_v[:, None] * ends_v[None, :]
+        dn = ends_d[:, None] * ends_d[None, :]
+        grad_dot = dn * tangential
+        for j in range(dim):
+            if j == axis:
+                continue
+            prod = fn * deriv_gram[j]
+            for k in range(dim):
+                if k != axis and k != j:
+                    prod = prod * value_gram[k]
+            grad_dot = grad_dot + prod
+        surfaces[axis, sign] = (
+            scale * fn * tangential,
+            grad_dot * scale,
+            scale * dn * tangential,
+        )
+    return overlap, surfaces
 
 
 # ---------------------------------------------------------------------------
@@ -343,65 +358,92 @@ def _check_indices(basis, *indices):
             raise IndexError(f"mode index {i} outside basis of size {len(basis)}")
 
 
-def _bulk_harmonics(spec, basis, n, m, sign, quad_points) -> HarmonicSum:
-    """Volume-integral harmonics of [bulk operator Psi_n] Psi_m."""
-    mode_n = basis.modes[n]
-    omega_n = mode_n.frequency
-    omega_m = basis.modes[m].frequency
-    xi = basis.params.coupling_xi
-    overlap = _volume_overlap(basis, n, m, quad_points)
-
-    total = HarmonicSum.zero()
-    for i, coeff in enumerate(spec.delta_o_coeffs):
-        total = total + coeff * (-mode_n.wavenumbers[i] ** 2 * overlap)
-    total = total + spec.delta_r * (
-        omega_n * (omega_n + sign * omega_m) * overlap
+def _spec_harmonics(spec: PerturbationSpec) -> Tuple[Tuple[float, str], ...]:
+    """Sorted (frequency, form) keys of every harmonic in a spec."""
+    sums = list(spec.delta_o_coeffs) + [spec.delta_r, spec.delta_r_bar]
+    sums += list(spec.delta_x.values())
+    return tuple(
+        sorted({(t.frequency, t.form) for hs in sums for t in hs.terms})
     )
-    return total + spec.delta_r_bar * (xi * overlap)
 
 
-def _surface_harmonics(
-    spec, basis, n, m, bc, branch, resonant, quad_points
-) -> HarmonicSum:
-    """Surface-integral harmonics multiplying the displacement of each face.
+def _coupling(
+    spec, basis, bc, resonant, harmonics, overlap, surfaces, branch
+) -> np.ndarray:
+    """(H, N, N) amplitudes of the alpha (branch -1) or beta (+1) coupling.
 
-    ``branch`` is -1 for the alpha coupling and +1 for the beta coupling:
-    it fixes the sign of the omega_n omega_m product in the bracket and
-    which resonance substitution applies to it.
+    The bulk part is the volume integral of [bulk operator Psi_n] Psi_m.
+    The surface part multiplies the displacement of each face; ``branch``
+    fixes the sign of the omega_n omega_m product in its Neumann bracket
+    and which resonance substitution applies to it.  Each harmonic's
+    amplitude accumulates its contributions in the order ``HarmonicSum``
+    merges them.
     """
-    omega_n = basis.modes[n].frequency
-    omega_m = basis.modes[m].frequency
-    mass = basis.params.mass
-    total = HarmonicSum.zero()
-    for face, harmonics in spec.delta_x.items():
-        if harmonics.is_zero():
+    where = {key: h for h, key in enumerate(harmonics)}
+    size = len(basis)
+    freqs = [mode.frequency for mode in basis.modes]
+    omega = np.array(freqs)
+    bulk = np.zeros((len(harmonics), size, size), dtype=complex)
+    for i, coeff in enumerate(spec.delta_o_coeffs):
+        k2 = np.array([-mode.wavenumbers[i] ** 2 for mode in basis.modes])
+        factor = k2[:, None] * overlap
+        for term in coeff.terms:
+            bulk[where[term.frequency, term.form]] += term.amplitude * factor
+    factor = (
+        omega[:, None] * (omega[:, None] + branch * omega[None, :]) * overlap
+    )
+    for term in spec.delta_r.terms:
+        bulk[where[term.frequency, term.form]] += term.amplitude * factor
+    factor = basis.params.coupling_xi * overlap
+    for term in spec.delta_r_bar.terms:
+        bulk[where[term.frequency, term.form]] += term.amplitude * factor
+
+    surface = np.zeros_like(bulk)
+    dirichlet = bc is BoundaryCondition.DIRICHLET
+    mass2 = basis.params.mass**2
+    squares = np.array([f**2 for f in freqs])
+    for face, harmonics_x in spec.delta_x.items():
+        if harmonics_x.is_zero():
             continue
-        value, grad_dot, normal_grad = _face_integrals(
-            basis, n, m, face, quad_points
-        )
-        if bc is BoundaryCondition.DIRICHLET:
-            total = total + harmonics * normal_grad
-            continue
-        for term in harmonics.terms:
-            if resonant:
-                # Resonance-targeted amplitude extraction: the product of
-                # mode frequencies is remapped so that the pair oscillates
-                # at the harmonic's own frequency.
-                if branch < 0:
+        value, grad_dot, normal_grad = surfaces[face]
+        for term in harmonics_x.terms:
+            if dirichlet:
+                bracket = normal_grad
+            else:
+                if not resonant:
+                    prod = omega[:, None] * omega[None, :]
+                elif branch < 0:
+                    # Resonance-targeted amplitude extraction: the product
+                    # of mode frequencies is remapped so that the pair
+                    # oscillates at the harmonic's own frequency.
                     prod = 0.5 * (
-                        omega_n**2 + omega_m**2 - term.frequency**2
+                        squares[:, None] + squares[None, :] - term.frequency**2
                     )
                 else:
                     prod = 0.5 * (
-                        term.frequency**2 - omega_n**2 - omega_m**2
+                        term.frequency**2 - squares[:, None] - squares[None, :]
                     )
-            else:
-                prod = omega_n * omega_m
-            bracket = grad_dot + (mass**2 + branch * prod) * value
-            total = total + HarmonicSum.single(
-                term.amplitude * bracket, term.frequency, term.form
-            )
+                bracket = grad_dot + (mass2 + branch * prod) * value
+            h = where[term.frequency, term.form]
+            surface[h] += term.amplitude * bracket
+
+    turn = 1j if branch < 0 else -1j
+    total = np.zeros_like(bulk)
+    total += bulk * turn
+    total += surface * (-turn if dirichlet else turn)
     return total
+
+
+def _pair_coupling(spec, basis, n, m, bc, resonant, quad_points, branch):
+    """The (n, m) coupling, computed on the two-mode basis of n and m."""
+    _check_indices(basis, n, m)
+    pair = dataclasses.replace(basis, modes=(basis.modes[n], basis.modes[m]))
+    harmonics = _spec_harmonics(spec)
+    overlap, surfaces = _pair_integrals(pair, spec.delta_x, quad_points)
+    amplitudes = _coupling(
+        spec, pair, bc, resonant, harmonics, overlap, surfaces, branch
+    )
+    return _harmonic_sums(harmonics, amplitudes)[0, 1]
 
 
 def coupling_alpha(
@@ -420,12 +462,7 @@ def coupling_alpha(
     With ``resonant=True`` each displacement harmonic is remapped to its
     own resonance target before the bracket is formed.
     """
-    _check_indices(basis, n, m)
-    bulk = _bulk_harmonics(spec, basis, n, m, -1, quad_points)
-    surface = _surface_harmonics(spec, basis, n, m, bc, -1, resonant, quad_points)
-    if bc is BoundaryCondition.DIRICHLET:
-        return bulk * 1j + surface * (-1j)
-    return bulk * 1j + surface * 1j
+    return _pair_coupling(spec, basis, n, m, bc, resonant, quad_points, -1)
 
 
 def coupling_beta(
@@ -438,12 +475,7 @@ def coupling_beta(
     quad_points: int = 64,
 ) -> HarmonicSum:
     """Harmonic decomposition of the first-order pair-creation coupling."""
-    _check_indices(basis, n, m)
-    bulk = _bulk_harmonics(spec, basis, n, m, +1, quad_points)
-    surface = _surface_harmonics(spec, basis, n, m, bc, +1, resonant, quad_points)
-    if bc is BoundaryCondition.DIRICHLET:
-        return bulk * (-1j) + surface * 1j
-    return bulk * (-1j) + surface * (-1j)
+    return _pair_coupling(spec, basis, n, m, bc, resonant, quad_points, +1)
 
 
 def build_coupling_matrices(
@@ -454,20 +486,18 @@ def build_coupling_matrices(
     quad_points: int = 64,
 ) -> CouplingMatrices:
     """Coupling harmonics for every pair of modes in the basis."""
-    size = len(basis)
-    alpha_hat = np.empty((size, size), dtype=object)
-    beta_hat = np.empty((size, size), dtype=object)
-    for n in range(size):
-        for m in range(size):
-            alpha_hat[n, m] = coupling_alpha(
-                spec, basis, n, m, bc, resonant, quad_points
-            )
-            beta_hat[n, m] = coupling_beta(
-                spec, basis, n, m, bc, resonant, quad_points
-            )
+    harmonics = _spec_harmonics(spec)
+    overlap, surfaces = _pair_integrals(basis, spec.delta_x, quad_points)
+    alpha, beta = (
+        _coupling(spec, basis, bc, resonant, harmonics, overlap, surfaces, b)
+        for b in (-1, +1)
+    )
+    alpha.flags.writeable = False
+    beta.flags.writeable = False
     return CouplingMatrices(
-        alpha_hat=alpha_hat,
-        beta_hat=beta_hat,
+        harmonics=harmonics,
+        alpha=alpha,
+        beta=beta,
         basis=basis,
         drive_frequency=spec.base_frequency,
     )
@@ -484,51 +514,62 @@ def find_resonances(
 
     Pair creation: omega_n + omega_m close to omega_p.  Mode mixing:
     omega_n - omega_m close to omega_p (ordered pairs, positive detuning
-    base).  Returns every hit with its signed detuning.
+    base).  Returns every hit with its signed detuning, ordered by n, then
+    m, with mode mixing before pair creation.
     """
     if omega_p <= 0:
         raise ValueError(f"drive frequency must be positive, got {omega_p}")
     freqs = basis.frequencies
-    hits = []
-    for n in range(len(freqs)):
-        for m in range(len(freqs)):
-            diff = freqs[n] - freqs[m] - omega_p
-            if abs(diff) <= tolerance:
-                hits.append(
-                    Resonance(n, m, ResonanceKind.MODE_MIXING, float(diff))
-                )
-            total = freqs[n] + freqs[m] - omega_p
-            if abs(total) <= tolerance:
-                hits.append(
-                    Resonance(n, m, ResonanceKind.PAIR_CREATION, float(total))
-                )
-    return tuple(hits)
+    detunings = np.stack(
+        [
+            (freqs[:, None] - freqs[None, :]) - omega_p,
+            (freqs[:, None] + freqs[None, :]) - omega_p,
+        ],
+        axis=-1,
+    )
+    kinds = (ResonanceKind.MODE_MIXING, ResonanceKind.PAIR_CREATION)
+    hits = np.nonzero(np.abs(detunings) <= tolerance)
+    return tuple(
+        Resonance(n, m, kinds[k], detuning)
+        for n, m, k, detuning in zip(
+            *(index.tolist() for index in hits), detunings[hits].tolist()
+        )
+    )
 
 
 # ---------------------------------------------------------------------------
 # closed-form window integrals
 
 
-def _phase_integral(mu: float, t0: float, tf: float) -> complex:
-    """Integral of exp(i mu t) over [t0, tf], stable at mu -> 0."""
-    if abs(mu) * max(abs(t0), abs(tf)) < 1e-12:
-        return complex(tf - t0)
-    return (cmath.exp(1j * mu * tf) - cmath.exp(1j * mu * t0)) / (1j * mu)
+def _complex(real, imag) -> np.ndarray:
+    out = np.empty(np.shape(real), dtype=complex)
+    out.real = real
+    out.imag = imag
+    return out
 
 
-def _windowed_integral(
-    harmonics: HarmonicSum, detuning: float, t0: float, tf: float
-) -> complex:
-    """Integral of exp(-i detuning t) * harmonics(t) over [t0, tf]."""
-    total = 0.0 + 0.0j
-    for term in harmonics.terms:
-        plus = _phase_integral(term.frequency - detuning, t0, tf)
-        minus = _phase_integral(-term.frequency - detuning, t0, tf)
-        if term.form == "sin":
-            total += term.amplitude * (plus - minus) / 2j
-        else:
-            total += term.amplitude * (plus + minus) / 2.0
-    return total
+def _phase_integral(mu, t0: float, tf: float) -> np.ndarray:
+    """Integral of exp(i mu t) over [t0, tf] for each mu, stable at mu -> 0."""
+    mu = np.asarray(mu, dtype=float)
+    small = np.abs(mu) * max(abs(t0), abs(tf)) < 1e-12
+    mu = np.where(small, 1.0, mu)
+    rise = np.exp(1j * mu * tf) - np.exp(1j * mu * t0)
+    # divide by the purely imaginary 1j * mu part by part, as CPython does;
+    # numpy's complex division multiplies by a reciprocal instead
+    value = _complex(rise.imag / mu, -rise.real / mu)
+    return np.where(small, tf - t0, value)
+
+
+def _cmul(a: np.ndarray, b) -> np.ndarray:
+    """Elementwise a * b with CPython's complex product.
+
+    numpy's complex multiply fuses a multiply and an add, which changes
+    the last bit; a real ``b`` counts as b + 0j, as in CPython.
+    """
+    b = np.asarray(b)
+    return _complex(
+        a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real
+    )
 
 
 def _check_validity_window(drive_frequency, epsilon, t0, tf):
@@ -564,22 +605,42 @@ def bogoliubov_perturbative(
     if tf <= t0:
         raise ValueError("window must satisfy t0 < tf")
     _check_validity_window(couplings.drive_frequency, epsilon, t0, tf)
-    freqs = basis.frequencies
-    size = len(basis)
-    alpha = np.eye(size, dtype=complex)
-    beta = np.zeros((size, size), dtype=complex)
-    for n in range(size):
-        for m in range(size):
-            if n != m:
-                alpha[n, m] = epsilon * _windowed_integral(
-                    couplings.alpha_hat[n, m], freqs[n] - freqs[m], t0, tf
-                )
-            beta[n, m] = epsilon * _windowed_integral(
-                couplings.beta_hat[n, m], freqs[n] + freqs[m], t0, tf
-            )
+    alpha, beta = _first_order(
+        couplings, basis, epsilon, lambda mu: _phase_integral(mu, t0, tf)
+    )
     return BogoliubovMatrix(
         alpha=alpha, beta=beta, epsilon_used=epsilon, window=(t0, tf)
     )
+
+
+def _first_order(couplings, basis, epsilon, kernel):
+    """First-order alpha and beta of every pair for a window or an envelope.
+
+    Each entry is epsilon times the integral of exp(-i detuning t) against
+    the pair's coupling harmonics, where ``kernel(mu)`` gives the integral
+    of exp(i mu t) against the window or the envelope for an array of mu.
+    The alpha diagonal is set to one.
+    """
+    freqs = basis.frequencies
+    coefficients = []
+    for amplitudes, detuning in (
+        (couplings.alpha, freqs[:, None] - freqs[None, :]),
+        (couplings.beta, freqs[:, None] + freqs[None, :]),
+    ):
+        total = np.zeros(detuning.shape, dtype=complex)
+        for (frequency, form), amplitude in zip(
+            couplings.harmonics, amplitudes
+        ):
+            plus = kernel(frequency - detuning)
+            minus = kernel(-frequency - detuning)
+            if form == "sin":
+                total += _cmul(amplitude, plus - minus) / 2j
+            else:
+                total += _cmul(amplitude, plus + minus) / 2.0
+        coefficients.append(epsilon * total)
+    alpha, beta = coefficients
+    np.fill_diagonal(alpha, 1.0)
+    return alpha, beta
 
 
 # ---------------------------------------------------------------------------
@@ -599,10 +660,10 @@ class GaussianEnvelope:
     def __call__(self, t):
         return np.exp(-np.asarray(t, dtype=float) ** 2 / (2.0 * self.sigma**2))
 
-    def transform(self, mu: float) -> float:
+    def transform(self, mu):
         """Integral of envelope(t) exp(i mu t) over the real line."""
-        return self.sigma * math.sqrt(2.0 * math.pi) * math.exp(
-            -0.5 * (self.sigma * mu) ** 2
+        return self.sigma * math.sqrt(2.0 * math.pi) * np.exp(
+            -0.5 * (self.sigma * np.asarray(mu, dtype=float)) ** 2
         )
 
 
@@ -621,31 +682,19 @@ class RaisedCosineEnvelope:
         inside = np.abs(t) <= self.duration / 2.0
         return np.where(inside, np.cos(np.pi * t / self.duration) ** 2, 0.0)
 
-    def transform(self, mu: float) -> float:
+    def transform(self, mu):
         """Integral of envelope(t) exp(i mu t) over the real line."""
         T = self.duration
 
         def box(u):
             # integral of exp(i u t) over [-T/2, T/2]
-            if abs(u) < 1e-14:
-                return T
-            return 2.0 * math.sin(u * T / 2.0) / u
+            small = np.abs(u) < 1e-14
+            u = np.where(small, 1.0, u)
+            return np.where(small, T, 2.0 * np.sin(u * T / 2.0) / u)
 
+        mu = np.asarray(mu, dtype=float)
         w = 2.0 * math.pi / T
         return 0.5 * box(mu) + 0.25 * (box(mu + w) + box(mu - w))
-
-
-def _asymptotic_integral(harmonics, detuning, envelope) -> complex:
-    """Integral of exp(-i detuning t) harmonics(t) envelope(t) over the line."""
-    total = 0.0 + 0.0j
-    for term in harmonics.terms:
-        plus = envelope.transform(term.frequency - detuning)
-        minus = envelope.transform(-term.frequency - detuning)
-        if term.form == "sin":
-            total += term.amplitude * (plus - minus) / 2j
-        else:
-            total += term.amplitude * (plus + minus) / 2.0
-    return total
 
 
 def bogoliubov_asymptotic(
@@ -666,19 +715,7 @@ def bogoliubov_asymptotic(
             "asymptotic coefficients need an integrable envelope with a "
             "closed-form transform (Gaussian or raised-cosine)"
         )
-    freqs = basis.frequencies
-    size = len(basis)
-    alpha = np.eye(size, dtype=complex)
-    beta = np.zeros((size, size), dtype=complex)
-    for n in range(size):
-        for m in range(size):
-            if n != m:
-                alpha[n, m] = epsilon * _asymptotic_integral(
-                    couplings.alpha_hat[n, m], freqs[n] - freqs[m], envelope
-                )
-            beta[n, m] = epsilon * _asymptotic_integral(
-                couplings.beta_hat[n, m], freqs[n] + freqs[m], envelope
-            )
+    alpha, beta = _first_order(couplings, basis, epsilon, envelope.transform)
     return BogoliubovMatrix(
         alpha=alpha, beta=beta, epsilon_used=epsilon, window=None
     )

@@ -193,7 +193,8 @@ class GwConfig:
     frequency_cutoff: float
 
     def __post_init__(self):
-        for name in ("lx", "ly", "lz", "epsilon", "omega_drive"):
+        for name in ("lx", "ly", "lz", "epsilon", "omega_drive",
+                     "frequency_cutoff"):
             require_positive(name, getattr(self, name))
         if self.epsilon > 0.1:
             warnings.warn(

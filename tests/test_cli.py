@@ -5,8 +5,10 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
+from movingcavity import cli
 from movingcavity.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -15,6 +17,7 @@ from movingcavity.cli import (
     ConfigError,
     load_config,
     main,
+    write_table,
 )
 
 
@@ -266,6 +269,56 @@ def test_csv_output_is_deterministic(tmp_path, capsys):
     _, first, _ = run_cli(capsys, "evolve", "--config", config)
     _, second, _ = run_cli(capsys, "evolve", "--config", config)
     assert first == second
+
+
+def reference_csv(columns, rows):
+    """The csv-writer table: 17 significant digits per float, str otherwise."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    header_row = rows[0] if rows else [0.0] * len(columns)
+    writer.writerow(cli._flatten_columns(columns, header_row))
+    for row in rows:
+        writer.writerow([
+            cli._fmt(item) if isinstance(item, (float, np.floating))
+            else str(item)
+            for item in cli._flatten_row(row)
+        ])
+    return buffer.getvalue()
+
+
+SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 5e-324,
+           0.1, -1.5e17, 2.0 / 3.0]
+TEMPLATE_TABLES = {
+    "floats-and-ints": [
+        [x, i, -i, y, np.float64(x), np.int64(i), np.float32(y)]
+        for i, (x, y) in enumerate(zip(SPECIAL, reversed(SPECIAL)))
+    ],
+    "strings": [
+        ["mode-mixing", 3, x] for x in SPECIAL
+    ] + [["residual(eps=0.01)", 1, 0.1]],
+}
+FALLBACK_TABLES = {
+    "complex": [[x, 1, complex(x, -y)] for x, y in zip(SPECIAL, SPECIAL)],
+    "quoted": [["a,b", 1, 0.5], ['say "x"', 2, 1.5], ["two\nlines", 3, 0.1],
+               ["cr\r", 4, 0.2], ["", 5, 0.3]],
+    "mixed-types": [[1, 2.5, "x"], [1.5, 2, "y"]],
+    "bool-and-none": [[True, None, 1.0], [False, None, 2.0]],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize(
+    "name", sorted(TEMPLATE_TABLES) + sorted(FALLBACK_TABLES)
+)
+def test_csv_template_matches_csv_writer(name, tmp_path):
+    rows = {**TEMPLATE_TABLES, **FALLBACK_TABLES}[name]
+    width = max((len(cli._flatten_row(r)) for r in rows), default=3)
+    columns = [f"c{i}" for i in range(width)]
+    assert (cli._csv_template(rows) is None) == (name in FALLBACK_TABLES)
+    out = tmp_path / "table.csv"
+    text = write_table(columns, rows, {}, "csv", str(out))
+    assert text == reference_csv(columns, rows)
+    assert out.read_bytes() == text.encode("utf-8")
 
 
 def test_json_round_trips(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Tests for instantaneous bases and exact Bogoliubov evolution."""
 
+import logging
 import math
 
 import numpy as np
@@ -228,6 +229,17 @@ def test_static_trajectory_gives_pure_phases():
     expected = np.diag(np.exp(1j * freqs * 2.0))
     # fixed-step RK4 phase error dominates the deviation
     assert np.max(np.abs(state.alpha - expected)) < 2e-5
+
+
+def test_verbose_logs_the_step_plan_and_keeps_stdout_clean(caplog, capsys):
+    traj = BoundaryTrajectory.static(0.0, math.pi)
+    with caplog.at_level(logging.INFO, logger="movingcavity.exact1d"):
+        evolve_transformation(
+            traj, FieldParams(), D, 0.0, 0.2, 2, step=0.1, verbose=True
+        )
+    assert "integrating 2 steps of dt=0.1" in caplog.text
+    assert caplog.records[0].name == "movingcavity.exact1d"
+    assert capsys.readouterr().out == ""
 
 
 def test_identity_preserved_and_checkpoints_recorded():

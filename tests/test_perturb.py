@@ -1,5 +1,6 @@
 """Tests for first-order couplings and perturbative Bogoliubov coefficients."""
 
+import cmath
 import math
 import warnings
 
@@ -23,8 +24,22 @@ from movingcavity.perturb import (
     coupling_beta,
     find_resonances,
 )
-from movingcavity.scenarios import DceConfig, DceVariant, build_dce
-from movingcavity.staticmodes import Interval, solve_interval_modes
+from movingcavity.scenarios import (
+    DceConfig,
+    DceVariant,
+    GwConfig,
+    build_dce,
+    build_gw,
+)
+from movingcavity.staticmodes import (
+    Box,
+    Interval,
+    axis_deriv_table,
+    axis_value_table,
+    gauss_legendre,
+    solve_box_modes,
+    solve_interval_modes,
+)
 
 D = BoundaryCondition.DIRICHLET
 N = BoundaryCondition.NEUMANN
@@ -150,6 +165,174 @@ def test_coupling_index_bounds():
 
 
 # ---------------------------------------------------------------------------
+# dense couplings against the per-pair reference
+
+
+def reference_couplings(spec, basis, bc, resonant, quad_points=64):
+    """(N, N) lists of alpha and beta HarmonicSums, one pair at a time.
+
+    The per-pair integrals the dense build replaces: per-axis Gram and
+    endpoint tables, then the volume and face integrals of each pair.
+    """
+    lengths = basis.modes[0].lengths
+    dim = len(lengths)
+    grams, dgrams, ends_v, ends_d = [], [], [], []
+    for axis in range(dim):
+        half = lengths[axis] / 2.0
+        nodes, weights = gauss_legendre(-half, half, quad_points)
+        vals = axis_value_table(basis, axis, nodes)
+        ders = axis_deriv_table(basis, axis, nodes)
+        grams.append((vals * weights) @ vals.T)
+        dgrams.append((ders * weights) @ ders.T)
+        ends = np.array([-half, half])
+        ends_v.append(axis_value_table(basis, axis, ends))
+        ends_d.append(axis_deriv_table(basis, axis, ends))
+    norms = np.array([m.normalization for m in basis.modes])
+    omega = [m.frequency for m in basis.modes]
+    xi, mass = basis.params.coupling_xi, basis.params.mass
+
+    def overlap(n, m):
+        prod = 1.0
+        for gram in grams:
+            prod *= gram[n, m]
+        return prod * norms[n] * norms[m]
+
+    def face_integrals(n, m, axis, sign):
+        col = 0 if sign < 0 else 1
+        scale = norms[n] * norms[m]
+        tangential = 1.0
+        for j in range(dim):
+            if j != axis:
+                tangential *= grams[j][n, m]
+        fn = ends_v[axis][n, col] * ends_v[axis][m, col]
+        dn = ends_d[axis][n, col] * ends_d[axis][m, col]
+        grad_dot = dn * tangential
+        for j in range(dim):
+            if j == axis:
+                continue
+            prod = fn * dgrams[j][n, m]
+            for k in range(dim):
+                if k != axis and k != j:
+                    prod *= grams[k][n, m]
+            grad_dot += prod
+        grad_dot *= scale
+        return scale * fn * tangential, grad_dot, scale * dn * tangential
+
+    def bulk(n, m, sign):
+        ov = overlap(n, m)
+        total = HarmonicSum.zero()
+        for i, coeff in enumerate(spec.delta_o_coeffs):
+            total = total + coeff * (-basis.modes[n].wavenumbers[i] ** 2 * ov)
+        total = total + spec.delta_r * (
+            omega[n] * (omega[n] + sign * omega[m]) * ov
+        )
+        return total + spec.delta_r_bar * (xi * ov)
+
+    def surface(n, m, branch):
+        total = HarmonicSum.zero()
+        for (axis, sign), harmonics in spec.delta_x.items():
+            if harmonics.is_zero():
+                continue
+            value, grad_dot, normal_grad = face_integrals(n, m, axis, sign)
+            if bc is D:
+                total = total + harmonics * normal_grad
+                continue
+            for term in harmonics.terms:
+                if not resonant:
+                    prod = omega[n] * omega[m]
+                elif branch < 0:
+                    prod = 0.5 * (
+                        omega[n]**2 + omega[m]**2 - term.frequency**2
+                    )
+                else:
+                    prod = 0.5 * (
+                        term.frequency**2 - omega[n]**2 - omega[m]**2
+                    )
+                bracket = grad_dot + (mass**2 + branch * prod) * value
+                total = total + HarmonicSum.single(
+                    term.amplitude * bracket, term.frequency, term.form
+                )
+        return total
+
+    turn = {D: -1j, N: 1j}[bc]
+    size = len(basis)
+    alpha = [[bulk(n, m, -1) * 1j + surface(n, m, -1) * turn
+              for m in range(size)] for n in range(size)]
+    beta = [[bulk(n, m, +1) * (-1j) + surface(n, m, +1) * (-turn)
+             for m in range(size)] for n in range(size)]
+    return alpha, beta
+
+
+def gw_setup(bc, cutoff=9.0):
+    config = GwConfig(
+        lx=1.0, ly=1.3, lz=0.9, bc=bc, epsilon=1e-3, omega_drive=5.0,
+        frequency_cutoff=cutoff,
+    )
+    spec, _ = build_gw(config)
+    basis = solve_box_modes(
+        Box(1.0, 1.3, 0.9), FieldParams(), bc, frequency_cutoff=cutoff
+    )
+    return spec, basis
+
+
+def mixed_setup(bc):
+    """Every spec field in use, sin and cos harmonics, on a massive box."""
+    def hs(*terms):
+        return HarmonicSum([HarmonicTerm(*t) for t in terms])
+
+    spec = PerturbationSpec(
+        epsilon=1e-3,
+        delta_o_coeffs=(hs((0.7, 2.0, "sin"), (0.2, 0.0, "cos")),
+                        hs((-0.4, 2.0, "cos")), hs((0.3, 3.5, "sin"))),
+        delta_r=hs((0.5, 2.0, "sin"), (-0.25, 3.5, "cos")),
+        delta_r_bar=hs((1.5, 2.0, "cos")),
+        delta_x={(0, -1): hs((0.1, 2.0, "sin"), (0.05, 3.5, "cos")),
+                 (2, +1): hs((-0.2, 2.0, "cos"))},
+        base_frequency=2.0,
+    )
+    basis = solve_box_modes(
+        Box(1.1, 0.8, 1.3), FieldParams(mass=0.9, coupling_xi=0.2), bc,
+        frequency_cutoff=10.0,
+    )
+    return spec, basis
+
+
+def coupling_cases():
+    for bc in (D, N):
+        yield (bc, *gw_setup(bc))
+        yield (bc, *mixed_setup(bc))
+        for variant in DceVariant:
+            spec, _, basis = dce_setup(
+                variant=variant, bc=bc, length=1.7, mass=0.6, count=6
+            )
+            yield bc, spec, basis
+
+
+@pytest.mark.parametrize("resonant", [False, True])
+def test_dense_couplings_match_per_pair_reference(resonant):
+    for bc, spec, basis in coupling_cases():
+        mats = build_coupling_matrices(spec, basis, bc, resonant=resonant)
+        want_alpha, want_beta = reference_couplings(spec, basis, bc, resonant)
+        for got, want in ((mats.alpha_hat, want_alpha),
+                          (mats.beta_hat, want_beta)):
+            assert [[hs.terms for hs in row] for row in got] == [
+                [hs.terms for hs in row] for row in want
+            ]
+
+
+def test_dense_couplings_arrays_and_views_agree():
+    spec, basis = gw_setup(D)
+    mats = build_coupling_matrices(spec, basis, D)
+    assert mats.alpha.shape == (len(mats.harmonics), len(basis), len(basis))
+    assert list(mats.harmonics) == sorted(mats.harmonics)
+    h = mats.harmonics.index((5.0, "sin"))
+    assert mats.beta_hat[3, 4].amplitude_at(5.0) == mats.beta[h, 3, 4]
+    assert mats.alpha_hat is mats.alpha_hat  # built once
+    with pytest.raises(ValueError):
+        mats.alpha_hat[0, 0] = HarmonicSum.zero()
+
+
+# ---------------------------------------------------------------------------
 # resonance identification
 
 
@@ -164,6 +347,37 @@ def test_resonances_integer_spectrum():
     assert mixing == {(3, 0), (4, 1), (5, 2)}
     assert creation == {(0, 1), (1, 0)}
     assert all(abs(r.detuning) < 1e-9 for r in found)
+
+
+def reference_resonances(basis, omega_p, tolerance):
+    freqs = basis.frequencies
+    hits = []
+    for n in range(len(freqs)):
+        for m in range(len(freqs)):
+            diff = freqs[n] - freqs[m] - omega_p
+            if abs(diff) <= tolerance:
+                hits.append((n, m, ResonanceKind.MODE_MIXING, float(diff)))
+            total = freqs[n] + freqs[m] - omega_p
+            if abs(total) <= tolerance:
+                hits.append((n, m, ResonanceKind.PAIR_CREATION, float(total)))
+    return hits
+
+
+@pytest.mark.parametrize("box", [False, True])
+def test_resonances_match_pairwise_loop(box):
+    if box:
+        _, basis = gw_setup(N, cutoff=12.0)
+        drive, tolerance = 4.0, 0.3
+    else:
+        basis = solve_interval_modes(Interval(math.pi), FieldParams(), D, 12)
+        drive, tolerance = 3.0, 1e-9
+    found = find_resonances(basis, drive, tolerance)
+    want = reference_resonances(basis, drive, tolerance)
+    assert len(want) > 10
+    got = [(r.n, r.m, r.kind, r.detuning) for r in found]
+    assert got == want
+    assert all(type(v) is float for *_, v in got)
+    assert all(type(n) is int and type(m) is int for n, m, *_ in got)
 
 
 def test_resonances_empty_when_off_resonance():
@@ -227,6 +441,96 @@ def test_resonant_growth_is_linear():
         long = bogoliubov_perturbative(mats, basis, 1e-3, 0.0, 80.0)
     growth = abs(long.beta[0, 1]) - abs(short.beta[0, 1])
     assert growth == pytest.approx(1e-3 * rate * 40.0, rel=0.03)
+
+
+def reference_phase_integral(mu, t0, tf):
+    if abs(mu) * max(abs(t0), abs(tf)) < 1e-12:
+        return complex(tf - t0)
+    return (cmath.exp(1j * mu * tf) - cmath.exp(1j * mu * t0)) / (1j * mu)
+
+
+def reference_coefficients(mats, basis, epsilon, kernel):
+    """First-order alpha and beta, one pair and one harmonic at a time."""
+    freqs = basis.frequencies
+    size = len(basis)
+    alpha = np.eye(size, dtype=complex)
+    beta = np.zeros((size, size), dtype=complex)
+    for n in range(size):
+        for m in range(size):
+            for out, hat, detuning in (
+                (alpha, mats.alpha_hat, freqs[n] - freqs[m]),
+                (beta, mats.beta_hat, freqs[n] + freqs[m]),
+            ):
+                if out is alpha and n == m:
+                    continue
+                total = 0.0 + 0.0j
+                for term in hat[n, m].terms:
+                    plus = kernel(term.frequency - detuning)
+                    minus = kernel(-term.frequency - detuning)
+                    if term.form == "sin":
+                        total += term.amplitude * (plus - minus) / 2j
+                    else:
+                        total += term.amplitude * (plus + minus) / 2.0
+                out[n, m] = epsilon * total
+    return alpha, beta
+
+
+def coefficient_cases():
+    # L = pi with drive 3 hits the mu -> 0 branch on exact resonances
+    spec, _, basis = dce_setup(length=math.pi, drive=3.0, count=6)
+    yield spec, basis, D
+    spec, _, basis = dce_setup(bc=N, length=1.7, mass=0.6, count=6)
+    yield spec, basis, N
+    spec, basis = gw_setup(D)
+    yield spec, basis, D
+    spec, basis = mixed_setup(N)
+    yield spec, basis, N
+
+
+def test_perturbative_matches_scalar_loop_exactly():
+    for spec, basis, bc in coefficient_cases():
+        mats = build_coupling_matrices(spec, basis, bc)
+        for t0, tf in ((0.0, 10.0), (0.3, 7.9)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ValidityWindowWarning)
+                result = bogoliubov_perturbative(mats, basis, 1e-3, t0, tf)
+            alpha, beta = reference_coefficients(
+                mats, basis, 1e-3,
+                lambda mu: reference_phase_integral(mu, t0, tf),
+            )
+            assert np.array_equal(result.alpha, alpha)
+            assert np.array_equal(result.beta, beta)
+
+
+def test_asymptotic_matches_scalar_loop():
+    sigma, duration = 4.0, 9.0
+
+    def gaussian(mu):
+        return sigma * math.sqrt(2.0 * math.pi) * math.exp(
+            -0.5 * (sigma * mu) ** 2
+        )
+
+    def box(u):
+        if abs(u) < 1e-14:
+            return duration
+        return 2.0 * math.sin(u * duration / 2.0) / u
+
+    def raised_cosine(mu):
+        w = 2.0 * math.pi / duration
+        return 0.5 * box(mu) + 0.25 * (box(mu + w) + box(mu - w))
+
+    for spec, basis, bc in coefficient_cases():
+        mats = build_coupling_matrices(spec, basis, bc, resonant=True)
+        for envelope, kernel in (
+            (GaussianEnvelope(sigma), gaussian),
+            (RaisedCosineEnvelope(duration), raised_cosine),
+        ):
+            result = bogoliubov_asymptotic(mats, basis, 1e-3, envelope)
+            alpha, beta = reference_coefficients(mats, basis, 1e-3, kernel)
+            for got, want in ((result.alpha, alpha), (result.beta, beta)):
+                scale = np.max(np.abs(want - np.diag(np.diag(alpha))))
+                assert scale > 0
+                assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
 
 # ---------------------------------------------------------------------------

@@ -162,17 +162,23 @@ def test_large_epsilon_warns():
 # standing-wave metric scenarios
 
 
-def gw_config(bc=D, epsilon=1e-3):
+def gw_config(bc=D, epsilon=1e-3, frequency_cutoff=25.0):
     return GwConfig(
         lx=1.0, ly=1.3, lz=0.9, bc=bc, epsilon=epsilon, omega_drive=5.0,
-        frequency_cutoff=25.0,
+        frequency_cutoff=frequency_cutoff,
     )
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-def test_gw_config_non_finite_epsilon_rejected(value):
-    with pytest.raises(ValueError, match="epsilon"):
-        gw_config(epsilon=value)
+@pytest.mark.parametrize(
+    "field, value",
+    [("epsilon", v) for v in (math.nan, math.inf, -math.inf)]
+    + [("frequency_cutoff", v) for v in (math.nan, math.inf, -math.inf, 0.0)],
+    ids=["nan", "inf", "-inf", "cutoff-nan", "cutoff-inf", "cutoff--inf",
+         "cutoff-0"],
+)
+def test_gw_config_non_finite_epsilon_rejected(field, value):
+    with pytest.raises(ValueError, match=field):
+        gw_config(**{field: value})
 
 
 def test_rigid_walls_keep_proper_length_constant():
