@@ -196,6 +196,14 @@ def load_config(path: Optional[str], overrides: Dict[str, Any]) -> RunConfig:
             config.epsilons = tuple(float(e) for e in raw["epsilons"])
         except (TypeError, ValueError):
             raise ConfigError("field 'epsilons': expected a list of numbers")
+        # the sweep fits a log-log slope: two distinct logs at least
+        if len(set(config.epsilons)) < 2 or not all(
+            math.isfinite(e) and e > 0 for e in config.epsilons
+        ):
+            raise ConfigError(
+                "field 'epsilons': expected at least two distinct finite "
+                f"amplitudes > 0, got {list(config.epsilons)}"
+            )
     if config.tf <= config.t0:
         raise ConfigError(
             f"field 'window': requires t0 < tf, got [{config.t0}, {config.tf}]"

@@ -12,8 +12,9 @@ coefficients.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -57,20 +58,22 @@ class StabilityError(RuntimeError):
 
 TimeFunc = Callable[[float], float]
 
+FD_STEP = 1e-6  # finite-difference step for wall velocities
+BRACKET_DENSITY = 4  # root-scan nodes per half mode spacing
+
 
 @dataclass(frozen=True)
 class BoundaryTrajectory:
     """Positions of the two cavity walls as functions of time.
 
     Velocities may be supplied analytically; otherwise they come from
-    4th-order central differences with step ``fd_step``.
+    4th-order central differences with step ``FD_STEP``.
     """
 
     x_minus: TimeFunc
     x_plus: TimeFunc
     v_minus: Optional[TimeFunc] = None
     v_plus: Optional[TimeFunc] = None
-    fd_step: float = 1e-6
 
     @staticmethod
     def static(x_minus: float, x_plus: float) -> "BoundaryTrajectory":
@@ -91,7 +94,7 @@ class BoundaryTrajectory:
         return xm, xp
 
     def velocities(self, t: float) -> Tuple[float, float]:
-        h = self.fd_step
+        h = FD_STEP
 
         def fd(f):
             return (
@@ -137,6 +140,13 @@ def _cs(x, lam):
     return c, s
 
 
+def _mode_values(lam, a, b, x):
+    """Values and x-derivatives of the modes (lam, a, b) at points ``x``."""
+    lam, a, b = lam[:, None], a[:, None], b[:, None]
+    c, s = _cs(np.asarray(x, dtype=float)[None, :], lam)
+    return a * c + b * s, -lam * s * a + b * c
+
+
 @dataclass(frozen=True)
 class InstantaneousMode:
     """One eigen-solution psi(x) = a c(x) + b s(x) on [x_minus, x_plus]."""
@@ -163,29 +173,53 @@ class InstantaneousMode:
 
 @dataclass(frozen=True)
 class InstantaneousBasis:
-    """Signed eigenpairs of the cavity at one time, both frequency branches."""
+    """Signed eigenpairs of the cavity at one time, both frequency branches.
+
+    Mode i is psi_i = a[i] c(x; lam[i]) + b[i] s(x; lam[i]) with signed
+    frequency omega[i]; the four read-only arrays have shape (2N,), the
+    positive branch first.  ``modes``, ``plus`` and ``minus`` present the
+    same numbers as ``InstantaneousMode`` objects, built on first access.
+    """
 
     time: float
     bc: BoundaryCondition
     params: FieldParams
     f_term: float
-    plus: Tuple[InstantaneousMode, ...]
-    minus: Tuple[InstantaneousMode, ...]
+    omega: np.ndarray
+    lam: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    x_minus: float
+    x_plus: float
 
     @property
     def bands(self) -> int:
-        return len(self.plus)
+        return len(self.omega) // 2
 
     @property
     def frequencies(self) -> np.ndarray:
         """All 2N signed frequencies, positive branch first."""
-        return np.array(
-            [m.omega for m in self.plus] + [m.omega for m in self.minus]
+        return self.omega
+
+    def values(self, x):
+        """Values and x-derivatives of every mode, each (2N, len(x))."""
+        return _mode_values(self.lam, self.a, self.b, x)
+
+    @functools.cached_property
+    def modes(self) -> Tuple[InstantaneousMode, ...]:
+        arrays = (self.omega, self.lam, self.a, self.b)
+        return tuple(
+            InstantaneousMode(*row, self.x_minus, self.x_plus)
+            for row in zip(*(array.tolist() for array in arrays))
         )
 
     @property
-    def modes(self) -> Tuple[InstantaneousMode, ...]:
-        return self.plus + self.minus
+    def plus(self) -> Tuple[InstantaneousMode, ...]:
+        return self.modes[: self.bands]
+
+    @property
+    def minus(self) -> Tuple[InstantaneousMode, ...]:
+        return self.modes[self.bands :]
 
 
 def _boundary_rows(omega, lam, x, v, bc):
@@ -202,18 +236,25 @@ def _boundary_rows(omega, lam, x, v, bc):
     return omega * c - v * lam * s, omega * s + v * c
 
 
-def _char_det_vec(omegas, xm, xp, vm, vp, mass2f, bc):
-    """Characteristic determinant evaluated on an array of frequencies."""
+def _wall_rows(omegas, xm, xp, vm, vp, mass2f, bc):
+    """Boundary rows of ``omegas`` at both walls, wall axis first."""
     omegas = np.asarray(omegas, dtype=float)
     lam = omegas * omegas - mass2f
-    r0, r1 = _boundary_rows(
-        omegas, lam, np.array([[xm], [xp]]), np.array([[vm], [vp]]), bc
+    walls = (2,) + (1,) * omegas.ndim
+    return _boundary_rows(
+        omegas, lam, np.reshape([xm, xp], walls), np.reshape([vm, vp], walls),
+        bc,
     )
+
+
+def _char_det_vec(omegas, xm, xp, vm, vp, mass2f, bc):
+    """Characteristic determinant evaluated on an array of frequencies."""
+    r0, r1 = _wall_rows(omegas, xm, xp, vm, vp, mass2f, bc)
     return r0[0] * r1[1] - r1[0] * r0[1]
 
 
-def _scan_grid(sign, xm, xp, mass2f, bands, density, skip_low):
-    """Ascending-|omega| scan nodes covering the first ``bands`` roots.
+def _scan_grid(xm, xp, mass2f, bands, skip_low):
+    """Ascending |omega| scan nodes covering the first ``bands`` roots.
 
     With ``skip_low`` the scan starts above k = pi/(2L), leaving out the
     boundary-velocity-induced solution below the first band (the massless
@@ -225,19 +266,21 @@ def _scan_grid(sign, xm, xp, mass2f, bands, density, skip_low):
     k_min = (
         math.pi / (2 * length)
         if skip_low
-        else math.pi / (density * length)
+        else math.pi / (BRACKET_DENSITY * length)
     )
     k_max = math.pi * (bands + 2) / length
-    n_nodes = int(density * (bands + 2)) + 1
+    n_nodes = int(BRACKET_DENSITY * (bands + 2)) + 1
     ks = np.linspace(k_min, k_max, n_nodes)
     omegas = np.sqrt(ks * ks + mass2f)
     if mass2f > 0 and not skip_low:
         kaps = np.linspace(0.0, math.sqrt(mass2f), 33)[:-1]
         evan = np.sqrt(mass2f - kaps * kaps)[::-1]
+        # a subnormal m^2 + F repeats nodes, each an exact zero at omega = m
+        evan = evan[np.diff(evan, prepend=0.0) > 0]
         floor = 1e-9 * math.sqrt(mass2f)
         evan = evan[evan > floor]
         omegas = np.concatenate([[floor], evan, omegas])
-    return sign * omegas
+    return omegas
 
 
 def _polish_roots(f_vec, a, b, fa, fb, max_iter=100):
@@ -252,7 +295,8 @@ def _polish_roots(f_vec, a, b, fa, fb, max_iter=100):
     for _ in range(max_iter):
         denom = np.where(fb != fa, fb - fa, 1.0)
         mid = b - fb * (b - a) / denom
-        inside = (mid > np.minimum(a, b)) & (mid < np.maximum(a, b))
+        # closed interval: a secant step onto a root at b must stay there
+        inside = (mid >= np.minimum(a, b)) & (mid <= np.maximum(a, b))
         mid = np.where(inside, mid, 0.5 * (a + b))
         fm = f_vec(mid)
         if not np.all(np.isfinite(fm)):
@@ -274,108 +318,77 @@ def _polish_roots(f_vec, a, b, fa, fb, max_iter=100):
     )
 
 
-def _find_branch_roots(
-    sign, xm, xp, vm, vp, mass2f, bc, bands, density, skip_low
-):
-    nodes = _scan_grid(sign, xm, xp, mass2f, bands, density, skip_low)
+def _find_roots(xm, xp, vm, vp, mass2f, bc, bands, skip_low):
+    """First ``bands`` roots of each branch, shape (2N,), + branch first.
+
+    Both branches are scanned on the signed grids ``[grid, -grid]``; an
+    event is an exact zero at a node or a sign change to the next node.
+    """
+    grid = _scan_grid(xm, xp, mass2f, bands, skip_low)
+    nodes = np.stack([grid, -grid])
     values = _char_det_vec(nodes, xm, xp, vm, vp, mass2f, bc)
     exact = values == 0.0
-    crossing = np.nonzero((values[:-1] * values[1:] < 0) & ~exact[:-1])[0]
-    # collect brackets and exact-node hits in ascending |omega| order
-    events = sorted(
-        [(i, "bracket") for i in crossing]
-        + [(i, "node") for i in np.nonzero(exact)[0]]
-    )[: bands]
-    if len(events) < bands:
-        raise SolverError(
-            f"found only {len(events)} of {bands} eigenvalues on branch "
-            f"{'+' if sign > 0 else '-'}; scan window [{nodes[0]:.6g}, "
-            f"{nodes[-1]:.6g}] with {len(nodes)} nodes — increase the "
-            "bracket density"
+    event = exact.copy()
+    event[:, :-1] |= values[:, :-1] * values[:, 1:] < 0
+    found = event.sum(axis=1)
+    for row, sign in enumerate("+-"):
+        if found[row] < bands:
+            raise SolverError(
+                f"found only {found[row]} of {bands} eigenvalues on branch "
+                f"{sign}; scan window [{nodes[row, 0]:.6g}, "
+                f"{nodes[row, -1]:.6g}] with {len(grid)} nodes"
+            )
+    rows, cols = np.nonzero(event & (np.cumsum(event, axis=1) <= bands))
+    roots = nodes[rows, cols]
+    bracket = ~exact[rows, cols]
+    if np.any(bracket):
+        r, i = rows[bracket], cols[bracket]
+        roots[bracket] = _polish_roots(
+            lambda w: _char_det_vec(w, xm, xp, vm, vp, mass2f, bc),
+            nodes[r, i], nodes[r, i + 1], values[r, i], values[r, i + 1],
         )
-    idx = np.array([i for i, kind in events if kind == "bracket"], dtype=int)
-    f_vec = lambda w: _char_det_vec(w, xm, xp, vm, vp, mass2f, bc)
-    polished = (
-        _polish_roots(
-            f_vec, nodes[idx], nodes[idx + 1], values[idx], values[idx + 1]
-        )
-        if len(idx)
-        else np.empty(0)
-    )
-    roots, j = [], 0
-    for i, kind in events:
-        if kind == "node":
-            roots.append(float(nodes[i]))
-        else:
-            roots.append(float(polished[j]))
-            j += 1
     return roots
 
 
-def _eval_many(modes: Sequence[InstantaneousMode], x):
-    """Values and derivatives of many modes on shared points, batched."""
-    lam = np.array([m.lam for m in modes])[:, None]
-    a = np.array([m.a for m in modes])[:, None]
-    b = np.array([m.b for m in modes])[:, None]
-    c, s = _cs(np.asarray(x, dtype=float)[None, :], lam)
-    return a * c + b * s, -lam * s * a + b * c
-
-
-def _build_branch_modes(roots, xm, xp, vm, vp, mass2f, bc, nodes, weights):
-    omegas = np.array(roots)
-    lams = omegas * omegas - mass2f
-    r0, r1 = _boundary_rows(
-        omegas, lams, np.array([[xm], [xp]]), np.array([[vm], [vp]]), bc
-    )
+def _normalised_modes(omega, xm, xp, vm, vp, mass2f, bc, nodes, weights):
+    """``lam``, ``a`` and ``b`` of the normalised, signed mode of each root."""
+    lam = omega * omega - mass2f
+    r0, r1 = _wall_rows(omega, xm, xp, vm, vp, mass2f, bc)
     # coefficient vector = null direction of the 2x2 boundary system,
     # taken from the better-conditioned row (left wall on a tie)
     left = r0[0] ** 2 + r1[0] ** 2 >= r0[1] ** 2 + r1[1] ** 2
-    row0 = np.where(left, r0[0], r0[1])
-    row1 = np.where(left, r1[0], r1[1])
-    raw = []
-    for omega, lam, p, q in zip(roots, lams, row0, row1):
-        norm = math.hypot(p, q)
-        if norm == 0:
-            raise SolverError(f"degenerate boundary rows at omega={omega}")
-        raw.append(
-            InstantaneousMode(
-                omega=omega,
-                lam=float(lam),
-                a=float(q / norm),
-                b=float(-p / norm),
-                x_minus=xm,
-                x_plus=xp,
-            )
+    p = np.where(left, r0[0], r0[1])
+    q = np.where(left, r1[0], r1[1])
+    norm = np.hypot(p, q)
+    if np.any(norm == 0):
+        raise SolverError(
+            f"degenerate boundary rows at omega={omega[norm == 0]}"
         )
+    a, b = q / norm, -p / norm
     # normalisation: (m^2 + F + omega^2) int psi^2 + int psi'^2 = |omega|
-    psi, dpsi = _eval_many(raw, nodes)
-    quad = (mass2f + omegas**2) * ((psi * psi) @ weights) + (
+    vals, dvals = _mode_values(lam, a, b, np.append(nodes, 0.5 * (xm + xp)))
+    psi, dpsi = vals[:, :-1], dvals[:, :-1]
+    quad = (mass2f + omega**2) * ((psi * psi) @ weights) + (
         dpsi * dpsi
     ) @ weights
     if np.any(quad <= 0):
-        raise SolverError(f"non-positive norm form at omega={roots}")
-    scale = np.sqrt(quad / np.abs(omegas))
+        raise SolverError(f"non-positive norm form at omega={omega}")
+    scale = np.sqrt(quad / np.abs(omega))
     # deterministic sign: positive value at the cavity midpoint, positive
     # derivative when the midpoint is a node.  The two are compared on a
     # common scale and the dominant one decides, so that a node shifted
     # by a small boundary displacement cannot flip the convention.
-    xc = 0.5 * (xm + xp)
-    val_c, dval_c = _eval_many(raw, np.array([xc]))
-    val_c = np.abs(omegas) * val_c[:, 0]
-    dval_c = dval_c[:, 0]
+    val_c = np.abs(omega) * vals[:, -1]
+    dval_c = dvals[:, -1]
     decider = np.where(np.abs(val_c) >= np.abs(dval_c), val_c, dval_c)
     factor = np.where(decider < 0, -1.0, 1.0) / scale
-    return tuple(
-        InstantaneousMode(
-            omega=m.omega,
-            lam=m.lam,
-            a=m.a * f,
-            b=m.b * f,
-            x_minus=xm,
-            x_plus=xp,
-        )
-        for m, f in zip(raw, factor)
-    )
+    return lam, a * factor, b * factor
+
+
+def _quadrature(xm, xp, bands, quad_points):
+    if quad_points is None:
+        quad_points = max(64, 8 * bands)
+    return gauss_legendre(xm, xp, quad_points)
 
 
 def solve_instantaneous_basis(
@@ -385,15 +398,15 @@ def solve_instantaneous_basis(
     t: float,
     bands: int,
     quad_points: Optional[int] = None,
-    bracket_density: int = 4,
 ) -> InstantaneousBasis:
     """First ``bands`` eigenpairs of each frequency branch at time t.
 
     The characteristic determinant couples the eigenvalue to the boundary
     rows through the wall velocities, so roots are bracketed by a sign
-    scan (``bracket_density`` nodes per half mode spacing) and polished by
-    bisection.  Eigenfunctions are normalised in the velocity-compatible
-    quadratic form and signed by the midpoint convention.
+    scan (``BRACKET_DENSITY`` nodes per half mode spacing) and polished by
+    Anderson-Bjorck iteration.  Eigenfunctions are normalised in the
+    velocity-compatible quadratic form and signed by the midpoint
+    convention.
     """
     if bands < 1:
         raise ValueError(f"bands must be >= 1, got {bands}")
@@ -401,8 +414,6 @@ def solve_instantaneous_basis(
     vm, vp = traj.velocities(t)
     f_term = positivity_shift(params)
     mass2f = params.mass_term + f_term
-    if quad_points is None:
-        quad_points = max(64, 8 * bands)
     # The uniform mode survives only for a massive Neumann field, where
     # "massless" means m^2 + xi R^h is 0 in floating point (a mass below
     # about 1.5e-162 counts as massless; see ``has_uniform_mode``).  In all
@@ -412,23 +423,24 @@ def solve_instantaneous_basis(
     skip_low = not (
         has_uniform_mode(params) and bc is BoundaryCondition.NEUMANN
     )
-    nodes, weights = gauss_legendre(xm, xp, quad_points)
-    branches = {}
-    for sign in (1, -1):
-        roots = _find_branch_roots(
-            sign, xm, xp, vm, vp, mass2f, bc, bands, bracket_density,
-            skip_low,
-        )
-        branches[sign] = _build_branch_modes(
-            roots, xm, xp, vm, vp, mass2f, bc, nodes, weights
-        )
+    omega = _find_roots(xm, xp, vm, vp, mass2f, bc, bands, skip_low)
+    nodes, weights = _quadrature(xm, xp, bands, quad_points)
+    lam, a, b = _normalised_modes(
+        omega, xm, xp, vm, vp, mass2f, bc, nodes, weights
+    )
+    for array in (omega, lam, a, b):
+        array.flags.writeable = False
     return InstantaneousBasis(
         time=t,
         bc=bc,
         params=params,
         f_term=f_term,
-        plus=branches[1],
-        minus=branches[-1],
+        omega=omega,
+        lam=lam,
+        a=a,
+        b=b,
+        x_minus=xm,
+        x_plus=xp,
     )
 
 
@@ -444,24 +456,27 @@ def mode_transform_matrix(bands: int) -> np.ndarray:
     )
 
 
-def _aligned_basis(
-    solver_args, t_side, center_vals, time_center, nodes, weights,
+def _aligned_values(
+    solver_args, t_side, center_vals, time_center, points, weights,
     min_overlap=0.9,
 ):
-    """Solve the basis at a neighbouring time, matched to the center basis.
+    """Frequencies and values on ``points`` of the basis at a neighbouring
+    time, each mode signed to match its center partner.
 
     Modes are matched band by band; each side mode is sign-flipped to have
-    positive overlap with its center partner.  A normalised overlap below
+    positive overlap with its center partner on the quadrature nodes, the
+    first ``len(weights)`` points.  A normalised overlap below
     ``min_overlap`` signals a branch crossing within the difference step.
     """
-    traj, params, bc, bands, quad_points, density = solver_args
+    traj, params, bc, bands, quad_points = solver_args
     side = solve_instantaneous_basis(
-        traj, params, bc, t_side, bands, quad_points, density
+        traj, params, bc, t_side, bands, quad_points
     )
-    vals, _ = _eval_many(side.modes, nodes)
-    overlaps = np.sum(weights * vals * center_vals, axis=1)
+    vals, _ = side.values(points)
+    inner = vals[:, : len(weights)]
+    overlaps = np.sum(weights * inner * center_vals, axis=1)
     norms = np.sqrt(
-        np.sum(weights * vals * vals, axis=1)
+        np.sum(weights * inner * inner, axis=1)
         * np.sum(weights * center_vals * center_vals, axis=1)
     )
     quality = np.abs(overlaps) / np.where(norms > 0, norms, 1.0)
@@ -471,28 +486,7 @@ def _aligned_basis(
             f"mode tracking lost for band {worst} between t={time_center}"
             f" and t={t_side}: normalised overlap {quality[worst]:.3f}"
         )
-    aligned = [
-        InstantaneousMode(
-            omega=m.omega,
-            lam=m.lam,
-            a=-m.a,
-            b=-m.b,
-            x_minus=m.x_minus,
-            x_plus=m.x_plus,
-        )
-        if overlaps[i] < 0
-        else m
-        for i, m in enumerate(side.modes)
-    ]
-    n = side.bands
-    return InstantaneousBasis(
-        time=side.time,
-        bc=side.bc,
-        params=side.params,
-        f_term=side.f_term,
-        plus=tuple(aligned[:n]),
-        minus=tuple(aligned[n:]),
-    )
+    return side.omega, np.where(overlaps < 0, -1.0, 1.0)[:, None] * vals
 
 
 def assemble_vhat(
@@ -503,35 +497,34 @@ def assemble_vhat(
     dt_fd: float,
     bands: int,
     quad_points: Optional[int] = None,
-    bracket_density: int = 4,
-    basis_now: Optional[InstantaneousBasis] = None,
 ) -> np.ndarray:
     """Real 2N x 2N generator block matrix at time t.
 
     Time derivatives of the eigen-solutions come from centered differences
     of sign-aligned bases at t - dt_fd and t + dt_fd; when mode tracking
-    fails the step is halved a few times before giving up.
+    fails the step is halved a few times before giving up.  Each basis is
+    evaluated once, on the quadrature nodes and both walls together.
     """
-    if quad_points is None:
-        quad_points = max(64, 8 * bands)
-    if basis_now is None:
-        basis_now = solve_instantaneous_basis(
-            traj, params, bc, t, bands, quad_points, bracket_density
-        )
-    xm, xp = traj.positions(t)
+    basis = solve_instantaneous_basis(
+        traj, params, bc, t, bands, quad_points
+    )
+    xm, xp = basis.x_minus, basis.x_plus
     vm, vp = traj.velocities(t)
-    nodes, weights = gauss_legendre(xm, xp, quad_points)
-    solver_args = (traj, params, bc, bands, quad_points, bracket_density)
+    nodes, weights = _quadrature(xm, xp, bands, quad_points)
+    points = np.append(nodes, [xm, xp])
+    inner = len(nodes)
+    solver_args = (traj, params, bc, bands, quad_points)
 
-    psi, _ = _eval_many(basis_now.modes, nodes)
+    vals_now, dvals_now = basis.values(points)
+    psi = vals_now[:, :inner]
     step = dt_fd
     for _ in range(6):
         try:
-            before = _aligned_basis(
-                solver_args, t - step, psi, t, nodes, weights
+            omega_before, before = _aligned_values(
+                solver_args, t - step, psi, t, points, weights
             )
-            after = _aligned_basis(
-                solver_args, t + step, psi, t, nodes, weights
+            omega_after, after = _aligned_values(
+                solver_args, t + step, psi, t, points, weights
             )
             break
         except SolverError:
@@ -542,24 +535,20 @@ def assemble_vhat(
         )
 
     size = 2 * bands
-    omegas = basis_now.frequencies
-    domega = (after.frequencies - before.frequencies) / (2.0 * step)
-
-    psi_after, _ = _eval_many(after.modes, nodes)
-    psi_before, _ = _eval_many(before.modes, nodes)
-    dpsi_dt = (psi_after - psi_before) / (2.0 * step)
+    omegas = basis.omega
+    domega = (omega_after - omega_before) / (2.0 * step)
+    dvals_dt = (after - before) / (2.0 * step)
+    dpsi_dt = dvals_dt[:, :inner]
 
     # volume integrals, all pairs at once
     overlap = (psi * weights) @ psi.T  # int psi_n psi_m
     dt_overlap = (dpsi_dt * weights) @ psi.T  # int (d psi_n/dt) psi_m
 
-    ends = np.array([xm, xp])
-    psi_end, dpsi_end = _eval_many(basis_now.modes, ends)
-    after_end, _ = _eval_many(after.modes, ends)
-    before_end, _ = _eval_many(before.modes, ends)
-    dpsidt_end = (after_end - before_end) / (2.0 * step)
+    # wall values: left wall, right wall
+    psi_end, dpsi_end = vals_now[:, inner:], dvals_now[:, inner:]
+    dpsidt_end = dvals_dt[:, inner:]
 
-    f_term = basis_now.f_term
+    f_term = basis.f_term
     vb = np.array([-vm, vp])  # outward-normal wall speeds (left, right)
     total = (omegas[:, None] + omegas[None, :]) * dt_overlap
     total += (2.0 * omegas**2 + domega - f_term)[:, None] * overlap
@@ -626,7 +615,6 @@ def evolve_transformation(
     step: Optional[float] = None,
     dt_fd: Optional[float] = None,
     quad_points: Optional[int] = None,
-    bracket_density: int = 4,
     checkpoint_times: Sequence[float] = (),
     absorb_phases: bool = False,
     verbose: bool = False,
@@ -645,7 +633,7 @@ def evolve_transformation(
     if tf <= t0:
         raise ValueError("window must satisfy t0 < tf")
     start_basis = solve_instantaneous_basis(
-        traj, params, bc, t0, bands, quad_points, bracket_density
+        traj, params, bc, t0, bands, quad_points
     )
     omega_max = float(np.max(np.abs(start_basis.frequencies)))
     if step is None:
@@ -663,24 +651,14 @@ def evolve_transformation(
         )
 
     omega0 = start_basis.frequencies  # fixed phase reference
-    cache = {}
 
     def generator(t: float) -> np.ndarray:
-        key = round(t, 12)
-        if key not in cache:
-            if len(cache) > 8:
-                cache.clear()
-            vhat = assemble_vhat(
-                traj, params, bc, t, dt_fd, bands, quad_points, bracket_density
-            )
-            k = generator_matrix(vhat)
-            if absorb_phases:
-                phase = np.exp(1j * omega0 * (t - t0))
-                k = (k - 1j * np.diag(omega0)) * np.outer(
-                    phase.conj(), phase
-                )
-            cache[key] = k
-        return cache[key]
+        vhat = assemble_vhat(traj, params, bc, t, dt_fd, bands, quad_points)
+        k = generator_matrix(vhat)
+        if absorb_phases:
+            phase = np.exp(1j * omega0 * (t - t0))
+            k = (k - 1j * np.diag(omega0)) * np.outer(phase.conj(), phase)
+        return k
 
     size = 2 * bands
     u = np.eye(size, dtype=complex)
@@ -702,8 +680,8 @@ def evolve_transformation(
 
     t = t0
     record(t, u)
+    k1 = generator(t)
     for step_idx in range(n_steps):
-        k1 = generator(t)
         if step_idx == 0 or step_idx % 50 == 49:
             radius = _spectral_radius(dt * k1)
             if radius > 1.5:
@@ -720,7 +698,7 @@ def evolve_transformation(
         u = u + (dt / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
         t = t0 + (step_idx + 1) * dt
         record(t, u)
-
+        k1 = k4  # the next step starts where this one ended
     if absorb_phases:
         phase = np.exp(1j * omega0 * (tf - t0))
         u = phase[:, None] * u

@@ -391,3 +391,38 @@ def test_rk4_convergence_order():
         f"error ratio on halving the step {ratio:.2f} (required 14-18)",
     )
     assert 14.0 <= ratio <= 18.0
+
+
+# ---------------------------------------------------------------------------
+# 9. the exact path is scale invariant
+
+
+def test_exact_path_scale_invariance():
+    # a massless field has no length scale but L: with the drive at
+    # omega_1 + omega_2 = 3 pi / L, the window one drive period and the
+    # default step, every length must give the same figures
+    figures = {}
+    for length in (math.pi, 3.10):
+        drive = 3.0 * math.pi / length
+        config = DceConfig(
+            variant=DceVariant.RIGHT_ONLY, length=length, bc=D,
+            epsilon=1e-3, omega_drive=drive,
+        )
+        trajectory = build_dce(config).trajectory
+        state = evolve_transformation(
+            trajectory, FieldParams(), D, 0.0, 2.0 * math.pi / drive, 12
+        )
+        figures[length] = (
+            abs(state.beta[0, 1]), bogoliubov_identity_residual(state)
+        )
+    (beta_pi, res_pi), (beta_l, res_l) = figures[math.pi], figures[3.10]
+    beta_gap = abs(beta_l / beta_pi - 1.0)
+    res_gap = abs(res_l / res_pi - 1.0)
+    passed = beta_gap < 1e-9 and res_gap < 1e-9
+    report(
+        "exact-path scale invariance", passed,
+        f"|beta_12| {beta_pi:.10e} vs {beta_l:.10e}, identity residual "
+        f"{res_pi:.6e} vs {res_l:.6e} at L = pi and 3.10 (limit rel 1e-9)",
+    )
+    assert beta_l == pytest.approx(beta_pi, rel=1e-9)
+    assert res_l == pytest.approx(res_pi, rel=1e-9)

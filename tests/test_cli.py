@@ -260,6 +260,20 @@ def test_validate_epsilon_sweep_slope(tmp_path, capsys):
     assert abs(slope - 2.0) < 0.3
 
 
+@pytest.mark.parametrize("epsilons", [
+    [1e-2, math.nan], [1e-2, 0.0], [1e-2, -1e-3], [1e-2, math.inf],
+    [1e-2], [1e-2, 1e-2], [],
+], ids=["nan", "zero", "negative", "inf", "single", "repeated", "empty"])
+def test_validate_epsilon_sweep_rejects_bad_amplitudes(
+    tmp_path, capsys, epsilons
+):
+    config = write_config(tmp_path, mode="epsilon-sweep", epsilons=epsilons)
+    code, out, err = run_cli(capsys, "validate", "--config", config)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "epsilons" in err
+
+
 # ---------------------------------------------------------------------------
 # serialization invariants
 

@@ -104,6 +104,9 @@ def test_polish_roots_raises_when_iterations_run_out():
         _polish_roots(det, a, b, det(a), det(b), max_iter=2)
     roots = _polish_roots(det, a, b, det(a), det(b))
     assert roots == pytest.approx([1.0, 2.0], rel=1e-14)
+    # a secant step that lands on a root stays there: no bisection tail
+    roots = _polish_roots(det, a, b, det(a), det(b), max_iter=10)
+    assert roots == pytest.approx([1.0, 2.0], rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +114,7 @@ def test_polish_roots_raises_when_iterations_run_out():
 
 
 @pytest.mark.parametrize("bc", [D, N])
-@pytest.mark.parametrize("mass", [0.0, 1e-170, 1.3])
+@pytest.mark.parametrize("mass", [0.0, 1e-170, 1e-161, 2.3e-162, 1.3])
 def test_static_limit_matches_interval_modes(bc, mass):
     length = 2.2
     traj = BoundaryTrajectory.static(0.0, length)
@@ -133,11 +136,20 @@ def test_branch_symmetry_at_rest(bc):
         assert up.eval(x) == pytest.approx(down.eval(x), abs=1e-10)
 
 
-@pytest.mark.parametrize("bc", [D, N])
-def test_moving_modes_satisfy_boundary_conditions(bc):
-    traj = dce_trajectory(variant=DceVariant.SHAKING, bc=bc, epsilon=0.05)
-    t = 0.41
-    basis = solve_instantaneous_basis(traj, FieldParams(), bc, t, 5)
+@pytest.mark.parametrize("bc, variant, epsilon, t, bands", [
+    pytest.param(D, DceVariant.SHAKING, 0.05, 0.41, 5, id=str(D)),
+    pytest.param(N, DceVariant.SHAKING, 0.05, 0.41, 5, id=str(N)),
+    # a secant step landed exactly on a bracket end here and the polish
+    # used to bisect the root away
+    pytest.param(
+        D, DceVariant.RIGHT_ONLY, 1e-3, 1.7293233082706765, 12,
+        id="dce-i-12-bands-secant-on-bracket-end",
+    ),
+])
+def test_moving_modes_satisfy_boundary_conditions(bc, variant, epsilon, t,
+                                                  bands):
+    traj = dce_trajectory(variant=variant, bc=bc, epsilon=epsilon)
+    basis = solve_instantaneous_basis(traj, FieldParams(), bc, t, bands)
     xm, xp = traj.positions(t)
     vm, vp = traj.velocities(t)
     for mode in basis.plus + basis.minus:
