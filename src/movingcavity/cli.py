@@ -18,8 +18,9 @@ import io
 import json
 import math
 import sys
+import typing
 import warnings
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Literal, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -76,9 +77,13 @@ _GW_NAMES = ("gw-rigid",)
 
 @dataclasses.dataclass
 class RunConfig:
-    """Resolved run configuration with defaults applied."""
+    """Resolved run configuration with defaults applied.
 
-    scenario: str = "dce-i"
+    The annotations are the config schema: ``load_config`` parses each
+    JSON field by its type here.
+    """
+
+    scenario: Literal[SCENARIO_NAMES] = "dce-i"
     bc: BoundaryCondition = BoundaryCondition.DIRICHLET
     mass: float = 0.0
     epsilon: float = 1e-3
@@ -97,30 +102,69 @@ class RunConfig:
     samples: int = 25
     tolerance: float = 1e-9
     pairs: Tuple[Tuple[int, int], ...] = ()
-    mode: str = "default"
+    mode: Literal["default", "epsilon-sweep"] = "default"
     inject_error: str = ""
     epsilons: Tuple[float, ...] = (1e-2, 3e-3, 1e-3)
     duration: float = 6.0
 
     def meta(self) -> Dict[str, Any]:
-        out = dataclasses.asdict(self)
-        out["bc"] = self.bc.value
-        out["pairs"] = [list(p) for p in self.pairs]
-        out["epsilons"] = list(self.epsilons)
-        return out
+        return {**dataclasses.asdict(self), "bc": self.bc.value}
 
 
-_KNOWN_KEYS = frozenset(f.name for f in dataclasses.fields(RunConfig))
+_FIELD_TYPES = typing.get_type_hints(RunConfig)
 
 
-def _coerce(name: str, value: Any, kind: type) -> Any:
+def _coerce(name: str, value: Any, hint: Any) -> Any:
+    """Parse the JSON ``value`` of config field ``name`` as type ``hint``.
+
+    float takes a number or numeric string and must be finite; int takes
+    an integral value only; a tuple needs a JSON list; a boolean is not a
+    number.
+    """
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if value is None:
+        if type(None) in args:
+            return None
+        raise ConfigError(f"field '{name}': must not be null")
+    if origin is typing.Union:  # Optional[X]
+        (inner,) = (arg for arg in args if arg is not type(None))
+        return _coerce(name, value, inner)
+    if origin is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"field '{name}': expected a list, got {value!r}")
+        kinds = args[:1] * len(value) if args[-1] is Ellipsis else args
+        if len(kinds) != len(value):
+            raise ConfigError(
+                f"field '{name}': expected a list of length {len(kinds)}, "
+                f"got {value!r}"
+            )
+        return tuple(_coerce(name, v, kind) for v, kind in zip(value, kinds))
+    if origin is Literal:
+        if value not in args:
+            raise ConfigError(
+                f"field '{name}': expected one of "
+                f"{', '.join(map(repr, args))}, got {value!r}"
+            )
+        return value
+    if hint is BoundaryCondition:
+        try:
+            return BoundaryCondition(str(value).lower())
+        except ValueError:
+            choices = ", ".join(repr(bc.value) for bc in BoundaryCondition)
+            raise ConfigError(
+                f"field '{name}': expected one of {choices}, got {value!r}"
+            )
     try:
-        coerced = kind(value)
-    except (TypeError, ValueError):
+        if isinstance(value, bool):
+            raise TypeError
+        coerced = hint(value)
+        if hint is int and coerced != float(value):
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(
-            f"field '{name}': expected {kind.__name__}, got {value!r}"
+            f"field '{name}': expected {hint.__name__}, got {value!r}"
         )
-    if kind is float and not math.isfinite(coerced):
+    if hint is float and not math.isfinite(coerced):
         raise ConfigError(f"field '{name}': must be finite, got {value!r}")
     return coerced
 
@@ -139,71 +183,13 @@ def load_config(path: Optional[str], overrides: Dict[str, Any]) -> RunConfig:
         if not isinstance(raw, dict):
             raise ConfigError("config must be a flat JSON object")
     raw.update(overrides)
-    unknown = sorted(set(raw) - _KNOWN_KEYS)
+    unknown = sorted(set(raw) - set(_FIELD_TYPES))
     if unknown:
         raise ConfigError(f"unknown config field(s): {', '.join(unknown)}")
-
-    config = RunConfig()
-    for name in ("mass", "epsilon", "omega_drive", "length", "lx", "ly",
-                 "lz", "frequency_cutoff", "t0", "tf", "tolerance",
-                 "duration"):
-        if name in raw:
-            setattr(config, name, _coerce(name, raw[name], float))
-    for name in ("bands", "samples"):
-        if name in raw:
-            setattr(config, name, _coerce(name, raw[name], int))
-    for name in ("dt", "dt_fd"):
-        if name in raw and raw[name] is not None:
-            setattr(config, name, _coerce(name, raw[name], float))
-    if "quad_points" in raw and raw["quad_points"] is not None:
-        config.quad_points = _coerce("quad_points", raw["quad_points"], int)
-    if "scenario" in raw:
-        name = str(raw["scenario"])
-        if name not in SCENARIO_NAMES:
-            raise ConfigError(
-                f"field 'scenario': unknown scenario {name!r}; "
-                f"choose one of {', '.join(SCENARIO_NAMES)}"
-            )
-        config.scenario = name
-    if "bc" in raw:
-        try:
-            config.bc = BoundaryCondition(str(raw["bc"]).lower())
-        except ValueError:
-            raise ConfigError(
-                f"field 'bc': expected 'dirichlet' or 'neumann', "
-                f"got {raw['bc']!r}"
-            )
-    if "pairs" in raw:
-        try:
-            config.pairs = tuple(
-                (int(a), int(b)) for a, b in raw["pairs"]
-            )
-        except (TypeError, ValueError):
-            raise ConfigError(
-                "field 'pairs': expected a list of [n, m] index pairs"
-            )
-    if "mode" in raw:
-        config.mode = str(raw["mode"])
-        if config.mode not in ("default", "epsilon-sweep"):
-            raise ConfigError(
-                f"field 'mode': expected 'default' or 'epsilon-sweep', "
-                f"got {config.mode!r}"
-            )
-    if "inject_error" in raw:
-        config.inject_error = str(raw["inject_error"])
-    if "epsilons" in raw:
-        try:
-            config.epsilons = tuple(float(e) for e in raw["epsilons"])
-        except (TypeError, ValueError):
-            raise ConfigError("field 'epsilons': expected a list of numbers")
-        # the sweep fits a log-log slope: two distinct logs at least
-        if len(set(config.epsilons)) < 2 or not all(
-            math.isfinite(e) and e > 0 for e in config.epsilons
-        ):
-            raise ConfigError(
-                "field 'epsilons': expected at least two distinct finite "
-                f"amplitudes > 0, got {list(config.epsilons)}"
-            )
+    config = RunConfig(**{
+        name: _coerce(name, value, _FIELD_TYPES[name])
+        for name, value in raw.items()
+    })
     if config.tf <= config.t0:
         raise ConfigError(
             f"field 'window': requires t0 < tf, got [{config.t0}, {config.tf}]"
@@ -213,6 +199,12 @@ def load_config(path: Optional[str], overrides: Dict[str, Any]) -> RunConfig:
     if config.epsilon < 0:
         raise ConfigError(
             f"field 'epsilon': must be >= 0, got {config.epsilon}"
+        )
+    # the sweep fits a log-log slope: two distinct logs at least
+    if len(set(config.epsilons)) < 2 or min(config.epsilons) <= 0:
+        raise ConfigError(
+            "field 'epsilons': expected at least two distinct finite "
+            f"amplitudes > 0, got {list(config.epsilons)}"
         )
     return config
 

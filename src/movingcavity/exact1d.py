@@ -24,6 +24,7 @@ from .core import (
     FieldParams,
     has_uniform_mode,
     positivity_shift,
+    require_positive,
 )
 from .staticmodes import gauss_legendre
 
@@ -388,6 +389,8 @@ def _normalised_modes(omega, xm, xp, vm, vp, mass2f, bc, nodes, weights):
 def _quadrature(xm, xp, bands, quad_points):
     if quad_points is None:
         quad_points = max(64, 8 * bands)
+    if quad_points < 1:
+        raise ValueError(f"quad_points must be >= 1, got {quad_points}")
     return gauss_legendre(xm, xp, quad_points)
 
 
@@ -625,13 +628,17 @@ def evolve_transformation(
     sets the centered-difference width used inside the generator and
     should be held fixed when comparing runs at different steps.  With
     ``absorb_phases`` the free rotation of the start basis is factored out
-    before integrating, easing stiffness at large truncation.
+    before integrating, which keeps the high-mode phases accurate and
+    allows steps beyond 0.1 / omega_max.
     """
     for name, value in (("t0", t0), ("tf", tf)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
     if tf <= t0:
         raise ValueError("window must satisfy t0 < tf")
+    for name, value in (("step", step), ("dt_fd", dt_fd)):
+        if value is not None:
+            require_positive(name, value)
     start_basis = solve_instantaneous_basis(
         traj, params, bc, t0, bands, quad_points
     )

@@ -19,6 +19,7 @@ from movingcavity.cli import (
     main,
     write_table,
 )
+from movingcavity.core import BoundaryCondition
 
 
 def run_cli(capsys, *argv):
@@ -58,6 +59,28 @@ def test_bad_value_names_field():
     with pytest.raises(ConfigError) as err:
         load_config(None, {"epsilon": "tiny"})
     assert "epsilon" in str(err.value)
+
+
+@pytest.mark.parametrize("fields, name", [
+    ({"epsilons": "12"}, "epsilons"),
+    ({"pairs": ["12", "34"]}, "pairs"),
+    ({"bands": 2.7}, "bands"),
+    ({"bands": True}, "bands"),
+    ({"pairs": [[1, 2, 3]]}, "pairs"),
+    ({"mass": None}, "mass"),
+    ({"bc": "robin"}, "bc"),
+], ids=["string-for-float-list", "strings-for-pairs", "fractional-int",
+        "bool-for-int", "triple-for-pair", "null-for-float", "unknown-bc"])
+def test_schema_rejects_bad_value_naming_field(fields, name):
+    with pytest.raises(ConfigError, match=f"field '{name}'"):
+        load_config(None, fields)
+
+
+def test_schema_parses_integral_float_case_and_null():
+    config = load_config(None, {"bands": 3.0, "bc": "Neumann", "dt": None})
+    assert config.bands == 3 and isinstance(config.bands, int)
+    assert config.bc is BoundaryCondition.NEUMANN
+    assert config.dt is None
 
 
 def test_disordered_window_rejected():
@@ -213,6 +236,14 @@ def test_evolve_exact_oversized_step_exit_code(tmp_path, capsys):
     code, _, err = run_cli(capsys, "evolve-exact", "--config", config)
     assert code == EXIT_NUMERICAL
     assert "dt" in err
+
+
+def test_evolve_exact_zero_step_is_config_error(tmp_path, capsys):
+    config = write_config(tmp_path, tf=2.0, bands=3, dt=0)
+    code, out, err = run_cli(capsys, "evolve-exact", "--config", config)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "step" in err
 
 
 # ---------------------------------------------------------------------------

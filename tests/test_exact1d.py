@@ -293,6 +293,16 @@ def test_non_finite_window_rejected(name, value):
         )
 
 
+@pytest.mark.parametrize("name, value", [
+    ("step", 0.0), ("step", -0.5), ("dt_fd", 0.0), ("quad_points", 0),
+])
+def test_bad_integration_argument_rejected(name, value):
+    with pytest.raises(ValueError, match=name):
+        evolve_transformation(
+            dce_trajectory(), FieldParams(), D, 0.0, 1.0, 2, **{name: value}
+        )
+
+
 def test_oversized_step_raises_stability_error():
     traj = dce_trajectory(epsilon=1e-3)
     with pytest.raises(StabilityError):
