@@ -196,6 +196,10 @@ def load_config(path: Optional[str], overrides: Dict[str, Any]) -> RunConfig:
         )
     if config.bands < 1:
         raise ConfigError(f"field 'bands': must be >= 1, got {config.bands}")
+    if config.quad_points is not None and config.quad_points < 1:
+        raise ConfigError(
+            f"field 'quad_points': must be >= 1, got {config.quad_points}"
+        )
     if config.epsilon < 0:
         raise ConfigError(
             f"field 'epsilon': must be >= 0, got {config.epsilon}"
@@ -417,7 +421,7 @@ def cmd_evolve(config: RunConfig, fmt: str, output: Optional[str]) -> int:
     basis = _static_basis(config)
     couplings = build_coupling_matrices(
         spec, basis, config.bc,
-        quad_points=config.quad_points or 64,
+        quad_points=64 if config.quad_points is None else config.quad_points,
     )
     pairs = _selected_pairs(config, len(basis))
     first = [n for n, _ in pairs]
@@ -466,6 +470,7 @@ def cmd_evolve_exact(config: RunConfig, fmt: str, output: Optional[str]) -> int:
         step=config.dt, dt_fd=config.dt_fd,
         quad_points=config.quad_points,
         checkpoint_times=[float(t) for t in checkpoint_times],
+        verbose=True,  # records reach stderr only under --verbose (see main)
     )
     snapshots = list(state.checkpoints) + [(state.t_current, state.U)]
     columns = ["t", "i", "j", "U", "identity_residual"]
@@ -687,6 +692,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    if not args.verbose:
+        return _run(args)
+    import logging  # only --verbose runs attach a handler
+
+    # the exact path logs its step plan and chunk counts at INFO
+    logger = logging.getLogger("movingcavity.exact1d")
+    stderr = logging.StreamHandler(sys.stderr)
+    level = logger.level
+    logger.addHandler(stderr)
+    logger.setLevel(logging.INFO)
+    try:
+        return _run(args)
+    finally:
+        logger.removeHandler(stderr)
+        logger.setLevel(level)
+
+
+def _run(args: argparse.Namespace) -> int:
     try:
         config = load_config(args.config, {})
     except ConfigError as err:

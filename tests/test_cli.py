@@ -246,6 +246,38 @@ def test_evolve_exact_zero_step_is_config_error(tmp_path, capsys):
     assert "step" in err
 
 
+@pytest.mark.parametrize("quad_points", [0, -3])
+def test_evolve_rejects_nonpositive_quad_points(tmp_path, capsys, quad_points):
+    config = write_config(tmp_path, quad_points=quad_points)
+    code, out, err = run_cli(capsys, "evolve", "--config", config)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "quad_points" in err
+
+
+def test_evolve_exact_verbose_logs_to_stderr_only(tmp_path, capsys):
+    config = write_config(tmp_path, tf=0.5, bands=2, samples=2)
+    tables = {}
+    for flags in ((), ("--verbose",)):
+        code, out, err = run_cli(
+            capsys, "evolve-exact", "--config", config, *flags
+        )
+        assert code == EXIT_OK
+        path = tmp_path / f"out{len(flags)}.csv"
+        code, file_out, _ = run_cli(
+            capsys, "evolve-exact", "--config", config, "--output", str(path),
+            *flags,
+        )
+        assert code == EXIT_OK and file_out == ""
+        tables[flags] = (out, path.read_bytes(), err)
+    (quiet_out, quiet_file, quiet_err), (loud_out, loud_file, loud_err) = (
+        tables.values()
+    )
+    assert loud_out == quiet_out and loud_file == quiet_file
+    assert quiet_err == ""
+    assert "integrating" in loud_err and "nodes fell back" in loud_err
+
+
 # ---------------------------------------------------------------------------
 # validation
 

@@ -2,10 +2,12 @@
 
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
 
+from movingcavity import exact1d
 from movingcavity.core import BoundaryCondition, FieldParams
 from movingcavity.exact1d import (
     BoundaryTrajectory,
@@ -21,6 +23,7 @@ from movingcavity.exact1d import (
     generator_matrix,
     mode_transform_matrix,
     solve_instantaneous_basis,
+    solve_instantaneous_bases,
 )
 from movingcavity.scenarios import DceConfig, DceVariant, build_dce
 from movingcavity.staticmodes import Interval, solve_interval_modes
@@ -98,7 +101,8 @@ def test_cs_continuous_through_zero_lam():
 
 def test_polish_roots_raises_when_iterations_run_out():
     # static Dirichlet walls at +-pi/2: roots at omega = 1, 2, ...
-    det = lambda w: _char_det_vec(w, -math.pi / 2, math.pi / 2, 0.0, 0.0, 0.0, D)
+    walls = np.array([[-math.pi / 2], [math.pi / 2]])
+    det = lambda w: _char_det_vec(w, walls, np.zeros((2, 1)), 0.0, D)
     a, b = np.array([0.9, 1.8]), np.array([1.1, 2.3])
     with pytest.raises(SolverError):
         _polish_roots(det, a, b, det(a), det(b), max_iter=2)
@@ -136,22 +140,40 @@ def test_branch_symmetry_at_rest(bc):
         assert up.eval(x) == pytest.approx(down.eval(x), abs=1e-10)
 
 
-@pytest.mark.parametrize("bc, variant, epsilon, t, bands", [
-    pytest.param(D, DceVariant.SHAKING, 0.05, 0.41, 5, id=str(D)),
-    pytest.param(N, DceVariant.SHAKING, 0.05, 0.41, 5, id=str(N)),
+@pytest.mark.parametrize("bc, variant, epsilon, t, bands, mass, drive", [
+    pytest.param(D, DceVariant.SHAKING, 0.05, 0.41, 5, 0.0, 3.0, id=str(D)),
+    pytest.param(N, DceVariant.SHAKING, 0.05, 0.41, 5, 0.0, 3.0, id=str(N)),
     # a secant step landed exactly on a bracket end here and the polish
     # used to bisect the root away
     pytest.param(
-        D, DceVariant.RIGHT_ONLY, 1e-3, 1.7293233082706765, 12,
+        D, DceVariant.RIGHT_ONLY, 1e-3, 1.7293233082706765, 12, 0.0, 3.0,
         id="dce-i-12-bands-secant-on-bracket-end",
+    ),
+    # tiny masses on a moving Neumann wall: the - branch root near
+    # -1e3 m^2 falls below the scan floor once m < 1e-12, and the + branch
+    # used to keep its sub-band root alone
+    *(
+        pytest.param(
+            N, DceVariant.RIGHT_ONLY, 1e-3, 0.3, 6, mass, 2.0,
+            id=f"neumann-mass-{mass:g}",
+        )
+        for mass in (0.0, 1e-170, 1e-150, 1e-13, 1e-12, 1e-4)
     ),
 ])
 def test_moving_modes_satisfy_boundary_conditions(bc, variant, epsilon, t,
-                                                  bands):
-    traj = dce_trajectory(variant=variant, bc=bc, epsilon=epsilon)
-    basis = solve_instantaneous_basis(traj, FieldParams(), bc, t, bands)
+                                                  bands, mass, drive):
+    traj = dce_trajectory(
+        variant=variant, bc=bc, epsilon=epsilon, drive=drive, mass=mass
+    )
+    params = FieldParams(mass=mass)
+    basis = solve_instantaneous_basis(traj, params, bc, t, bands)
     xm, xp = traj.positions(t)
     vm, vp = traj.velocities(t)
+    # both branches keep a sub-band root, or neither does
+    sub_band = math.pi / (2 * (xp - xm))
+    assert (abs(basis.plus[0].omega) < sub_band) == (
+        abs(basis.minus[0].omega) < sub_band
+    )
     for mode in basis.plus + basis.minus:
         w = mode.omega
         for x, v in ((xm, vm), (xp, vp)):
@@ -162,6 +184,39 @@ def test_moving_modes_satisfy_boundary_conditions(bc, variant, epsilon, t,
             else:
                 residual = dpsi + w * v * psi
             assert abs(residual) < 1e-9 * max(abs(w), 1.0)
+
+
+@pytest.mark.parametrize("variant, bc, mass, bands", [
+    (DceVariant.RIGHT_ONLY, D, 0.0, 12),
+    (DceVariant.BREATHING, N, 1.5, 6),
+    (DceVariant.SHAKING, N, 0.0, 6),
+    (DceVariant.RIGHT_ONLY, N, 0.7, 8),
+])
+def test_batched_bases_match_single_time_solves(variant, bc, mass, bands):
+    traj = dce_trajectory(variant=variant, bc=bc, epsilon=0.05, mass=mass)
+    params = FieldParams(mass=mass)
+    times = np.linspace(0.0, 2.0, 13)
+    batch = solve_instantaneous_bases(traj, params, bc, times, bands)
+    assert len(batch) == len(times)
+    for t, basis in zip(times, batch):
+        single = solve_instantaneous_basis(traj, params, bc, t, bands)
+        assert basis.time == single.time
+        assert (basis.x_minus, basis.x_plus) == (single.x_minus, single.x_plus)
+        for name in ("omega", "lam", "a", "b"):
+            got, want = getattr(basis, name), getattr(single, name)
+            scale = max(1.0, float(np.max(np.abs(want))))
+            assert np.max(np.abs(got - want)) <= 1e-13 * scale, name
+
+
+def test_batched_solve_names_first_offending_time():
+    # the walls meet at t = 1
+    traj = BoundaryTrajectory(
+        lambda t: 0.0, lambda t: 1.0 - t,
+        v_minus=lambda t: 0.0, v_plus=lambda t: -0.5,
+    )
+    times = [0.2, 0.9, 1.2, 1.5]
+    with pytest.raises(InvalidTrajectoryError, match=r"t=1\.2"):
+        solve_instantaneous_bases(traj, FieldParams(), D, times, 3)
 
 
 def test_custom_norm_orthonormality_moving():
@@ -250,8 +305,61 @@ def test_verbose_logs_the_step_plan_and_keeps_stdout_clean(caplog, capsys):
             traj, FieldParams(), D, 0.0, 0.2, 2, step=0.1, verbose=True
         )
     assert "integrating 2 steps of dt=0.1" in caplog.text
+    assert "0 of 5 nodes fell back to per-node solves" in caplog.text
     assert caplog.records[0].name == "movingcavity.exact1d"
     assert capsys.readouterr().out == ""
+
+
+def _dce_ii_window(**kwargs):
+    """U over a short massive Neumann window, and the evolution's log."""
+    traj = dce_trajectory(variant=DceVariant.BREATHING, bc=N, mass=1.5)
+    state = evolve_transformation(
+        traj, FieldParams(mass=1.5), N, 0.0, 0.5, 4, verbose=True, **kwargs
+    )
+    return state.U
+
+
+def test_batched_evolution_matches_per_node_path(monkeypatch, caplog):
+    with caplog.at_level(logging.INFO, logger="movingcavity.exact1d"):
+        batched = _dce_ii_window()
+        assert " 0 of " in caplog.records[-1].getMessage()
+
+        # a chunk whose batched solve raises is redone node by node
+        chunk_vhats = exact1d._chunk_vhats
+
+        def fail_chunks(traj, params, bc, times, *args):
+            if len(times) > 1:
+                raise SolverError("forced")
+            return chunk_vhats(traj, params, bc, times, *args)
+
+        monkeypatch.setattr(exact1d, "_chunk_vhats", fail_chunks)
+        per_node = _dce_ii_window()
+    fell_back, nodes = re.search(
+        r"(\d+) of (\d+) nodes fell back", caplog.records[-1].getMessage()
+    ).groups()
+    assert fell_back == nodes
+    assert np.max(np.abs(batched - per_node)) < 1e-12
+
+
+def test_lost_tracking_in_one_chunk_falls_back_per_node(monkeypatch, caplog):
+    reference = _dce_ii_window()
+    original = exact1d._align
+    batched_calls = []
+
+    def lose_second_chunk(side_vals, center_psi, weights):
+        quality = original(side_vals, center_psi, weights)
+        if len(side_vals) > 1:  # a chunk, not a single node
+            batched_calls.append(len(side_vals))
+            if len(batched_calls) == 2:
+                quality[0, 1, -1] = 0.5  # one band of one node's side
+        return quality
+
+    monkeypatch.setattr(exact1d, "_align", lose_second_chunk)
+    with caplog.at_level(logging.INFO, logger="movingcavity.exact1d"):
+        forced = _dce_ii_window()
+    assert len(batched_calls) >= 2
+    assert " 1 of " in caplog.records[-1].getMessage()
+    assert np.max(np.abs(forced - reference)) < 1e-12
 
 
 def test_identity_preserved_and_checkpoints_recorded():
