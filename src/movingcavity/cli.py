@@ -602,9 +602,19 @@ def _envelope_trajectory(
             + envelope(t) * drive * math.cos(drive * t)
         )
 
+    def a_plus(t):
+        rate = math.pi / duration
+        d_env = rate * math.sin(2.0 * rate * t)
+        dd_env = 2.0 * rate * rate * math.cos(2.0 * rate * t)
+        return half * epsilon * (
+            (dd_env - envelope(t) * drive * drive) * math.sin(drive * t)
+            + 2.0 * d_env * drive * math.cos(drive * t)
+        )
+
     return BoundaryTrajectory(
         lambda t: -half, x_plus,
         v_minus=lambda t: 0.0, v_plus=v_plus,
+        a_minus=lambda t: 0.0, a_plus=a_plus,
     )
 
 

@@ -2,13 +2,16 @@
 
 Pipeline: solve the instantaneous eigenproblem with velocity-dependent
 boundary conditions at each time, assemble the generator matrix from the
-eigen-solutions and their centered-difference time derivatives, and
-integrate the linear transformation between instantaneous bases with
-fixed-step 4th-order Runge-Kutta.  The generator depends on t alone, so
-its bases are solved and assembled in batched chunks of times ahead of
-the step loop.  Blocks are ordered positive branch
-first, then negative branch; with static start and end slices the top
-blocks of the transformation are the mode-mixing and pair-creation
+eigen-solutions and their time derivatives, and integrate the linear
+transformation between instantaneous bases with fixed-step 4th-order
+Runge-Kutta.  The time derivatives are exact: the roots move as
+-(dD/dt)/(dD/domega) on the characteristic determinant D, which brings
+in the wall accelerations, and the modes follow from the null vector of
+the boundary rows and from their norm.  The generator depends on t
+alone, so its bases, one per node, are solved and assembled in batched
+chunks of times ahead of the step loop.  Blocks are ordered positive
+branch first, then negative branch; with static start and end slices the
+top blocks of the transformation are the mode-mixing and pair-creation
 coefficients.
 """
 
@@ -63,23 +66,51 @@ class StabilityError(RuntimeError):
 TimeFunc = Callable[[float], float]
 
 FD_STEP = 1e-6  # finite-difference step for wall velocities
+ACCEL_STEP = 1e-3  # finite-difference step for wall accelerations
+LAM_SERIES_CUT = 1e-3  # |lam| x^2 below which ds/dlam takes its series
 BRACKET_DENSITY = 4  # root-scan nodes per half mode spacing
-MIN_OVERLAP = 0.9  # normalised tracking overlap below which a node is redone
-CHUNK_BYTES = 1 << 18  # one (basis time x 2N x point) array of a chunk
+CHUNK_BYTES = 1 << 18  # one (node x 2N x point) array of a chunk
+
+
+def _first_difference(f, t, h):
+    """4th-order central difference of f' at t with step h."""
+    return (-f(t + 2 * h) + 8 * f(t + h) - 8 * f(t - h) + f(t - 2 * h)) / (
+        12 * h
+    )
+
+
+def _second_difference(f, t, h):
+    """4th-order central difference of f'' at t with step h."""
+    return (
+        -f(t + 2 * h) + 16 * f(t + h) - 30 * f(t) + 16 * f(t - h)
+        - f(t - 2 * h)
+    ) / (12 * h * h)
+
+
+def _require_finite(what, values, t):
+    for value in values:
+        if not math.isfinite(value):
+            raise InvalidTrajectoryError(f"non-finite {what} {value} at t={t}")
 
 
 @dataclass(frozen=True)
 class BoundaryTrajectory:
     """Positions of the two cavity walls as functions of time.
 
-    Velocities may be supplied analytically; otherwise they come from
-    4th-order central differences with step ``FD_STEP``.
+    Velocities and accelerations may be supplied analytically.  Otherwise
+    velocities come from 4th-order central differences of the positions
+    with step ``FD_STEP``, and accelerations from 4th-order central
+    differences with step ``ACCEL_STEP``: of the velocities when those
+    are supplied, else second differences of the positions.  Every value
+    must be finite, and speeds below 1.
     """
 
     x_minus: TimeFunc
     x_plus: TimeFunc
     v_minus: Optional[TimeFunc] = None
     v_plus: Optional[TimeFunc] = None
+    a_minus: Optional[TimeFunc] = None
+    a_plus: Optional[TimeFunc] = None
 
     @staticmethod
     def static(x_minus: float, x_plus: float) -> "BoundaryTrajectory":
@@ -89,10 +120,13 @@ class BoundaryTrajectory:
             x_plus=lambda t: x_plus,
             v_minus=zero,
             v_plus=zero,
+            a_minus=zero,
+            a_plus=zero,
         )
 
     def positions(self, t: float) -> Tuple[float, float]:
         xm, xp = float(self.x_minus(t)), float(self.x_plus(t))
+        _require_finite("wall position", (xm, xp), t)
         if xp <= xm:
             raise InvalidTrajectoryError(
                 f"boundaries crossed at t={t}: x_-={xm}, x_+={xp}"
@@ -100,21 +134,36 @@ class BoundaryTrajectory:
         return xm, xp
 
     def velocities(self, t: float) -> Tuple[float, float]:
-        h = FD_STEP
+        def rate(x, v):
+            if v is not None:
+                return float(v(t))
+            return _first_difference(x, t, FD_STEP)
 
-        def fd(f):
-            return (
-                -f(t + 2 * h) + 8 * f(t + h) - 8 * f(t - h) + f(t - 2 * h)
-            ) / (12 * h)
-
-        vm = float(self.v_minus(t)) if self.v_minus is not None else fd(self.x_minus)
-        vp = float(self.v_plus(t)) if self.v_plus is not None else fd(self.x_plus)
-        for v in (vm, vp):
+        speeds = (
+            rate(self.x_minus, self.v_minus), rate(self.x_plus, self.v_plus)
+        )
+        _require_finite("wall speed", speeds, t)
+        for v in speeds:
             if abs(v) >= 1.0:
                 raise InvalidTrajectoryError(
                     f"boundary speed |{v}| >= 1 at t={t}"
                 )
-        return vm, vp
+        return speeds
+
+    def accelerations(self, t: float) -> Tuple[float, float]:
+        def rate(x, v, a):
+            if a is not None:
+                return float(a(t))
+            if v is not None:
+                return _first_difference(v, t, ACCEL_STEP)
+            return _second_difference(x, t, ACCEL_STEP)
+
+        accels = (
+            rate(self.x_minus, self.v_minus, self.a_minus),
+            rate(self.x_plus, self.v_plus, self.a_plus),
+        )
+        _require_finite("wall acceleration", accels, t)
+        return accels
 
 
 # ---------------------------------------------------------------------------
@@ -145,24 +194,51 @@ def _cs(x, lam):
     return c, np.where(osc | evan, s, x)  # lam == 0: s = x
 
 
-def _mode_values(lam, a, b, x, derivatives=True):
+def _cs_rates(x, lam, c, s):
+    """lam-derivatives of c and s from their values at ``x``, broadcast.
+
+    dc/dlam = -x s / 2 and ds/dlam = (x c - s) / (2 lam) hold in both
+    regimes.  The second cancels as lam x^2 -> 0, so a mode whose
+    |lam| X^2 is below ``LAM_SERIES_CUT``, X the largest |x| along the
+    last (point) axis, takes its series -x^3/6 + lam x^5/60 -
+    lam^2 x^7/1680 at all its points.
+    """
+    x = np.asarray(x, dtype=float)
+    lam = np.asarray(lam, dtype=float)
+    dc = -0.5 * x * s
+    ds = x * c
+    ds -= s
+    reach = np.max(x * x, axis=-1, keepdims=True)
+    small = np.abs(lam) * reach < LAM_SERIES_CUT
+    if not small.any():
+        ds /= 2.0 * lam
+        return dc, ds
+    u = lam * (x * x)
+    series = x**3 * (-1.0 / 6.0 + u * (1.0 / 60.0 - u / 1680.0))
+    return dc, np.where(small, series, ds / np.where(small, 1.0, 2.0 * lam))
+
+
+def _combine(lam, a, b, c, s):
+    """Values and x-derivatives of the modes a c + b s, from c and s.
+
+    ``lam``, ``a`` and ``b`` are (..., 2N) and ``c``, ``s`` (..., 2N, P).
+    """
+    lam, a, b = lam[..., None], a[..., None], b[..., None]
+    vals = a * c
+    vals += b * s
+    dvals = b * c
+    dvals -= (lam * a) * s
+    return vals, dvals
+
+
+def _mode_values(lam, a, b, x):
     """Values and x-derivatives of the modes (lam, a, b) at points ``x``.
 
     ``lam``, ``a`` and ``b`` are (..., 2N) and ``x`` is (..., P), with
-    matching leading axes; the results are (..., 2N, P).  Without
-    ``derivatives`` only the values are returned.  The work is done in
-    place where it can be, as these arrays are the largest of a batch.
+    matching leading axes; the results are (..., 2N, P).
     """
-    lam, a, b = lam[..., None], a[..., None], b[..., None]
-    c, s = _cs(np.asarray(x, dtype=float)[..., None, :], lam)
-    vals = a * c
-    vals += b * s
-    if not derivatives:
-        return vals
-    c *= b
-    s *= lam * a
-    c -= s
-    return vals, c
+    c, s = _cs(np.asarray(x, dtype=float)[..., None, :], lam[..., None])
+    return _combine(lam, a, b, c, s)
 
 
 @dataclass(frozen=True)
@@ -240,18 +316,47 @@ class InstantaneousBasis:
         return self.modes[self.bands :]
 
 
-def _boundary_rows(omega, lam, x, v, bc):
-    """Boundary-condition row (on the c and s coefficients) at walls ``x``.
+def _boundary_rows(omega, lam, c, s, v, bc):
+    """Boundary-condition row (on the c and s coefficients) at a wall.
 
-    ``x`` and ``v`` are wall positions and speeds, broadcast against the
-    frequencies ``omega`` and their ``lam = omega^2 - (m^2 + F)``.
+    ``c`` and ``s`` are the basis functions at the wall and ``v`` its
+    speed, broadcast against the frequencies ``omega`` and their
+    ``lam = omega^2 - (m^2 + F)``.  Both conditions read
+    A (c, s) + B (c', s') with c' = -lam s and s' = c.
     """
-    c, s = _cs(x, lam)
     if bc is BoundaryCondition.NEUMANN:
         # psi'(x_e) + omega v_e psi(x_e) = 0 at both walls
         return -lam * s + omega * v * c, c + omega * v * s
     # omega psi(x_e) + v_e psi'(x_e) = 0 at both walls
     return omega * c - v * lam * s, omega * s + v * c
+
+
+def _boundary_rates(omega, lam, x, c, s, dc, ds, v, bc):
+    """Partial derivatives of ``_boundary_rows`` by x, v and omega.
+
+    Each is a (c, s)-coefficient pair.  ``x`` is the wall and ``dc``,
+    ``ds`` the lam-derivatives of c and s there (``_cs_rates``); omega
+    moves lam by d lam = 2 omega d omega.  By x the row (p, q) goes to
+    (-lam q, p) under either condition, as c' = -lam s and s' = c.
+    """
+    p, q = _boundary_rows(omega, lam, c, s, v, bc)
+    by_x = (-lam * q, p)
+    # lam-derivatives of c' = -lam s and s' = c
+    dc_prime, ds_prime = -0.5 * (s + x * c), dc
+    two_omega = 2.0 * omega
+    if bc is BoundaryCondition.NEUMANN:  # A = omega v, B = 1
+        by_v = (omega * c, omega * s)
+        by_omega = (
+            v * c + two_omega * (dc_prime + omega * v * dc),
+            v * s + two_omega * (ds_prime + omega * v * ds),
+        )
+    else:  # A = omega, B = v
+        by_v = (-lam * s, c)
+        by_omega = (
+            c + two_omega * (omega * dc + v * dc_prime),
+            s + two_omega * (omega * ds + v * ds_prime),
+        )
+    return by_x, by_v, by_omega
 
 
 def _wall_rows(omegas, walls, speeds, mass2f, bc):
@@ -261,7 +366,8 @@ def _wall_rows(omegas, walls, speeds, mass2f, bc):
     speeds on their first axis; the rest broadcasts against ``omegas``.
     """
     lam = omegas * omegas - mass2f
-    return _boundary_rows(omegas, lam, walls, speeds, bc)
+    c, s = _cs(walls, lam)
+    return _boundary_rows(omegas, lam, c, s, speeds, bc)
 
 
 def _char_det_vec(omegas, walls, speeds, mass2f, bc):
@@ -407,16 +513,18 @@ def _find_roots(times, walls, speeds, mass2f, bc, bands, skip_low):
     return roots.reshape(len(times), 2 * bands)
 
 
-def _normalised_modes(times, omega, walls, speeds, mass2f, bc, nodes, weights):
-    """``lam``, ``a`` and ``b`` of the normalised, signed mode of each root.
+def _normalised_modes(times, omega, lam, c, s, speeds, mass2f, bc, weights):
+    """Normalised, signed modes of the roots ``omega`` (T, 2N).
 
-    ``omega`` is (T, 2N), ``walls`` and ``speeds`` (2, T) and the
-    quadrature ``nodes`` and ``weights`` (T, Q); errors name the first
-    offending time.
+    ``c`` and ``s`` are (T, 2N, P) on each time's points: the Q
+    quadrature nodes (``weights``, (T, Q)), the cavity midpoint, then the
+    left and right walls; ``speeds`` is (2, T).  Returns ``a`` and ``b``,
+    (T, 2N), and the modes' values and x-derivatives on the points,
+    (T, 2N, P).  Errors name the first offending time.
     """
-    lam = omega * omega - mass2f
-    r0, r1 = _wall_rows(
-        omega, walls[:, :, None], speeds[:, :, None], mass2f, bc
+    r0, r1 = _boundary_rows(
+        omega, lam, c[..., -2:].transpose(2, 0, 1),
+        s[..., -2:].transpose(2, 0, 1), speeds[:, :, None], bc,
     )
     # coefficient vector = null direction of the 2x2 boundary system,
     # taken from the better-conditioned row (left wall on a tie)
@@ -432,11 +540,9 @@ def _normalised_modes(times, omega, walls, speeds, mass2f, bc, nodes, weights):
         )
     a, b = q / norm, -p / norm
     # normalisation: (m^2 + F + omega^2) int psi^2 + int psi'^2 = |omega|
-    middle = 0.5 * (walls[0] + walls[1])
-    vals, dvals = _mode_values(
-        lam, a, b, np.concatenate([nodes, middle[:, None]], axis=1)
-    )
-    psi, dpsi = vals[..., :-1], dvals[..., :-1]
+    vals, dvals = _combine(lam, a, b, c, s)
+    inner = weights.shape[-1]
+    psi, dpsi = vals[..., :inner], dvals[..., :inner]
     w = weights[..., None]
     quad = (mass2f + omega**2) * ((psi * psi) @ w)[..., 0] + (
         (dpsi * dpsi) @ w
@@ -451,11 +557,13 @@ def _normalised_modes(times, omega, walls, speeds, mass2f, bc, nodes, weights):
     # derivative when the midpoint is a node.  The two are compared on a
     # common scale and the dominant one decides, so that a node shifted
     # by a small boundary displacement cannot flip the convention.
-    val_c = np.abs(omega) * vals[..., -1]
-    dval_c = dvals[..., -1]
+    val_c = np.abs(omega) * vals[..., inner]
+    dval_c = dvals[..., inner]
     decider = np.where(np.abs(val_c) >= np.abs(dval_c), val_c, dval_c)
     factor = np.where(decider < 0, -1.0, 1.0) / scale
-    return lam, a * factor, b * factor
+    vals *= factor[..., None]
+    dvals *= factor[..., None]
+    return a * factor, b * factor, vals, dvals
 
 
 def _quad_count(bands, quad_points):
@@ -478,32 +586,23 @@ def _walls(traj, times):
     return table[:2], table[2:]
 
 
-def solve_instantaneous_bases(
-    traj: BoundaryTrajectory,
-    params: FieldParams,
-    bc: BoundaryCondition,
-    times: Sequence[float],
-    bands: int,
-    quad_points: Optional[int] = None,
-) -> Tuple[InstantaneousBasis, ...]:
-    """First ``bands`` eigenpairs of each frequency branch at each time.
+def _solve(traj, params, bc, times, bands, quad_points):
+    """Roots and normalised modes at each of ``times`` (T,), in one batch.
 
     The characteristic determinant couples the eigenvalue to the boundary
     rows through the wall velocities, so roots are bracketed by a sign
     scan (``BRACKET_DENSITY`` nodes per half mode spacing) and polished by
-    Anderson-Bjorck iteration.  Eigenfunctions are normalised in the
-    velocity-compatible quadratic form and signed by the midpoint
-    convention.  All times share one scan on a (time x branch x node)
-    array, one polish over every bracket and one normalisation pass, so
-    a batch costs few numpy calls more than a single time.  Errors keep
-    their types and name the first offending time in the order given.
+    Anderson-Bjorck iteration; c and s are then evaluated once, on each
+    time's quadrature nodes, midpoint and walls, for the normalisation.
+    Returns the walls and speeds (2, T); the points (T, P) and weights
+    (T, Q) as in ``_normalised_modes``; ``omega``, ``lam``, ``a`` and
+    ``b``, (T, 2N); and c, s and the modes' values and x-derivatives on
+    the points, (T, 2N, P).
     """
     if bands < 1:
         raise ValueError(f"bands must be >= 1, got {bands}")
-    times = np.asarray(times, dtype=float).reshape(-1)
     walls, speeds = _walls(traj, times.tolist())
-    f_term = positivity_shift(params)
-    mass2f = params.mass_term + f_term
+    mass2f = params.mass_term + positivity_shift(params)
     # The uniform mode survives only for a massive Neumann field, where
     # "massless" means m^2 + xi R^h is 0 in floating point (a mass below
     # about 1.5e-162 counts as massless; see ``has_uniform_mode``).  In all
@@ -517,11 +616,42 @@ def solve_instantaneous_bases(
     nodes, weights = gauss_legendre(
         walls[0][:, None], walls[1][:, None], _quad_count(bands, quad_points)
     )
-    lam, a, b = _normalised_modes(
-        times, omega, walls, speeds, mass2f, bc, nodes, weights
+    middle = 0.5 * (walls[0] + walls[1])
+    points = np.concatenate([nodes, middle[:, None], walls.T], axis=1)
+    lam = omega * omega - mass2f
+    c, s = _cs(points[:, None, :], lam[..., None])
+    a, b, vals, dvals = _normalised_modes(
+        times, omega, lam, c, s, speeds, mass2f, bc, weights
+    )
+    return walls, speeds, points, weights, omega, lam, a, b, c, s, vals, dvals
+
+
+def solve_instantaneous_bases(
+    traj: BoundaryTrajectory,
+    params: FieldParams,
+    bc: BoundaryCondition,
+    times: Sequence[float],
+    bands: int,
+    quad_points: Optional[int] = None,
+) -> Tuple[InstantaneousBasis, ...]:
+    """First ``bands`` eigenpairs of each frequency branch at each time.
+
+    Roots are bracketed by a sign scan and polished by Anderson-Bjorck
+    iteration; eigenfunctions are normalised in the velocity-compatible
+    quadratic form and signed by the midpoint convention.  All times
+    share one scan on a (time x branch x node) array, one polish over
+    every bracket and one normalisation pass, so a batch costs few numpy
+    calls more than a single time.  No time derivative or wall
+    acceleration is computed.  Errors keep their types and name the
+    first offending time in the order given.
+    """
+    times = np.asarray(times, dtype=float).reshape(-1)
+    walls, _, _, _, omega, lam, a, b, *_ = _solve(
+        traj, params, bc, times, bands, quad_points
     )
     for array in (omega, lam, a, b):
         array.flags.writeable = False
+    f_term = positivity_shift(params)
     return tuple(
         InstantaneousBasis(
             time=t,
@@ -570,44 +700,87 @@ def mode_transform_matrix(bands: int) -> np.ndarray:
     )
 
 
-def _align(side_vals, center_psi, weights):
-    """Sign-align side mode values to their center partners, in place.
+def _mode_rates(times, omega, lam, a, b, points, c, s, vals, dvals, weights,
+                speeds, accels, mass2f, bc):
+    """d omega/dt, (C, 2N), and d psi/dt at fixed x on the points.
 
-    ``side_vals`` (..., 2N, P) are the modes of a neighbouring time on the
-    center's points, whose first Q are the quadrature nodes with
-    ``weights`` (..., Q); ``center_psi`` (..., 2N, Q) are the center modes
-    there.  Each side mode is flipped to have positive overlap with its
-    center partner.  Returns the normalised overlap of each pair,
-    (..., 2N): below ``MIN_OVERLAP`` it signals a branch crossing within
-    the difference step.
+    Arrays are those of ``_solve`` and ``accels`` the wall accelerations,
+    (2, C).  The roots move as d omega/dt = -(dD/dt)/(dD/domega) on the
+    characteristic determinant D = p_L q_R - p_R q_L of the wall rows.
+    The coefficient vector (a, b) moves across itself at the rate that
+    keeps it null for both rows (a least-squares blend of the two walls,
+    which agree), and along itself as the norm form
+    Q = (m^2 + F + omega^2) int psi^2 + int psi'^2 = |omega| requires,
+    with the walls' Leibniz terms.  ``c`` and ``s`` are overwritten.
     """
-    w = weights[..., None]
-    inner = side_vals[..., : weights.shape[-1]]
-    overlaps = ((inner * center_psi) @ w)[..., 0]
-    norms = np.sqrt(
-        ((inner * inner) @ w)[..., 0] * ((center_psi * center_psi) @ w)[..., 0]
+    dc, ds = _cs_rates(points[:, None, :], lam[..., None], c, s)
+    at_walls = [
+        array[..., -2:].transpose(2, 0, 1) for array in (c, s, dc, ds)
+    ]
+    x_w = points[:, None, -2:].transpose(2, 0, 1)
+    v_w, a_w = speeds[:, :, None], accels[:, :, None]
+    p, q = _boundary_rows(omega, lam, at_walls[0], at_walls[1], v_w, bc)
+    by_x, by_v, by_omega = _boundary_rates(
+        omega, lam, x_w, *at_walls, v_w, bc
     )
-    side_vals *= np.where(overlaps < 0, -1.0, 1.0)[..., None]
-    return np.abs(overlaps) / np.where(norms > 0, norms, 1.0)
+    p_t, q_t = (by_x[k] * v_w + by_v[k] * a_w for k in range(2))
+
+    def det_rate(dp, dq):
+        return dp[0] * q[1] + p[0] * dq[1] - dp[1] * q[0] - p[1] * dq[0]
+
+    slope = det_rate(*by_omega)
+    flat = ~(np.abs(slope) > 0)
+    if np.any(flat):
+        i = np.argmax(np.any(flat, axis=1))
+        raise SolverError(f"degenerate root at t={times[i]}, omega={omega[i]}")
+    domega = -det_rate(p_t, q_t) / slope
+    p_t += by_omega[0] * domega
+    q_t += by_omega[1] * domega
+    # r . (a, b) = 0 at each wall: (r_t . v) + tau r . (-b, a) = 0
+    along = p_t * a + q_t * b
+    across = q * a - p * b
+    tau = -np.sum(along * across, axis=0) / np.sum(across * across, axis=0)
+    # psi_t at fixed x, norm held: tau (a s - b c) + lam_t (a dc + b ds)
+    lam_t = 2.0 * omega * domega
+    rate = c  # c and s are reused in place
+    rate *= (-tau * b)[..., None]
+    s *= (tau * a)[..., None]
+    rate += s
+    dc *= (lam_t * a)[..., None]
+    ds *= (lam_t * b)[..., None]
+    rate += dc
+    rate += ds
+    # Q_t = 2 omega omega_t int psi^2 + 4 omega^2 int psi psi_t
+    #       + 2 [psi' psi_t] + sum_e n_e v_e [(mu + omega^2) psi^2 + psi'^2]
+    inner = weights.shape[-1]
+    w = weights[..., None]
+    psi = vals[..., :inner]
+    norm_sq = ((psi * psi) @ w)[..., 0]
+    cross = ((psi * rate[..., :inner]) @ w)[..., 0]
+    outward = np.array([-1.0, 1.0])
+    psi_w, dpsi_w = vals[..., -2:], dvals[..., -2:]
+    boundary = (dpsi_w * rate[..., -2:]) @ outward
+    boundary *= 2.0
+    density = (mass2f + omega**2)[..., None] * psi_w**2 + dpsi_w**2
+    boundary += (density * (outward * speeds.T)[:, None, :]).sum(axis=-1)
+    q_rate = 2.0 * omega * domega * norm_sq + 4.0 * omega**2 * cross + boundary
+    kappa = domega / (2.0 * omega) - q_rate / (2.0 * np.abs(omega))
+    rate += kappa[..., None] * vals
+    return domega, rate
 
 
-def _vhat(omegas, omega_before, omega_after, now, before, after, step,
-          weights, speeds, f_term, bc):
+def _vhat(omegas, domega, vals, dvals, dvals_dt, weights, speeds, f_term, bc):
     """Real 2N x 2N generator blocks of C nodes, (C, 2N, 2N).
 
-    ``omegas`` (C, 2N) are the frequencies at the nodes and
-    ``omega_before``/``omega_after`` those at t -/+ ``step``; ``now`` is
-    the (values, x-derivatives) pair of the nodes' modes and
-    ``before``/``after`` the sign-aligned side values, each (C, 2N, Q + 2)
-    on the Q quadrature nodes (``weights``, (C, Q)) and then the left and
-    right walls; ``speeds`` (C, 2) are the wall velocities.
+    ``omegas`` and ``domega`` (C, 2N) are the frequencies at the nodes
+    and their time derivatives.  ``vals`` and ``dvals`` are the modes'
+    values and x-derivatives and ``dvals_dt`` their time derivatives at
+    fixed x, each (C, 2N, P) on the Q quadrature nodes (``weights``,
+    (C, Q)), the midpoint and then the left and right walls; ``speeds``
+    (C, 2) are the wall velocities.
     """
     inner = weights.shape[-1]
-    vals_now, dvals_now = now
-    domega = (omega_after - omega_before) / (2.0 * step)
-    dvals_dt = after - before
-    dvals_dt /= 2.0 * step
-    psi = vals_now[..., :inner]
+    psi = vals[..., :inner]
     dpsi_dt = dvals_dt[..., :inner]
     psi_t = np.swapaxes(psi, -1, -2)
     w = weights[..., None, :]
@@ -617,8 +790,8 @@ def _vhat(omegas, omega_before, omega_after, now, before, after, step,
     dt_overlap = (dpsi_dt * w) @ psi_t  # int (d psi_n/dt) psi_m
 
     # wall values: left wall, right wall
-    psi_end, dpsi_end = vals_now[..., inner:], dvals_now[..., inner:]
-    dpsidt_end = dvals_dt[..., inner:]
+    psi_end, dpsi_end = vals[..., -2:], dvals[..., -2:]
+    dpsidt_end = dvals_dt[..., -2:]
 
     total = (omegas[..., :, None] + omegas[..., None, :]) * dt_overlap
     total += (2.0 * omegas**2 + domega - f_term)[..., :, None] * overlap
@@ -639,42 +812,26 @@ def _vhat(omegas, omega_before, omega_after, now, before, after, step,
     return vhat
 
 
-def _chunk_vhats(traj, params, bc, times, dt_fd, bands, quad_points):
+def _chunk_vhats(traj, params, bc, times, bands, quad_points):
     """Generator blocks at the nodes ``times``, (C, 2N, 2N), in one pass.
 
-    The nodes and their +-dt_fd sides are solved in one batched call and
-    the blocks assembled together.  Also returns, per node, whether mode
-    tracking to a side was lost (``_align``); such a node's block is not
-    valid and must be redone with a smaller difference step.
+    Each node's basis is solved once, in one batched call for the chunk;
+    the time derivatives of its modes come in closed form from the wall
+    velocities and accelerations (``_mode_rates``).
     """
-    basis_times = np.stack([times, times - dt_fd, times + dt_fd], axis=1)
-    bases = solve_instantaneous_bases(
-        traj, params, bc, basis_times.ravel(), bands, quad_points
+    (_, speeds, points, weights, omega, lam, a, b, c, s, vals,
+     dvals) = _solve(traj, params, bc, times, bands, quad_points)
+    accels = np.array(
+        [traj.accelerations(t) for t in times.tolist()], dtype=float
+    ).reshape(len(times), 2).T
+    f_term = positivity_shift(params)
+    domega, dvals_dt = _mode_rates(
+        times, omega, lam, a, b, points, c, s, vals, dvals, weights, speeds,
+        accels, params.mass_term + f_term, bc,
     )
-    lam, a, b, omega = (
-        np.array([getattr(basis, name) for basis in bases]).reshape(
-            len(times), 3, -1
-        )
-        for name in ("lam", "a", "b", "omega")
+    return _vhat(
+        omega, domega, vals, dvals, dvals_dt, weights, speeds.T, f_term, bc
     )
-    xm = np.array([[basis.x_minus] for basis in bases[::3]])
-    xp = np.array([[basis.x_plus] for basis in bases[::3]])
-    nodes, weights = gauss_legendre(xm, xp, _quad_count(bands, quad_points))
-    points = np.concatenate([nodes, xm, xp], axis=1)
-    now = _mode_values(lam[:, 0], a[:, 0], b[:, 0], points)
-    sides = _mode_values(  # (C, 2, 2N, P): before, after
-        lam[:, 1:], a[:, 1:], b[:, 1:], points[:, None], derivatives=False
-    )
-    quality = _align(
-        sides, now[0][:, None, :, : nodes.shape[1]], weights[:, None]
-    )
-    lost = np.any(quality < MIN_OVERLAP, axis=(1, 2))
-    speeds = np.array([traj.velocities(t) for t in times.tolist()])
-    vhat = _vhat(
-        omega[:, 0], omega[:, 1], omega[:, 2], now, sides[:, 0], sides[:, 1],
-        dt_fd, weights, speeds, bases[0].f_term, bc,
-    )
-    return vhat, lost
 
 
 def assemble_vhat(
@@ -688,27 +845,16 @@ def assemble_vhat(
 ) -> np.ndarray:
     """Real 2N x 2N generator block matrix at time t.
 
-    Time derivatives of the eigen-solutions come from centered differences
-    of sign-aligned bases at t - dt_fd and t + dt_fd.  This is the
-    one-node call of the chunk assembly in ``evolve_transformation``,
-    with a retry: when mode tracking to a side fails, or a side basis
-    cannot be solved, the difference step is halved up to six times.
+    The one-node call of the chunk assembly in ``evolve_transformation``:
+    one basis at t, and closed-form time derivatives of its modes from
+    the wall velocities and accelerations.  ``dt_fd`` is validated but
+    unused; it is kept for callers of the finite-difference generator
+    this replaced.
     """
-    step = dt_fd
-    for _ in range(6):
-        try:
-            vhat, lost = _chunk_vhats(
-                traj, params, bc, np.array([float(t)]), step, bands,
-                quad_points,
-            )
-            if not lost[0]:
-                return vhat[0]
-        except SolverError:
-            pass
-        step /= 2.0
-    # a basis that cannot be solved at t itself raises its own error here
-    solve_instantaneous_basis(traj, params, bc, t, bands, quad_points)
-    raise SolverError(f"mode tracking failed at t={t} even at dt_fd={step}")
+    require_positive("dt_fd", dt_fd)
+    return _chunk_vhats(
+        traj, params, bc, np.array([float(t)]), bands, quad_points
+    )[0]
 
 
 def generator_matrix(vhat: np.ndarray) -> np.ndarray:
@@ -772,25 +918,22 @@ def evolve_transformation(
 ) -> TransformationState:
     """Integrate the basis transformation from t0 to tf with fixed-step RK4.
 
-    The default step targets 0.1 / omega_max; ``dt_fd`` (default step/10)
-    sets the centered-difference width used inside the generator and
-    should be held fixed when comparing runs at different steps.  With
-    ``absorb_phases`` the free rotation of the start basis is factored out
-    before integrating, which keeps the high-mode phases accurate and
-    allows steps beyond 0.1 / omega_max.
+    The default step targets 0.1 / omega_max.  ``dt_fd`` is validated
+    but unused: the generator's time derivatives are exact, so there is
+    no difference width to set.  With ``absorb_phases`` the free rotation
+    of the start basis is factored out before integrating, which keeps
+    the high-mode phases accurate and allows steps beyond 0.1 / omega_max.
 
     The generator depends on t alone, so its nodes (t0, then the midpoint
     and end of each step) are known in advance.  They are taken in chunks
-    sized so that one (basis time x 2N x point) array stays within
-    ``CHUNK_BYTES``: each chunk's nodes and their +-dt_fd sides are solved
-    in one ``solve_instantaneous_bases`` call and its generator blocks
-    assembled together, leaving only the 2N x 2N products of RK4 to the
-    step loop.  A node whose tracking overlap to a side falls below
-    ``MIN_OVERLAP`` is redone by ``assemble_vhat``, which halves the
-    difference step up to six times.  A chunk whose batched solve raises
-    is redone node by node in the same way, so an error surfaces with its
-    type at the first offending node, as if every node were solved alone.
-    With ``verbose`` the step plan and the chunk counts are logged to the
+    sized so that one (node x 2N x point) array stays within
+    ``CHUNK_BYTES``.  Each chunk's bases are solved in one batch, one
+    basis per node, and its generator blocks assembled together with the
+    modes' closed-form time derivatives, leaving only the 2N x 2N
+    products of RK4 to the step loop.  A chunk whose batched solve raises
+    is redone node by node, so an error surfaces with its type at the
+    first offending node, as if every node were solved alone.  With
+    ``verbose`` the step plan and the chunk counts are logged to the
     ``movingcavity.exact1d`` logger.
     """
     for name, value in (("t0", t0), ("tf", tf)):
@@ -809,18 +952,16 @@ def evolve_transformation(
         step = 0.1 / omega_max
     n_steps = max(1, int(math.ceil((tf - t0) / step)))
     dt = (tf - t0) / n_steps
-    if dt_fd is None:
-        dt_fd = dt / 10.0
     size = 2 * bands
-    basis_bytes = size * (_quad_count(bands, quad_points) + 2) * 8
-    chunk_nodes = max(1, CHUNK_BYTES // (3 * basis_bytes))
+    basis_bytes = size * (_quad_count(bands, quad_points) + 3) * 8
+    chunk_nodes = max(1, CHUNK_BYTES // basis_bytes)
     if verbose:
         import logging  # imported here so that quiet runs do not pay for it
 
         log = logging.getLogger(__name__)
         log.info(
-            "integrating %d steps of dt=%.6g (guidance dt <= %.6g), "
-            "dt_fd=%.6g", n_steps, dt, 0.1 / omega_max, dt_fd,
+            "integrating %d steps of dt=%.6g (guidance dt <= %.6g)",
+            n_steps, dt, 0.1 / omega_max,
         )
 
     omega0 = start_basis.frequencies  # fixed phase reference
@@ -847,20 +988,21 @@ def evolve_transformation(
         for first in range(0, len(node_times), chunk_nodes):
             times = node_times[first : first + chunk_nodes]
             try:
-                vhat, lost = _chunk_vhats(
-                    traj, params, bc, times, dt_fd, bands, quad_points
+                ks = generators(
+                    _chunk_vhats(traj, params, bc, times, bands, quad_points),
+                    times,
                 )
-                ks = generators(vhat, times)
-                batched += 3 * len(times)
+                batched += len(times)
             except (SolverError, InvalidTrajectoryError):
-                lost = np.ones(len(times), dtype=bool)
-            for i, t in enumerate(times.tolist()):
-                if lost[i]:
+                ks = None
+            for i in range(len(times)):
+                if ks is None:
                     per_node += 1
-                    vhat = assemble_vhat(
-                        traj, params, bc, t, dt_fd, bands, quad_points
+                    one = times[i : i + 1]
+                    vhat = _chunk_vhats(
+                        traj, params, bc, one, bands, quad_points
                     )
-                    yield generators(vhat[None], np.array([t]))[0]
+                    yield generators(vhat, one)[0]
                 else:
                     yield ks[i]
 
@@ -906,7 +1048,8 @@ def evolve_transformation(
     if verbose:
         chunks = -(-len(node_times) // chunk_nodes)
         log.info(
-            "%d chunks of up to %d nodes, %d bases solved in batches; "
+            "%d chunks of up to %d nodes, %d bases solved in batches "
+            "(one per node) after the start basis; "
             "%d of %d nodes fell back to per-node solves",
             chunks, chunk_nodes, batched, per_node, len(node_times),
         )

@@ -172,8 +172,11 @@ def build_dce(config: DceConfig) -> DceScenario:
     x_plus = lambda t: half * (1.0 + eps * amp_right * math.sin(drive * t))
     v_minus = lambda t: -half * eps * amp_left * drive * math.cos(drive * t)
     v_plus = lambda t: half * eps * amp_right * drive * math.cos(drive * t)
+    a_minus = lambda t: half * eps * amp_left * drive**2 * math.sin(drive * t)
+    a_plus = lambda t: -half * eps * amp_right * drive**2 * math.sin(drive * t)
     traj = BoundaryTrajectory(
-        x_minus=x_minus, x_plus=x_plus, v_minus=v_minus, v_plus=v_plus
+        x_minus=x_minus, x_plus=x_plus, v_minus=v_minus, v_plus=v_plus,
+        a_minus=a_minus, a_plus=a_plus,
     )
     return DceScenario(spec, traj, DcePredictor(config))
 

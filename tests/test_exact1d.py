@@ -25,8 +25,13 @@ from movingcavity.exact1d import (
     solve_instantaneous_basis,
     solve_instantaneous_bases,
 )
+from movingcavity.cli import _envelope_trajectory
 from movingcavity.scenarios import DceConfig, DceVariant, build_dce
-from movingcavity.staticmodes import Interval, solve_interval_modes
+from movingcavity.staticmodes import (
+    Interval,
+    gauss_legendre,
+    solve_interval_modes,
+)
 
 D = BoundaryCondition.DIRICHLET
 N = BoundaryCondition.NEUMANN
@@ -73,6 +78,54 @@ def test_superluminal_wall_rejected():
         traj.velocities(0.0)
 
 
+def test_static_factory_reports_zero_acceleration():
+    assert BoundaryTrajectory.static(-1.0, 1.0).accelerations(0.3) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("name", ["dce", "envelope"])
+@pytest.mark.parametrize("given", ["v", "x"])
+def test_finite_difference_acceleration_matches_analytic(name, given):
+    if name == "dce":
+        exact = dce_trajectory(variant=DceVariant.BREATHING, epsilon=0.05)
+    else:
+        exact = _envelope_trajectory(math.pi, 0.05, 3.0, 4.0)
+    # with velocities given they are differenced, else the positions twice
+    speeds = (exact.v_minus, exact.v_plus) if given == "v" else (None, None)
+    fd = BoundaryTrajectory(exact.x_minus, exact.x_plus, *speeds)
+    assert exact.a_minus is not None and exact.a_plus is not None
+    for t in (0.37, 1.9, 3.1):
+        want = np.array(exact.accelerations(t))
+        assert np.max(np.abs(np.array(fd.accelerations(t)) - want)) < 1e-7
+
+
+@pytest.mark.parametrize("field, value, method", [
+    ("x_plus", math.nan, "positions"),
+    ("x_plus", math.inf, "positions"),
+    ("x_minus", -math.inf, "positions"),
+    ("v_plus", math.nan, "velocities"),
+    ("a_plus", math.nan, "accelerations"),
+    ("a_minus", math.inf, "accelerations"),
+])
+def test_non_finite_trajectory_rejected(field, value, method):
+    functions = dict(
+        x_minus=lambda t: 0.0, x_plus=lambda t: 1.0,
+        v_minus=lambda t: 0.0, v_plus=lambda t: 0.0,
+        a_minus=lambda t: 0.0, a_plus=lambda t: 0.0,
+    )
+    functions[field] = lambda t: value
+    traj = BoundaryTrajectory(**functions)
+    with pytest.raises(InvalidTrajectoryError, match=r"non-finite .* at t=0\.25"):
+        getattr(traj, method)(0.25)
+    # the solvers raise it too, naming the time, instead of failing a scan
+    with pytest.raises(InvalidTrajectoryError, match=r"at t=0\.25"):
+        assemble_vhat(traj, FieldParams(), D, 0.25, 1e-4, 3)
+    if method != "accelerations":  # a plain basis needs no acceleration
+        with pytest.raises(InvalidTrajectoryError, match=r"at t=0\.25"):
+            solve_instantaneous_basis(traj, FieldParams(), D, 0.25, 3)
+    else:
+        solve_instantaneous_basis(traj, FieldParams(), D, 0.25, 3)
+
+
 # ---------------------------------------------------------------------------
 # basis functions and root polish
 
@@ -97,6 +150,22 @@ def test_cs_continuous_through_zero_lam():
         c, s = _cs(x, lam)
         assert np.max(np.abs(c - c0)) < 1e-11
         assert np.max(np.abs(s - s0)) < 1e-11
+
+
+@pytest.mark.parametrize("lams", [
+    [2.0, -1.5, 1e-3],  # no mode below the series cut-off
+    [2.0, -1.5, 1e-3, -2e-4, 1e-9, 0.0],  # modes on both sides of it
+])
+def test_cs_rates_match_centred_difference_in_lam(lams):
+    x = np.linspace(-1.3, 1.1, 9)[None, :]
+    lam = np.array(lams)[:, None]
+    c, s = _cs(x, lam)
+    dc, ds = exact1d._cs_rates(x, lam, c, s)
+    h = 1e-5
+    (cp, sp), (cm, sm) = _cs(x, lam + h), _cs(x, lam - h)
+    assert np.max(np.abs(dc - (cp - cm) / (2 * h))) < 1e-9
+    assert np.max(np.abs(ds - (sp - sm) / (2 * h))) < 1e-9
+    assert np.all(np.isfinite(ds))
 
 
 def test_polish_roots_raises_when_iterations_run_out():
@@ -225,8 +294,6 @@ def test_custom_norm_orthonormality_moving():
     params = FieldParams()
     basis = solve_instantaneous_basis(traj, params, D, t, 6)
     xm, xp = traj.positions(t)
-    from movingcavity.staticmodes import gauss_legendre
-
     nodes, weights = gauss_legendre(xm, xp, 96)
     modes = basis.plus
     vals = np.array([m.eval(nodes) for m in modes])
@@ -275,6 +342,109 @@ def test_static_generator_is_diagonal_frequency_matrix():
         traj, FieldParams(), D, 0.0, 5
     ).frequencies
     assert np.max(np.abs(gen - 1j * np.diag(freqs))) < 1e-9
+
+
+def _accelerating_contraction():
+    """Walls closing in and decelerating: a massive field's lowest pair
+    is evanescent at t = 0 (see the test above)."""
+    return BoundaryTrajectory(
+        lambda t: -1.0 + 0.2 * t - 0.05 * t * t,
+        lambda t: 1.0 - 0.2 * t + 0.05 * t * t,
+        v_minus=lambda t: 0.2 - 0.1 * t, v_plus=lambda t: -0.2 + 0.1 * t,
+        a_minus=lambda t: -0.1, a_plus=lambda t: 0.1,
+    )
+
+
+GENERATOR_CASES = {
+    "static-dirichlet": (
+        BoundaryTrajectory.static(0.0, math.pi), D, 0.0, 0.0, 5
+    ),
+    "static-neumann-massive": (
+        BoundaryTrajectory.static(-0.7, 1.4), N, 1.3, 0.0, 5
+    ),
+    "moving-dirichlet": (
+        dce_trajectory(variant=DceVariant.SHAKING, epsilon=0.05), D, 0.0,
+        0.41, 5,
+    ),
+    "moving-neumann": (
+        dce_trajectory(variant=DceVariant.BREATHING, bc=N, epsilon=0.05), N,
+        0.0, 0.3, 5,
+    ),
+    "moving-dirichlet-massive": (
+        dce_trajectory(epsilon=0.05, mass=0.7), D, 0.7, 1.1, 4,
+    ),
+    "moving-neumann-evanescent": (_accelerating_contraction(), N, 1.5, 0.0, 4),
+}
+
+
+def _fd_generator(traj, params, bc, t, bands, h):
+    """The generator with centred differences of sign-aligned bases."""
+    now, before, after = solve_instantaneous_bases(
+        traj, params, bc, [t, t - h, t + h], bands
+    )
+    xm, xp = now.x_minus, now.x_plus
+    nodes, weights = gauss_legendre(xm, xp, max(64, 8 * bands))
+    points = np.concatenate([nodes, [0.5 * (xm + xp), xm, xp]])
+    vals, dvals = now.values(points)
+    inner = len(nodes)
+    sides = []
+    for side in (before, after):
+        side_vals = side.values(points)[0]
+        overlap = (side_vals[:, :inner] * vals[:, :inner]) @ weights
+        sides.append(side_vals * np.where(overlap < 0, -1.0, 1.0)[:, None])
+    domega = (after.omega - before.omega) / (2 * h)
+    vhat = exact1d._vhat(
+        now.omega[None], domega[None], vals[None], dvals[None],
+        ((sides[1] - sides[0]) / (2 * h))[None], weights[None],
+        np.array([traj.velocities(t)]), now.f_term, bc,
+    )
+    return vhat[0], domega
+
+
+@pytest.mark.parametrize("case", list(GENERATOR_CASES))
+def test_analytic_generator_matches_finite_differences(case):
+    traj, bc, mass, t, bands = GENERATOR_CASES[case]
+    params = FieldParams(mass=mass)
+    vhat = assemble_vhat(traj, params, bc, t, 1e-4, bands)
+    scale = float(np.max(np.abs(vhat)))
+    (walls, speeds, points, weights, omega, lam, a, b, c, s, vals,
+     dvals) = exact1d._solve(traj, params, bc, np.array([t]), bands, None)
+    if case.endswith("evanescent"):
+        assert np.count_nonzero(lam < 0) == 1
+    accels = np.array([traj.accelerations(t)]).T
+    domega = exact1d._mode_rates(
+        np.array([t]), omega, lam, a, b, points, c, s, vals, dvals, weights,
+        speeds, accels, params.mass_term + exact1d.positivity_shift(params),
+        bc,
+    )[0][0]
+    gaps = []
+    for h in (1e-4, 5e-5):
+        reference, fd_domega = _fd_generator(traj, params, bc, t, bands, h)
+        gaps.append(float(np.max(np.abs(vhat - reference))))
+        # the roots' rate against a centred difference of the roots
+        assert np.max(np.abs(domega - fd_domega)) <= 1e-7 * np.max(
+            np.abs(omega)
+        )
+    assert gaps[0] <= 1e-7 * scale
+    if case.startswith("moving"):  # the O(h^2) error of the reference
+        assert 3.5 < gaps[0] / gaps[1] < 4.5
+    else:
+        assert np.max(np.abs(domega)) == 0.0
+        assert gaps[0] <= 1e-15 * scale
+
+
+def test_degenerate_root_rate_raises(monkeypatch):
+    # a root where dD/domega vanishes has no rate: typed error, not NaN
+    rates = exact1d._boundary_rates
+
+    def flat_in_omega(*args):
+        by_x, by_v, by_omega = rates(*args)
+        return by_x, by_v, (0.0 * by_omega[0], 0.0 * by_omega[1])
+
+    monkeypatch.setattr(exact1d, "_boundary_rates", flat_in_omega)
+    traj = dce_trajectory(epsilon=0.05)
+    with pytest.raises(SolverError, match=r"degenerate root at t=0\.3"):
+        assemble_vhat(traj, FieldParams(), D, 0.3, 1e-4, 3)
 
 
 def test_mode_transform_matrix_is_unitary():
@@ -339,27 +509,6 @@ def test_batched_evolution_matches_per_node_path(monkeypatch, caplog):
     ).groups()
     assert fell_back == nodes
     assert np.max(np.abs(batched - per_node)) < 1e-12
-
-
-def test_lost_tracking_in_one_chunk_falls_back_per_node(monkeypatch, caplog):
-    reference = _dce_ii_window()
-    original = exact1d._align
-    batched_calls = []
-
-    def lose_second_chunk(side_vals, center_psi, weights):
-        quality = original(side_vals, center_psi, weights)
-        if len(side_vals) > 1:  # a chunk, not a single node
-            batched_calls.append(len(side_vals))
-            if len(batched_calls) == 2:
-                quality[0, 1, -1] = 0.5  # one band of one node's side
-        return quality
-
-    monkeypatch.setattr(exact1d, "_align", lose_second_chunk)
-    with caplog.at_level(logging.INFO, logger="movingcavity.exact1d"):
-        forced = _dce_ii_window()
-    assert len(batched_calls) >= 2
-    assert " 1 of " in caplog.records[-1].getMessage()
-    assert np.max(np.abs(forced - reference)) < 1e-12
 
 
 def test_identity_preserved_and_checkpoints_recorded():
