@@ -12,6 +12,7 @@ error, 4 validation failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import io
@@ -41,6 +42,7 @@ from .perturb import (
     build_coupling_matrices,
     bogoliubov_perturbative,
     find_resonances,
+    validity_window,
 )
 from .scenarios import (
     SCENARIO_NAMES,
@@ -356,12 +358,24 @@ def write_table(
         text = buffer.getvalue()
     else:
         raise ConfigError(f"field 'format': expected csv or json, got {fmt!r}")
-    if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    with _open_output(output) as handle:
+        handle.write(text)
     return text
+
+
+def _open_output(output: Optional[str]) -> typing.ContextManager[typing.IO]:
+    """The ``--output`` file opened for writing, or stdout when it is unset.
+
+    A file that cannot be opened is a ConfigError naming the path.
+    """
+    if not output:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(output, "w", encoding="utf-8")
+    except OSError as err:
+        raise ConfigError(
+            f"cannot write output '{output}': {err.strerror or err}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -416,19 +430,15 @@ def _polar(values: np.ndarray) -> Tuple[List[float], List[float]]:
     return list(map(abs, values.tolist())), phases.tolist()
 
 
-def cmd_evolve(config: RunConfig, fmt: str, output: Optional[str]) -> int:
-    spec = _build_scenario_objects(config)[0]
-    basis = _static_basis(config)
-    couplings = build_coupling_matrices(
-        spec, basis, config.bc,
-        quad_points=64 if config.quad_points is None else config.quad_points,
-    )
-    pairs = _selected_pairs(config, len(basis))
+def _evolve_samples(config, couplings, basis, pairs, times, emit) -> None:
+    """Call ``emit(t, polar)`` at each sample time, in order.
+
+    ``polar`` holds |alpha|, arg alpha, |beta| and arg beta of the selected
+    pairs as lists.  Under ``--verbose`` one line on the ``movingcavity.cli``
+    logger counts the samples outside the first-order validity window.
+    """
     first = [n for n, _ in pairs]
     second = [m for _, m in pairs]
-    times = np.linspace(config.t0, config.tf, config.samples + 1)[1:]
-    columns = ["t", "n", "m", "abs_alpha", "arg_alpha", "abs_beta", "arg_beta"]
-    rows = []
     epsilon = config.epsilon
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ValidityWindowWarning)
@@ -442,14 +452,76 @@ def cmd_evolve(config: RunConfig, fmt: str, output: Optional[str]) -> int:
                     couplings, basis, epsilon, config.t0, t
                 )
                 result_alpha, result_beta = result.alpha, result.beta
-            rows.extend(
-                [t, n, m, abs_a, arg_a, abs_b, arg_b]
-                for n, m, abs_a, arg_a, abs_b, arg_b in zip(
-                    first, second,
-                    *_polar(result_alpha[first, second]),
-                    *_polar(result_beta[first, second]),
-                )
+            emit(t, (
+                *_polar(result_alpha[first, second]),
+                *_polar(result_beta[first, second]),
+            ))
+    # epsilon 0 runs no first-order window
+    window = epsilon and validity_window(couplings.drive_frequency, epsilon)
+    if window:
+        import logging  # imported here so that quiet runs do not pay for it
+
+        low, high = window
+        durations = times - config.t0
+        outside = np.count_nonzero((durations < low) | (durations > high))
+        logging.getLogger("movingcavity.cli").info(
+            "evolve: %d of %d samples outside the first-order validity "
+            "window [%.6g, %.6g] of window lengths", outside, len(times),
+            low, high,
+        )
+
+
+def _csv_blocks(handle: typing.IO, pairs: Sequence[Tuple[int, int]]):
+    """A writer of one sample's CSV lines per call, one line per pair.
+
+    Each line reads t, n, m and the four polar columns, t and the floats
+    in %.17g, as ``write_table`` writes them.  t is formatted once per
+    sample and joins the parts of the template, which one % call fills.
+    """
+    parts = [""] + [f",{n},{m},%.17g,%.17g,%.17g,%.17g\n" for n, m in pairs]
+    cells: List[Any] = [None] * (4 * len(pairs))
+
+    def write(t: float, polar: Sequence[List[float]]) -> None:
+        for column, values in enumerate(polar):
+            cells[column::4] = values
+        handle.write(("%.17g" % t).join(parts) % tuple(cells))
+
+    return write
+
+
+def cmd_evolve(config: RunConfig, fmt: str, output: Optional[str]) -> int:
+    spec = _build_scenario_objects(config)[0]
+    basis = _static_basis(config)
+    pairs = _selected_pairs(config, len(basis))
+    times = np.linspace(config.t0, config.tf, config.samples + 1)[1:]
+    # the times do not decrease, so once the first sample lies past t0 no
+    # sample can fail the window check after the CSV header is written
+    if times.size and not times[0] > config.t0:
+        raise ConfigError(
+            f"field 'samples': {config.samples} samples of the window "
+            f"[{config.t0!r}, {config.tf!r}] put the first sample at t0"
+        )
+    couplings = build_coupling_matrices(
+        spec, basis, config.bc,
+        quad_points=64 if config.quad_points is None else config.quad_points,
+    )
+    columns = ["t", "n", "m", "abs_alpha", "arg_alpha", "abs_beta", "arg_beta"]
+    if fmt == "csv":  # streamed, one sample at a time
+        with _open_output(output) as handle:
+            handle.write(",".join(columns) + "\n")
+            _evolve_samples(
+                config, couplings, basis, pairs, times,
+                _csv_blocks(handle, pairs),
             )
+        return EXIT_OK
+    rows: List[List[Any]] = []
+
+    def collect(t, polar):
+        rows.extend(
+            [t, n, m, *values] for (n, m), *values in zip(pairs, *polar)
+        )
+
+    _evolve_samples(config, couplings, basis, pairs, times, collect)
     write_table(columns, rows, config.meta(), fmt, output)
     return EXIT_OK
 
@@ -706,8 +778,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _run(args)
     import logging  # only --verbose runs attach a handler
 
-    # the exact path logs its step plan and chunk counts at INFO
-    logger = logging.getLogger("movingcavity.exact1d")
+    # the exact path logs its step plan and chunk counts at INFO, evolve
+    # its validity-window count
+    logger = logging.getLogger("movingcavity")
     stderr = logging.StreamHandler(sys.stderr)
     level = logger.level
     logger.addHandler(stderr)

@@ -41,6 +41,7 @@ __all__ = [
     "RaisedCosineEnvelope",
     "UnsupportedSpecError",
     "ValidityWindowWarning",
+    "validity_window",
     "coupling_alpha",
     "coupling_beta",
     "build_coupling_matrices",
@@ -572,12 +573,24 @@ def _cmul(a: np.ndarray, b) -> np.ndarray:
     )
 
 
-def _check_validity_window(drive_frequency, epsilon, t0, tf):
+def validity_window(
+    drive_frequency: Optional[float], epsilon: float
+) -> Optional[Tuple[float, float]]:
+    """Heuristic first-order range [low, high] of window lengths.
+
+    None when there is no drive frequency to judge by.
+    """
     if drive_frequency is None or drive_frequency <= 0:
+        return None
+    return 5.0 / drive_frequency, 0.1 / (epsilon * drive_frequency)
+
+
+def _check_validity_window(drive_frequency, epsilon, t0, tf):
+    window = validity_window(drive_frequency, epsilon)
+    if window is None:
         return
     duration = tf - t0
-    low = 5.0 / drive_frequency
-    high = 0.1 / (epsilon * drive_frequency)
+    low, high = window
     if duration < low or duration > high:
         warnings.warn(
             f"window length {duration:.4g} outside the heuristic first-order "

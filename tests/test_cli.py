@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,11 @@ from movingcavity.cli import (
     write_table,
 )
 from movingcavity.core import BoundaryCondition
+from movingcavity.perturb import (
+    ValidityWindowWarning,
+    bogoliubov_perturbative,
+    build_coupling_matrices,
+)
 
 
 def run_cli(capsys, *argv):
@@ -198,6 +204,132 @@ def test_evolve_off_resonant_bounded(tmp_path, capsys):
     _, rows = parse_csv(out)
     betas = [float(r[5]) for r in rows]
     assert max(betas[10:]) < 2.0 * max(betas[:10])
+
+
+EVOLVE_COLUMNS = [
+    "t", "n", "m", "abs_alpha", "arg_alpha", "abs_beta", "arg_beta"
+]
+EVOLVE_CONFIGS = {
+    "defaults": {},
+    "static-one-sample": {"epsilon": 0.0, "samples": 1},
+    "gw-box": {"scenario": "gw-rigid", "frequency_cutoff": 12, "samples": 5},
+    "dce-ii-neumann": {
+        "scenario": "dce-ii", "bc": "neumann", "mass": 1.5, "bands": 6,
+        "tf": 20.0, "samples": 7,
+    },
+    "repeated-pairs": {
+        "scenario": "gw-rigid", "bc": "neumann", "frequency_cutoff": 9,
+        "samples": 4, "pairs": [[3, 1], [0, 0], [3, 1]],
+    },
+}
+
+
+def reference_evolve_rows(config):
+    """evolve's table as one row list per (t, pair), built sample by sample."""
+    spec = cli._build_scenario_objects(config)[0]
+    basis = cli._static_basis(config)
+    couplings = build_coupling_matrices(
+        spec, basis, config.bc,
+        quad_points=64 if config.quad_points is None else config.quad_points,
+    )
+    pairs = cli._selected_pairs(config, len(basis))
+    first = [n for n, _ in pairs]
+    second = [m for _, m in pairs]
+    times = np.linspace(config.t0, config.tf, config.samples + 1)[1:]
+    rows = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ValidityWindowWarning)
+        for t in times.tolist():
+            if config.epsilon == 0.0:
+                alpha = np.eye(len(basis), dtype=complex)
+                beta = np.zeros((len(basis), len(basis)), dtype=complex)
+            else:
+                result = bogoliubov_perturbative(
+                    couplings, basis, config.epsilon, config.t0, t
+                )
+                alpha, beta = result.alpha, result.beta
+            rows.extend(
+                [t, n, m, abs_a, arg_a, abs_b, arg_b]
+                for n, m, abs_a, arg_a, abs_b, arg_b in zip(
+                    first, second,
+                    *cli._polar(alpha[first, second]),
+                    *cli._polar(beta[first, second]),
+                )
+            )
+    return rows
+
+
+@pytest.mark.parametrize("name, fmt", [
+    *((name, "csv") for name in EVOLVE_CONFIGS), ("gw-box", "json"),
+])
+def test_evolve_bytes_match_row_table(name, fmt, tmp_path, capsys):
+    fields = EVOLVE_CONFIGS[name]
+    config = load_config(None, dict(fields))
+    want = write_table(
+        EVOLVE_COLUMNS, reference_evolve_rows(config), config.meta(), fmt,
+        str(tmp_path / "reference"),
+    )
+    path = write_config(tmp_path, **fields)
+    code, out, err = run_cli(capsys, "evolve", "--config", path,
+                             "--format", fmt)
+    assert (code, err) == (EXIT_OK, "")
+    assert out == want
+    table = tmp_path / "table"
+    code, out, _ = run_cli(capsys, "evolve", "--config", path,
+                           "--format", fmt, "--output", str(table))
+    assert (code, out) == (EXIT_OK, "")
+    assert table.read_bytes() == want.encode("utf-8")
+
+
+def test_evolve_first_sample_at_t0_leaves_no_output(tmp_path, capsys):
+    # the first sample time t0 + (tf - t0) / 25 rounds to t0
+    config = write_config(tmp_path, t0=1.0, tf=1.0000000000000002, samples=25)
+    table = tmp_path / "table.csv"
+    for output in (("--output", str(table)), ()):
+        code, out, err = run_cli(capsys, "evolve", "--config", config, *output)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "field 'samples'" in err and "1.0000000000000002" in err
+    assert not table.exists()
+
+
+@pytest.mark.parametrize("command", ["spectrum", "evolve"])
+@pytest.mark.parametrize("target", ["directory", "missing-parent"])
+def test_unwritable_output_is_config_error(command, target, tmp_path, capsys):
+    config = write_config(tmp_path, samples=2, bands=3)
+    output = str(tmp_path if target == "directory" else tmp_path / "no" / "x")
+    code, out, err = run_cli(
+        capsys, command, "--config", config, "--output", output
+    )
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.startswith(f"config error: cannot write output '{output}': ")
+
+
+def test_evolve_verbose_counts_samples_outside_validity_window(
+    tmp_path, capsys
+):
+    # window lengths 10, 20, 30, 40 against [5/3, 0.1/(1e-3 * 3)]
+    config = write_config(tmp_path, samples=4, tf=40.0, bands=3)
+    tables = {}
+    for flags in ((), ("--verbose",)):
+        code, out, err = run_cli(capsys, "evolve", "--config", config, *flags)
+        assert code == EXIT_OK
+        path = tmp_path / f"out{len(flags)}.csv"
+        code, file_out, _ = run_cli(
+            capsys, "evolve", "--config", config, "--output", str(path),
+            *flags,
+        )
+        assert code == EXIT_OK and file_out == ""
+        tables[flags] = (out, path.read_bytes(), err)
+    (quiet_out, quiet_file, quiet_err), (loud_out, loud_file, loud_err) = (
+        tables.values()
+    )
+    assert loud_out == quiet_out and loud_file == quiet_file
+    assert quiet_err == ""
+    assert loud_err.count("\n") == 1
+    assert "1 of 4 samples outside" in loud_err
+    assert "[1.66667, 33.3333]" in loud_err
 
 
 # ---------------------------------------------------------------------------
