@@ -17,6 +17,7 @@ import csv
 import dataclasses
 import io
 import json
+import logging
 import math
 import sys
 import typing
@@ -65,6 +66,8 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_VALIDATION = 4
 
+_log = logging.getLogger("movingcavity.cli")
+
 
 class ConfigError(ValueError):
     """Raised for a missing, malformed, or out-of-range config field."""
@@ -99,7 +102,6 @@ class RunConfig:
     t0: float = 0.0
     tf: float = 10.0
     dt: Optional[float] = None
-    dt_fd: Optional[float] = None
     quad_points: Optional[int] = None
     samples: int = 25
     tolerance: float = 1e-9
@@ -196,16 +198,21 @@ def load_config(path: Optional[str], overrides: Dict[str, Any]) -> RunConfig:
         raise ConfigError(
             f"field 'window': requires t0 < tf, got [{config.t0}, {config.tf}]"
         )
-    if config.bands < 1:
-        raise ConfigError(f"field 'bands': must be >= 1, got {config.bands}")
-    if config.quad_points is not None and config.quad_points < 1:
-        raise ConfigError(
-            f"field 'quad_points': must be >= 1, got {config.quad_points}"
-        )
-    if config.epsilon < 0:
-        raise ConfigError(
-            f"field 'epsilon': must be >= 0, got {config.epsilon}"
-        )
+    for name, bad, rule in (
+        ("bands", config.bands < 1, "must be >= 1"),
+        ("quad_points", config.quad_points is not None
+         and config.quad_points < 1, "must be >= 1"),
+        ("epsilon", config.epsilon < 0, "must be >= 0"),
+        ("samples", config.samples < 0, "must be >= 0"),
+        ("tolerance", config.tolerance < 0, "must be >= 0"),
+        ("dt", config.dt is not None and config.dt <= 0,
+         "integration step must be positive"),
+        ("duration", config.duration <= 0, "must be > 0"),
+    ):
+        if bad:
+            raise ConfigError(
+                f"field '{name}': {rule}, got {getattr(config, name)}"
+            )
     # the sweep fits a log-log slope: two distinct logs at least
     if len(set(config.epsilons)) < 2 or min(config.epsilons) <= 0:
         raise ConfigError(
@@ -279,38 +286,6 @@ def _flatten_columns(columns: Sequence[str], row: Sequence[Any]) -> List[str]:
     return flat
 
 
-def _csv_template(rows: Sequence[Sequence[Any]]) -> Optional[str]:
-    """One printf template for every CSV line of ``rows``, or None.
-
-    The template follows the first row: %.17g for a float, %d for an int
-    and %s for a string, which is the text the csv writer gives for these
-    cells.  None sends the table to the csv writer: a cell of another type,
-    a row whose cell types differ from the first row's, or a string the
-    writer would quote or that is empty.
-    """
-    if not rows:
-        return None
-    kinds = tuple(map(type, rows[0]))
-    formats = []
-    for kind in kinds:
-        if issubclass(kind, (float, np.floating)):
-            formats.append("%.17g")
-        elif kind is int or issubclass(kind, np.integer):
-            formats.append("%d")
-        elif kind is str:
-            formats.append("%s")
-        else:
-            return None
-    if any(tuple(map(type, row)) != kinds for row in rows):
-        return None
-    for i, kind in enumerate(kinds):
-        if kind is str and any(
-            not row[i] or any(c in row[i] for c in ',"\r\n') for row in rows
-        ):
-            return None
-    return ",".join(formats) + "\n"
-
-
 def write_table(
     columns: Sequence[str],
     rows: Sequence[Sequence[Any]],
@@ -342,19 +317,14 @@ def write_table(
         writer = csv.writer(buffer, lineterminator="\n")
         header_row = rows[0] if rows else [0.0] * len(columns)
         writer.writerow(_flatten_columns(columns, header_row))
-        template = _csv_template(rows)
-        if template is not None:
-            for row in rows:
-                buffer.write(template % tuple(row))
-        else:
-            for row in rows:
-                cells = []
-                for item in _flatten_row(row):
-                    if isinstance(item, (float, np.floating)):
-                        cells.append(_fmt(item))
-                    else:
-                        cells.append(str(item))
-                writer.writerow(cells)
+        for row in rows:
+            cells = []
+            for item in _flatten_row(row):
+                if isinstance(item, (float, np.floating)):
+                    cells.append(_fmt(item))
+                else:
+                    cells.append(str(item))
+            writer.writerow(cells)
         text = buffer.getvalue()
     else:
         raise ConfigError(f"field 'format': expected csv or json, got {fmt!r}")
@@ -459,12 +429,10 @@ def _evolve_samples(config, couplings, basis, pairs, times, emit) -> None:
     # epsilon 0 runs no first-order window
     window = epsilon and validity_window(couplings.drive_frequency, epsilon)
     if window:
-        import logging  # imported here so that quiet runs do not pay for it
-
         low, high = window
         durations = times - config.t0
         outside = np.count_nonzero((durations < low) | (durations > high))
-        logging.getLogger("movingcavity.cli").info(
+        _log.info(
             "evolve: %d of %d samples outside the first-order validity "
             "window [%.6g, %.6g] of window lengths", outside, len(times),
             low, high,
@@ -539,10 +507,8 @@ def cmd_evolve_exact(config: RunConfig, fmt: str, output: Optional[str]) -> int:
     state = evolve_transformation(
         trajectory, FieldParams(mass=config.mass), config.bc,
         config.t0, config.tf, config.bands,
-        step=config.dt, dt_fd=config.dt_fd,
-        quad_points=config.quad_points,
+        step=config.dt, quad_points=config.quad_points,
         checkpoint_times=[float(t) for t in checkpoint_times],
-        verbose=True,  # records reach stderr only under --verbose (see main)
     )
     snapshots = list(state.checkpoints) + [(state.t_current, state.U)]
     columns = ["t", "i", "j", "U", "identity_residual"]
@@ -628,7 +594,7 @@ def _check_orthonormality(config: RunConfig, flip: bool) -> Tuple[bool, float]:
 def _check_static_generator(config: RunConfig, flip: bool) -> Tuple[bool, float]:
     traj = BoundaryTrajectory.static(0.0, math.pi)
     vhat = assemble_vhat(
-        traj, FieldParams(), BoundaryCondition.DIRICHLET, 0.0, 1e-4, 4
+        traj, FieldParams(), BoundaryCondition.DIRICHLET, 0.0, 4
     )
     gen = generator_matrix(vhat)
     freqs = solve_instantaneous_basis(
@@ -702,8 +668,7 @@ def _epsilon_sweep(config: RunConfig) -> Tuple[float, List[List[float]]]:
         )
         state = evolve_transformation(
             traj, FieldParams(mass=config.mass), config.bc,
-            0.0, config.duration, max(config.bands, 3),
-            step=step, dt_fd=config.dt_fd,
+            0.0, config.duration, max(config.bands, 3), step=step,
         )
         rows.append([epsilon, bogoliubov_identity_residual(state)])
     logs = np.log(np.asarray(rows, dtype=float))
@@ -776,10 +741,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if not args.verbose:
         return _run(args)
-    import logging  # only --verbose runs attach a handler
-
     # the exact path logs its step plan and chunk counts at INFO, evolve
-    # its validity-window count
+    # its validity-window count; without a handler those records go nowhere
     logger = logging.getLogger("movingcavity")
     stderr = logging.StreamHandler(sys.stderr)
     level = logger.level

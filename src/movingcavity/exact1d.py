@@ -18,6 +18,7 @@ coefficients.
 from __future__ import annotations
 
 import functools
+import logging
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
@@ -70,6 +71,8 @@ ACCEL_STEP = 1e-3  # finite-difference step for wall accelerations
 LAM_SERIES_CUT = 1e-3  # |lam| x^2 below which ds/dlam takes its series
 BRACKET_DENSITY = 4  # root-scan nodes per half mode spacing
 CHUNK_BYTES = 1 << 18  # one (node x 2N x point) array of a chunk
+
+_log = logging.getLogger(__name__)
 
 
 def _first_difference(f, t, h):
@@ -839,7 +842,6 @@ def assemble_vhat(
     params: FieldParams,
     bc: BoundaryCondition,
     t: float,
-    dt_fd: float,
     bands: int,
     quad_points: Optional[int] = None,
 ) -> np.ndarray:
@@ -847,11 +849,8 @@ def assemble_vhat(
 
     The one-node call of the chunk assembly in ``evolve_transformation``:
     one basis at t, and closed-form time derivatives of its modes from
-    the wall velocities and accelerations.  ``dt_fd`` is validated but
-    unused; it is kept for callers of the finite-difference generator
-    this replaced.
+    the wall velocities and accelerations.
     """
-    require_positive("dt_fd", dt_fd)
     return _chunk_vhats(
         traj, params, bc, np.array([float(t)]), bands, quad_points
     )[0]
@@ -910,19 +909,16 @@ def evolve_transformation(
     tf: float,
     bands: int,
     step: Optional[float] = None,
-    dt_fd: Optional[float] = None,
     quad_points: Optional[int] = None,
     checkpoint_times: Sequence[float] = (),
     absorb_phases: bool = False,
-    verbose: bool = False,
 ) -> TransformationState:
     """Integrate the basis transformation from t0 to tf with fixed-step RK4.
 
-    The default step targets 0.1 / omega_max.  ``dt_fd`` is validated
-    but unused: the generator's time derivatives are exact, so there is
-    no difference width to set.  With ``absorb_phases`` the free rotation
-    of the start basis is factored out before integrating, which keeps
-    the high-mode phases accurate and allows steps beyond 0.1 / omega_max.
+    The default step targets 0.1 / omega_max.  With ``absorb_phases`` the
+    free rotation of the start basis is factored out before integrating,
+    which keeps the high-mode phases accurate and allows steps beyond
+    0.1 / omega_max.
 
     The generator depends on t alone, so its nodes (t0, then the midpoint
     and end of each step) are known in advance.  They are taken in chunks
@@ -932,8 +928,8 @@ def evolve_transformation(
     modes' closed-form time derivatives, leaving only the 2N x 2N
     products of RK4 to the step loop.  A chunk whose batched solve raises
     is redone node by node, so an error surfaces with its type at the
-    first offending node, as if every node were solved alone.  With
-    ``verbose`` the step plan and the chunk counts are logged to the
+    first offending node, as if every node were solved alone.  The step
+    plan and the chunk counts are logged at INFO to the
     ``movingcavity.exact1d`` logger.
     """
     for name, value in (("t0", t0), ("tf", tf)):
@@ -941,9 +937,8 @@ def evolve_transformation(
             raise ValueError(f"{name} must be finite, got {value}")
     if tf <= t0:
         raise ValueError("window must satisfy t0 < tf")
-    for name, value in (("step", step), ("dt_fd", dt_fd)):
-        if value is not None:
-            require_positive(name, value)
+    if step is not None:
+        require_positive("step", step)
     start_basis = solve_instantaneous_basis(
         traj, params, bc, t0, bands, quad_points
     )
@@ -955,14 +950,10 @@ def evolve_transformation(
     size = 2 * bands
     basis_bytes = size * (_quad_count(bands, quad_points) + 3) * 8
     chunk_nodes = max(1, CHUNK_BYTES // basis_bytes)
-    if verbose:
-        import logging  # imported here so that quiet runs do not pay for it
-
-        log = logging.getLogger(__name__)
-        log.info(
-            "integrating %d steps of dt=%.6g (guidance dt <= %.6g)",
-            n_steps, dt, 0.1 / omega_max,
-        )
+    _log.info(
+        "integrating %d steps of dt=%.6g (guidance dt <= %.6g)",
+        n_steps, dt, 0.1 / omega_max,
+    )
 
     omega0 = start_basis.frequencies  # fixed phase reference
 
@@ -1045,14 +1036,13 @@ def evolve_transformation(
         t = t0 + (step_idx + 1) * dt
         record(t, u)
         k1 = k4  # the next step starts where this one ended
-    if verbose:
-        chunks = -(-len(node_times) // chunk_nodes)
-        log.info(
-            "%d chunks of up to %d nodes, %d bases solved in batches "
-            "(one per node) after the start basis; "
-            "%d of %d nodes fell back to per-node solves",
-            chunks, chunk_nodes, batched, per_node, len(node_times),
-        )
+    chunks = -(-len(node_times) // chunk_nodes)
+    _log.info(
+        "%d chunks of up to %d nodes, %d bases solved in batches "
+        "(one per node) after the start basis; "
+        "%d of %d nodes fell back to per-node solves",
+        chunks, chunk_nodes, batched, per_node, len(node_times),
+    )
     if absorb_phases:
         phase = np.exp(1j * omega0 * (tf - t0))
         u = phase[:, None] * u

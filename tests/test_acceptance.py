@@ -297,7 +297,7 @@ def test_static_limit_consistency():
                 np.asarray(inst.frequencies[:6]) / static.frequencies - 1.0
             ))))
             worst_gram = max(worst_gram, orthonormality_residual(static))
-            vhat = assemble_vhat(traj, params, bc, 0.0, 1e-4, 6)
+            vhat = assemble_vhat(traj, params, bc, 0.0, 6)
             gen = generator_matrix(vhat)
             target = 1j * np.diag(inst.frequencies)
             worst_gen = max(worst_gen, float(np.max(np.abs(gen - target))))
@@ -378,8 +378,7 @@ def test_rk4_convergence_order():
     results = {}
     for factor in (1, 2, 8):
         state = evolve_transformation(
-            trajectory, FieldParams(), D, 0.0, 2.0, 3,
-            step=dt / factor, dt_fd=1e-4,
+            trajectory, FieldParams(), D, 0.0, 2.0, 3, step=dt / factor
         )
         results[factor] = state.U
     coarse = np.max(np.abs(results[1] - results[8]))

@@ -56,9 +56,18 @@ def test_defaults_without_config_file():
 
 
 def test_unknown_field_is_named():
-    with pytest.raises(ConfigError) as err:
-        load_config(None, {"wavelenght": 3})
-    assert "wavelenght" in str(err.value)
+    for name in ("wavelenght", "dt_fd"):
+        with pytest.raises(ConfigError) as err:
+            load_config(None, {name: 1e-4})
+        assert f"unknown config field(s): {name}" in str(err.value)
+
+
+def test_removed_dt_fd_is_config_error(tmp_path, capsys):
+    config = write_config(tmp_path, tf=0.5, bands=2, dt_fd=1e-4)
+    code, out, err = run_cli(capsys, "evolve-exact", "--config", config)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "unknown config field(s): dt_fd" in err
 
 
 def test_bad_value_names_field():
@@ -75,8 +84,17 @@ def test_bad_value_names_field():
     ({"pairs": [[1, 2, 3]]}, "pairs"),
     ({"mass": None}, "mass"),
     ({"bc": "robin"}, "bc"),
+    ({"samples": -1}, "samples"),
+    ({"samples": -2}, "samples"),
+    ({"tolerance": -1e-9}, "tolerance"),
+    ({"dt": 0.0}, "dt"),
+    ({"dt": -0.1}, "dt"),
+    ({"duration": 0.0}, "duration"),
+    ({"duration": -6.0}, "duration"),
 ], ids=["string-for-float-list", "strings-for-pairs", "fractional-int",
-        "bool-for-int", "triple-for-pair", "null-for-float", "unknown-bc"])
+        "bool-for-int", "triple-for-pair", "null-for-float", "unknown-bc",
+        "negative-samples", "negative-samples-2", "negative-tolerance",
+        "zero-dt", "negative-dt", "zero-duration", "negative-duration"])
 def test_schema_rejects_bad_value_naming_field(fields, name):
     with pytest.raises(ConfigError, match=f"field '{name}'"):
         load_config(None, fields)
@@ -155,6 +173,14 @@ def test_resonances_irrational_drive_empty(tmp_path, capsys):
     assert code == EXIT_OK
     _, rows = parse_csv(out)
     assert rows == []
+
+
+def test_resonances_negative_tolerance_is_config_error(tmp_path, capsys):
+    config = write_config(tmp_path, tolerance=-1)
+    code, out, err = run_cli(capsys, "resonances", "--config", config)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "field 'tolerance'" in err
 
 
 def test_resonances_loose_tolerance_reports_detuning(tmp_path, capsys):
@@ -387,17 +413,15 @@ def test_evolve_rejects_nonpositive_quad_points(tmp_path, capsys, quad_points):
     assert "quad_points" in err
 
 
-def test_evolve_exact_verbose_logs_to_stderr_only(tmp_path, capsys):
-    config = write_config(tmp_path, tf=0.5, bands=2, samples=2)
+def assert_verbose_logs_to_stderr_only(tmp_path, capsys, command, config):
+    """Quiet and --verbose runs write the same bytes; only --verbose logs."""
     tables = {}
     for flags in ((), ("--verbose",)):
-        code, out, err = run_cli(
-            capsys, "evolve-exact", "--config", config, *flags
-        )
+        code, out, err = run_cli(capsys, command, "--config", config, *flags)
         assert code == EXIT_OK
         path = tmp_path / f"out{len(flags)}.csv"
         code, file_out, _ = run_cli(
-            capsys, "evolve-exact", "--config", config, "--output", str(path),
+            capsys, command, "--config", config, "--output", str(path),
             *flags,
         )
         assert code == EXIT_OK and file_out == ""
@@ -408,6 +432,19 @@ def test_evolve_exact_verbose_logs_to_stderr_only(tmp_path, capsys):
     assert loud_out == quiet_out and loud_file == quiet_file
     assert quiet_err == ""
     assert "integrating" in loud_err and "nodes fell back" in loud_err
+
+
+def test_evolve_exact_verbose_logs_to_stderr_only(tmp_path, capsys):
+    config = write_config(tmp_path, tf=0.5, bands=2, samples=2)
+    assert_verbose_logs_to_stderr_only(tmp_path, capsys, "evolve-exact", config)
+
+
+def test_epsilon_sweep_verbose_logs_to_stderr_only(tmp_path, capsys):
+    config = write_config(
+        tmp_path, mode="epsilon-sweep", bands=3, duration=4.0,
+        epsilons=[1e-2, 1e-3],
+    )
+    assert_verbose_logs_to_stderr_only(tmp_path, capsys, "validate", config)
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +534,7 @@ def reference_csv(columns, rows):
 
 SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 5e-324,
            0.1, -1.5e17, 2.0 / 3.0]
-TEMPLATE_TABLES = {
+TABLES = {
     "floats-and-ints": [
         [x, i, -i, y, np.float64(x), np.int64(i), np.float32(y)]
         for i, (x, y) in enumerate(zip(SPECIAL, reversed(SPECIAL)))
@@ -505,8 +542,6 @@ TEMPLATE_TABLES = {
     "strings": [
         ["mode-mixing", 3, x] for x in SPECIAL
     ] + [["residual(eps=0.01)", 1, 0.1]],
-}
-FALLBACK_TABLES = {
     "complex": [[x, 1, complex(x, -y)] for x, y in zip(SPECIAL, SPECIAL)],
     "quoted": [["a,b", 1, 0.5], ['say "x"', 2, 1.5], ["two\nlines", 3, 0.1],
                ["cr\r", 4, 0.2], ["", 5, 0.3]],
@@ -516,14 +551,11 @@ FALLBACK_TABLES = {
 }
 
 
-@pytest.mark.parametrize(
-    "name", sorted(TEMPLATE_TABLES) + sorted(FALLBACK_TABLES)
-)
+@pytest.mark.parametrize("name", sorted(TABLES))
 def test_csv_template_matches_csv_writer(name, tmp_path):
-    rows = {**TEMPLATE_TABLES, **FALLBACK_TABLES}[name]
+    rows = TABLES[name]
     width = max((len(cli._flatten_row(r)) for r in rows), default=3)
     columns = [f"c{i}" for i in range(width)]
-    assert (cli._csv_template(rows) is None) == (name in FALLBACK_TABLES)
     out = tmp_path / "table.csv"
     text = write_table(columns, rows, {}, "csv", str(out))
     assert text == reference_csv(columns, rows)

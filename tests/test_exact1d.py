@@ -118,7 +118,7 @@ def test_non_finite_trajectory_rejected(field, value, method):
         getattr(traj, method)(0.25)
     # the solvers raise it too, naming the time, instead of failing a scan
     with pytest.raises(InvalidTrajectoryError, match=r"at t=0\.25"):
-        assemble_vhat(traj, FieldParams(), D, 0.25, 1e-4, 3)
+        assemble_vhat(traj, FieldParams(), D, 0.25, 3)
     if method != "accelerations":  # a plain basis needs no acceleration
         with pytest.raises(InvalidTrajectoryError, match=r"at t=0\.25"):
             solve_instantaneous_basis(traj, FieldParams(), D, 0.25, 3)
@@ -336,7 +336,7 @@ def test_frequencies_never_reach_zero():
 
 def test_static_generator_is_diagonal_frequency_matrix():
     traj = BoundaryTrajectory.static(0.0, math.pi)
-    vhat = assemble_vhat(traj, FieldParams(), D, 0.0, 1e-4, 5)
+    vhat = assemble_vhat(traj, FieldParams(), D, 0.0, 5)
     gen = generator_matrix(vhat)
     freqs = solve_instantaneous_basis(
         traj, FieldParams(), D, 0.0, 5
@@ -405,7 +405,7 @@ def _fd_generator(traj, params, bc, t, bands, h):
 def test_analytic_generator_matches_finite_differences(case):
     traj, bc, mass, t, bands = GENERATOR_CASES[case]
     params = FieldParams(mass=mass)
-    vhat = assemble_vhat(traj, params, bc, t, 1e-4, bands)
+    vhat = assemble_vhat(traj, params, bc, t, bands)
     scale = float(np.max(np.abs(vhat)))
     (walls, speeds, points, weights, omega, lam, a, b, c, s, vals,
      dvals) = exact1d._solve(traj, params, bc, np.array([t]), bands, None)
@@ -444,7 +444,7 @@ def test_degenerate_root_rate_raises(monkeypatch):
     monkeypatch.setattr(exact1d, "_boundary_rates", flat_in_omega)
     traj = dce_trajectory(epsilon=0.05)
     with pytest.raises(SolverError, match=r"degenerate root at t=0\.3"):
-        assemble_vhat(traj, FieldParams(), D, 0.3, 1e-4, 3)
+        assemble_vhat(traj, FieldParams(), D, 0.3, 3)
 
 
 def test_mode_transform_matrix_is_unitary():
@@ -471,9 +471,7 @@ def test_static_trajectory_gives_pure_phases():
 def test_verbose_logs_the_step_plan_and_keeps_stdout_clean(caplog, capsys):
     traj = BoundaryTrajectory.static(0.0, math.pi)
     with caplog.at_level(logging.INFO, logger="movingcavity.exact1d"):
-        evolve_transformation(
-            traj, FieldParams(), D, 0.0, 0.2, 2, step=0.1, verbose=True
-        )
+        evolve_transformation(traj, FieldParams(), D, 0.0, 0.2, 2, step=0.1)
     assert "integrating 2 steps of dt=0.1" in caplog.text
     assert "0 of 5 nodes fell back to per-node solves" in caplog.text
     assert caplog.records[0].name == "movingcavity.exact1d"
@@ -484,7 +482,7 @@ def _dce_ii_window(**kwargs):
     """U over a short massive Neumann window, and the evolution's log."""
     traj = dce_trajectory(variant=DceVariant.BREATHING, bc=N, mass=1.5)
     state = evolve_transformation(
-        traj, FieldParams(mass=1.5), N, 0.0, 0.5, 4, verbose=True, **kwargs
+        traj, FieldParams(mass=1.5), N, 0.0, 0.5, 4, **kwargs
     )
     return state.U
 
@@ -551,7 +549,7 @@ def test_non_finite_window_rejected(name, value):
 
 
 @pytest.mark.parametrize("name, value", [
-    ("step", 0.0), ("step", -0.5), ("dt_fd", 0.0), ("quad_points", 0),
+    ("step", 0.0), ("step", -0.5), ("quad_points", 0),
 ])
 def test_bad_integration_argument_rejected(name, value):
     with pytest.raises(ValueError, match=name):
@@ -568,7 +566,7 @@ def test_oversized_step_raises_stability_error():
 
 def test_resonant_pair_creation_robust_to_truncation():
     traj = dce_trajectory(epsilon=1e-3, drive=3.0)
-    kwargs = dict(step=0.02, dt_fd=2e-3)
+    kwargs = dict(step=0.02)
     small = evolve_transformation(traj, FieldParams(), D, 0.0, 8.0, 4, **kwargs)
     large = evolve_transformation(traj, FieldParams(), D, 0.0, 8.0, 8, **kwargs)
     b_small = abs(small.beta[0, 1])
