@@ -764,9 +764,6 @@ def _run(args: argparse.Namespace) -> int:
     handler = _COMMANDS[args.command]
     try:
         return handler(config, args.fmt, args.output)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
     except (KeyError, ValueError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -5,12 +5,13 @@ metrics ds^2 = -dt^2 + h_ij(t) dx^i dx^j with diagonal, spatially constant
 h_ij, whose slices are flat.  This module holds the field parameters, the
 boundary-condition choice, the one rule that decides whether a Neumann
 field keeps its uniform mode, the positivity shift of the slice operator
-that follows from it, and the check that rejects non-finite or
+that follows from it, and the checks that reject non-finite values and
 non-positive sizes when an object is built.
 """
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -19,6 +20,7 @@ __all__ = [
     "FieldParams",
     "has_uniform_mode",
     "positivity_shift",
+    "require_finite",
     "require_positive",
     "BoundaryCondition",
     "POSITIVITY_EPS",
@@ -42,12 +44,8 @@ class FieldParams:
     coupling_xi: float = 0.0
 
     def __post_init__(self):
-        if not math.isfinite(self.mass):
-            raise ValueError(f"mass must be finite, got {self.mass}")
-        if not math.isfinite(self.coupling_xi):
-            raise ValueError(
-                f"coupling_xi must be finite, got {self.coupling_xi}"
-            )
+        require_finite("mass", self.mass)
+        require_finite("coupling_xi", self.coupling_xi)
         if self.mass < 0:
             raise ValueError(f"mass must be nonnegative, got {self.mass}")
 
@@ -91,3 +89,9 @@ def require_positive(name: str, value: float) -> None:
     """Raise ``ValueError`` naming ``name`` unless ``value`` is finite and > 0."""
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def require_finite(name: str, value: complex) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is finite."""
+    if not cmath.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")

@@ -30,6 +30,7 @@ from .core import (
     FieldParams,
     has_uniform_mode,
     positivity_shift,
+    require_finite,
     require_positive,
 )
 from .staticmodes import gauss_legendre
@@ -918,7 +919,8 @@ def evolve_transformation(
     The default step targets 0.1 / omega_max.  With ``absorb_phases`` the
     free rotation of the start basis is factored out before integrating,
     which keeps the high-mode phases accurate and allows steps beyond
-    0.1 / omega_max.
+    0.1 / omega_max.  ``checkpoint_times`` must lie in [t0, tf]; each is
+    recorded at the first step end at or after it.
 
     The generator depends on t alone, so its nodes (t0, then the midpoint
     and end of each step) are known in advance.  They are taken in chunks
@@ -926,23 +928,26 @@ def evolve_transformation(
     ``CHUNK_BYTES``.  Each chunk's bases are solved in one batch, one
     basis per node, and its generator blocks assembled together with the
     modes' closed-form time derivatives, leaving only the 2N x 2N
-    products of RK4 to the step loop.  A chunk whose batched solve raises
-    is redone node by node, so an error surfaces with its type at the
-    first offending node, as if every node were solved alone.  The step
-    plan and the chunk counts are logged at INFO to the
-    ``movingcavity.exact1d`` logger.
+    products of RK4 to the step loop.  The nodes of a chunk do not
+    interact, so a chunk raises exactly when one of its nodes would raise
+    alone; the error keeps its type and names the first offending time
+    of the stage that failed.  The step plan and the chunk layout are
+    logged as one INFO line to the ``movingcavity.exact1d`` logger.
     """
-    for name, value in (("t0", t0), ("tf", tf)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+    require_finite("t0", t0)
+    require_finite("tf", tf)
     if tf <= t0:
         raise ValueError("window must satisfy t0 < tf")
     if step is not None:
         require_positive("step", step)
+    outside = [t for t in checkpoint_times if not t0 <= t <= tf]
+    if outside:
+        raise ValueError(f"checkpoint_times outside [t0, tf]: {outside}")
     start_basis = solve_instantaneous_basis(
         traj, params, bc, t0, bands, quad_points
     )
-    omega_max = float(np.max(np.abs(start_basis.frequencies)))
+    omega0 = start_basis.frequencies  # fixed phase reference
+    omega_max = float(np.max(np.abs(omega0)))
     if step is None:
         step = 0.1 / omega_max
     n_steps = max(1, int(math.ceil((tf - t0) / step)))
@@ -950,21 +955,6 @@ def evolve_transformation(
     size = 2 * bands
     basis_bytes = size * (_quad_count(bands, quad_points) + 3) * 8
     chunk_nodes = max(1, CHUNK_BYTES // basis_bytes)
-    _log.info(
-        "integrating %d steps of dt=%.6g (guidance dt <= %.6g)",
-        n_steps, dt, 0.1 / omega_max,
-    )
-
-    omega0 = start_basis.frequencies  # fixed phase reference
-
-    def generators(vhat, times):
-        k = generator_matrix(vhat)
-        if absorb_phases:
-            phase = np.exp(1j * omega0 * (times - t0)[:, None])
-            k = (k - 1j * np.diag(omega0)) * (
-                phase.conj()[:, :, None] * phase[:, None, :]
-            )
-        return k
 
     # t0, then the midpoint and the end of each step
     starts = t0 + np.arange(n_steps) * dt
@@ -972,47 +962,40 @@ def evolve_transformation(
     node_times[0] = t0
     node_times[1::2] = starts + dt / 2.0
     node_times[2::2] = starts + dt
-    batched = per_node = 0  # bases solved in batches, nodes redone alone
+    _log.info(
+        "integrating %d steps of dt=%.6g (guidance dt <= %.6g); "
+        "%d nodes in %d chunks of up to %d",
+        n_steps, dt, 0.1 / omega_max, len(node_times),
+        -(-len(node_times) // chunk_nodes), chunk_nodes,
+    )
 
     def node_generators():
-        nonlocal batched, per_node
         for first in range(0, len(node_times), chunk_nodes):
             times = node_times[first : first + chunk_nodes]
-            try:
-                ks = generators(
-                    _chunk_vhats(traj, params, bc, times, bands, quad_points),
-                    times,
+            k = generator_matrix(
+                _chunk_vhats(traj, params, bc, times, bands, quad_points)
+            )
+            if absorb_phases:
+                phase = np.exp(1j * omega0 * (times - t0)[:, None])
+                k = (k - 1j * np.diag(omega0)) * (
+                    phase.conj()[:, :, None] * phase[:, None, :]
                 )
-                batched += len(times)
-            except (SolverError, InvalidTrajectoryError):
-                ks = None
-            for i in range(len(times)):
-                if ks is None:
-                    per_node += 1
-                    one = times[i : i + 1]
-                    vhat = _chunk_vhats(
-                        traj, params, bc, one, bands, quad_points
-                    )
-                    yield generators(vhat, one)[0]
-                else:
-                    yield ks[i]
+            yield from k
+
+    def lab_frame(u_now, t):
+        """U at t with the start basis's free rotation put back."""
+        if not absorb_phases:
+            return u_now
+        return np.exp(1j * omega0 * (t - t0))[:, None] * u_now
 
     u = np.eye(size, dtype=complex)
-    checkpoint_times = sorted(checkpoint_times)
+    pending = sorted(checkpoint_times, reverse=True)
     checkpoints = []
-    next_cp = 0
 
     def record(t, u_now):
-        nonlocal next_cp
-        while next_cp < len(checkpoint_times) and checkpoint_times[
-            next_cp
-        ] <= t + 1e-12:
-            u_out = u_now
-            if absorb_phases:
-                phase = np.exp(1j * omega0 * (t - t0))
-                u_out = phase[:, None] * u_now
-            checkpoints.append((t, u_out.copy()))
-            next_cp += 1
+        while pending and pending[-1] <= t + 1e-12:
+            pending.pop()
+            checkpoints.append((t, lab_frame(u_now, t).copy()))
 
     t = t0
     record(t, u)
@@ -1036,18 +1019,8 @@ def evolve_transformation(
         t = t0 + (step_idx + 1) * dt
         record(t, u)
         k1 = k4  # the next step starts where this one ended
-    chunks = -(-len(node_times) // chunk_nodes)
-    _log.info(
-        "%d chunks of up to %d nodes, %d bases solved in batches "
-        "(one per node) after the start basis; "
-        "%d of %d nodes fell back to per-node solves",
-        chunks, chunk_nodes, batched, per_node, len(node_times),
-    )
-    if absorb_phases:
-        phase = np.exp(1j * omega0 * (tf - t0))
-        u = phase[:, None] * u
     return TransformationState(
-        U=u,
+        U=lab_frame(u, tf),
         t_start=t0,
         t_current=tf,
         step_count=n_steps,

@@ -21,7 +21,7 @@ from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import BoundaryCondition, require_positive
+from .core import BoundaryCondition, require_finite, require_positive
 from .staticmodes import (
     StaticBasis,
     axis_deriv_table,
@@ -72,6 +72,8 @@ class HarmonicTerm:
     def __post_init__(self):
         if self.form not in ("sin", "cos"):
             raise ValueError(f"form must be 'sin' or 'cos', got {self.form}")
+        require_finite("amplitude", self.amplitude)
+        require_finite("frequency", self.frequency)
         if self.frequency < 0:
             raise ValueError("harmonic frequencies must be nonnegative")
 
@@ -615,6 +617,8 @@ def bogoliubov_perturbative(
     diagonal is set to one.  A warning (never an error) flags windows
     outside the heuristic first-order validity range.
     """
+    for name, value in (("t0", t0), ("tf", tf), ("epsilon", epsilon)):
+        require_finite(name, value)
     if tf <= t0:
         raise ValueError("window must satisfy t0 < tf")
     _check_validity_window(couplings.drive_frequency, epsilon, t0, tf)
@@ -667,8 +671,7 @@ class GaussianEnvelope:
     sigma: float
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        require_positive("sigma", self.sigma)
 
     def __call__(self, t):
         return np.exp(-np.asarray(t, dtype=float) ** 2 / (2.0 * self.sigma**2))
@@ -687,8 +690,7 @@ class RaisedCosineEnvelope:
     duration: float
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
+        require_positive("duration", self.duration)
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -728,6 +730,7 @@ def bogoliubov_asymptotic(
             "asymptotic coefficients need an integrable envelope with a "
             "closed-form transform (Gaussian or raised-cosine)"
         )
+    require_finite("epsilon", epsilon)
     alpha, beta = _first_order(couplings, basis, epsilon, envelope.transform)
     return BogoliubovMatrix(
         alpha=alpha, beta=beta, epsilon_used=epsilon, window=None

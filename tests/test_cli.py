@@ -431,7 +431,7 @@ def assert_verbose_logs_to_stderr_only(tmp_path, capsys, command, config):
     )
     assert loud_out == quiet_out and loud_file == quiet_file
     assert quiet_err == ""
-    assert "integrating" in loud_err and "nodes fell back" in loud_err
+    assert "integrating" in loud_err and " chunks of up to " in loud_err
 
 
 def test_evolve_exact_verbose_logs_to_stderr_only(tmp_path, capsys):

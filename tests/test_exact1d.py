@@ -472,41 +472,59 @@ def test_verbose_logs_the_step_plan_and_keeps_stdout_clean(caplog, capsys):
     traj = BoundaryTrajectory.static(0.0, math.pi)
     with caplog.at_level(logging.INFO, logger="movingcavity.exact1d"):
         evolve_transformation(traj, FieldParams(), D, 0.0, 0.2, 2, step=0.1)
-    assert "integrating 2 steps of dt=0.1" in caplog.text
-    assert "0 of 5 nodes fell back to per-node solves" in caplog.text
-    assert caplog.records[0].name == "movingcavity.exact1d"
+    [record] = caplog.records
+    assert record.name == "movingcavity.exact1d"
+    assert re.fullmatch(
+        r"integrating 2 steps of dt=0\.1 \(guidance dt <= [0-9.e-]+\); "
+        r"5 nodes in 1 chunks of up to \d+",
+        record.getMessage(),
+    )
     assert capsys.readouterr().out == ""
 
 
-def _dce_ii_window(**kwargs):
-    """U over a short massive Neumann window, and the evolution's log."""
+def _dce_ii_window():
+    """U over a short massive Neumann window."""
     traj = dce_trajectory(variant=DceVariant.BREATHING, bc=N, mass=1.5)
     state = evolve_transformation(
-        traj, FieldParams(mass=1.5), N, 0.0, 0.5, 4, **kwargs
+        traj, FieldParams(mass=1.5), N, 0.0, 0.5, 4
     )
     return state.U
+
+
+def _chunk_layout(caplog):
+    """(nodes, chunks, nodes per chunk) from the last evolution's log."""
+    layout = re.search(
+        r"(\d+) nodes in (\d+) chunks of up to (\d+)",
+        caplog.records[-1].getMessage(),
+    )
+    return tuple(int(n) for n in layout.groups())
 
 
 def test_batched_evolution_matches_per_node_path(monkeypatch, caplog):
     with caplog.at_level(logging.INFO, logger="movingcavity.exact1d"):
         batched = _dce_ii_window()
-        assert " 0 of " in caplog.records[-1].getMessage()
+        nodes, chunks, _ = _chunk_layout(caplog)
+        assert chunks < nodes
 
-        # a chunk whose batched solve raises is redone node by node
-        chunk_vhats = exact1d._chunk_vhats
-
-        def fail_chunks(traj, params, bc, times, *args):
-            if len(times) > 1:
-                raise SolverError("forced")
-            return chunk_vhats(traj, params, bc, times, *args)
-
-        monkeypatch.setattr(exact1d, "_chunk_vhats", fail_chunks)
+        # one node per chunk solves every basis alone
+        monkeypatch.setattr(exact1d, "CHUNK_BYTES", 1)
         per_node = _dce_ii_window()
-    fell_back, nodes = re.search(
-        r"(\d+) of (\d+) nodes fell back", caplog.records[-1].getMessage()
-    ).groups()
-    assert fell_back == nodes
-    assert np.max(np.abs(batched - per_node)) < 1e-12
+        assert _chunk_layout(caplog) == (nodes, nodes, 1)
+    assert np.array_equal(batched, per_node)
+
+
+def test_evolution_names_first_offending_time_inside_a_chunk(caplog):
+    # the right wall turns superluminal at t = 0.3, node 60 of the first chunk
+    traj = BoundaryTrajectory(
+        lambda t: 0.0, lambda t: math.pi + 2.0 * max(t - 0.3, 0.0),
+        v_minus=lambda t: 0.0, v_plus=lambda t: 2.0 if t >= 0.3 else 0.0,
+    )
+    with caplog.at_level(logging.INFO, logger="movingcavity.exact1d"):
+        with pytest.raises(InvalidTrajectoryError, match=r"t=0\.3\b"):
+            evolve_transformation(
+                traj, FieldParams(), D, 0.0, 0.5, 3, step=0.01
+            )
+    assert _chunk_layout(caplog)[2] > 61
 
 
 def test_identity_preserved_and_checkpoints_recorded():
@@ -546,6 +564,28 @@ def test_non_finite_window_rejected(name, value):
         evolve_transformation(
             dce_trajectory(), FieldParams(), D, window["t0"], window["tf"], 2
         )
+
+
+@pytest.mark.parametrize("times", [
+    (math.nan, 0.2, 0.3), (0.2, 7.0, -3.0), (0.2, math.inf), (-1e-9,),
+])
+def test_checkpoint_times_outside_window_rejected(times):
+    with pytest.raises(ValueError, match="checkpoint_times outside"):
+        evolve_transformation(
+            dce_trajectory(), FieldParams(), D, 0.0, 0.5, 3,
+            checkpoint_times=times,
+        )
+
+
+def test_checkpoints_at_window_ends_recorded():
+    state = evolve_transformation(
+        dce_trajectory(), FieldParams(), D, 0.0, 0.5, 3,
+        checkpoint_times=(0.5, 0.0),
+    )
+    (t_start, u_start), (t_end, u_end) = state.checkpoints
+    assert (t_start, t_end) == (0.0, pytest.approx(0.5, abs=1e-12))
+    assert np.array_equal(u_start, np.eye(6))
+    assert np.array_equal(u_end, state.U)
 
 
 @pytest.mark.parametrize("name, value", [

@@ -84,6 +84,17 @@ def test_harmonic_term_rejects_bad_form():
         HarmonicTerm(1.0, 2.0, "tan")
 
 
+@pytest.mark.parametrize("name, amplitude, frequency", [
+    ("amplitude", math.nan, 2.0),
+    ("amplitude", complex(1.0, math.inf), 2.0),
+    ("frequency", 1.0, math.nan),
+    ("frequency", 1.0, math.inf),
+])
+def test_harmonic_term_rejects_non_finite_values(name, amplitude, frequency):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        HarmonicTerm(amplitude, frequency, "sin")
+
+
 def test_spec_rejects_nonzero_positivity_shift():
     with pytest.raises(UnsupportedSpecError):
         PerturbationSpec(epsilon=1e-3, delta_f=HarmonicSum.single(1.0, 2.0))
@@ -430,6 +441,18 @@ def test_validity_window_warning_outside_bounds():
         bogoliubov_perturbative(mats, basis, 1e-3, 0.0, 0.1)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("t0", math.nan), ("t0", -math.inf), ("tf", math.nan), ("tf", math.inf),
+    ("epsilon", math.nan), ("epsilon", math.inf),
+])
+def test_perturbative_rejects_non_finite_input(name, value):
+    spec, _, basis = dce_setup(drive=3.0)
+    mats = build_coupling_matrices(spec, basis, D)
+    args = {"epsilon": 1e-3, "t0": 0.0, "tf": 10.0, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        bogoliubov_perturbative(mats, basis, **args)
+
+
 def test_resonant_growth_is_linear():
     """On resonance the pair-creation coefficient grows secularly."""
     spec, predictor, basis = dce_setup(length=math.pi, drive=3.0)
@@ -555,6 +578,21 @@ def test_raised_cosine_transform_oracle():
         assert env.transform(mu) == pytest.approx(
             complex(want).real, rel=1e-6, abs=1e-9
         )
+
+
+@pytest.mark.parametrize("envelope", [GaussianEnvelope, RaisedCosineEnvelope])
+@pytest.mark.parametrize("size", [0.0, -1.0, math.nan, math.inf])
+def test_envelope_rejects_bad_size(envelope, size):
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        envelope(size)
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+def test_asymptotic_rejects_non_finite_epsilon(epsilon):
+    spec, _, basis = dce_setup()
+    mats = build_coupling_matrices(spec, basis, D)
+    with pytest.raises(ValueError, match="epsilon must be finite"):
+        bogoliubov_asymptotic(mats, basis, epsilon, GaussianEnvelope(30.0))
 
 
 def test_asymptotic_suppresses_off_resonant_pairs():
