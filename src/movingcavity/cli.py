@@ -267,7 +267,7 @@ def _flatten_row(row: Sequence[Any]) -> List[Any]:
     """Expand complex entries into re/im pairs, keep others as-is."""
     flat: List[Any] = []
     for item in row:
-        if isinstance(item, complex) or isinstance(item, np.complexfloating):
+        if isinstance(item, complex):
             flat.append(float(item.real))
             flat.append(float(item.imag))
         else:
@@ -278,7 +278,7 @@ def _flatten_row(row: Sequence[Any]) -> List[Any]:
 def _flatten_columns(columns: Sequence[str], row: Sequence[Any]) -> List[str]:
     flat: List[str] = []
     for name, item in zip(columns, row):
-        if isinstance(item, complex) or isinstance(item, np.complexfloating):
+        if isinstance(item, complex):
             flat.append(f"re_{name}")
             flat.append(f"im_{name}")
         else:
@@ -295,23 +295,11 @@ def write_table(
 ) -> str:
     """Serialize a table to CSV or JSON; write to file or stdout."""
     if fmt == "json":
-        data = []
-        for row in rows:
-            record = []
-            for item in row:
-                if isinstance(item, complex) or isinstance(
-                    item, np.complexfloating
-                ):
-                    record.append([float(item.real), float(item.imag)])
-                elif isinstance(item, (float, np.floating)):
-                    record.append(float(item))
-                elif isinstance(item, (int, np.integer)):
-                    record.append(int(item))
-                else:
-                    record.append(item)
-            data.append(record)
-        document = {"meta": meta, "columns": list(columns), "data": data}
-        text = json.dumps(document, indent=2, sort_keys=True) + "\n"
+        document = {"meta": meta, "columns": list(columns), "data": rows}
+        text = json.dumps(
+            document, indent=2, sort_keys=True,
+            default=lambda z: [z.real, z.imag],
+        ) + "\n"
     elif fmt == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
@@ -354,16 +342,18 @@ def _open_output(output: Optional[str]) -> typing.ContextManager[typing.IO]:
 
 def cmd_spectrum(config: RunConfig, fmt: str, output: Optional[str]) -> int:
     basis = _static_basis(config)
-    axes = len(basis.modes[0].index)
+    axes = basis.index.shape[1]
     columns = (
         [f"index_{i}" for i in range(axes)]
         + [f"wavenumber_{i}" for i in range(axes)]
         + ["frequency"]
     )
     rows = [
-        list(mode.index) + [float(k) for k in mode.wavenumbers]
-        + [float(mode.frequency)]
-        for mode in basis.modes
+        index + wavenumbers + [frequency]
+        for index, wavenumbers, frequency in zip(
+            basis.index.tolist(), basis.wavenumbers.tolist(),
+            basis.frequencies.tolist(),
+        )
     ]
     write_table(columns, rows, config.meta(), fmt, output)
     return EXIT_OK
@@ -413,21 +403,14 @@ def _evolve_samples(config, couplings, basis, pairs, times, emit) -> None:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ValidityWindowWarning)
         for t in times.tolist():
-            if epsilon == 0.0:
-                size = len(basis)
-                result_alpha = np.eye(size, dtype=complex)
-                result_beta = np.zeros((size, size), dtype=complex)
-            else:
-                result = bogoliubov_perturbative(
-                    couplings, basis, epsilon, config.t0, t
-                )
-                result_alpha, result_beta = result.alpha, result.beta
+            result = bogoliubov_perturbative(
+                couplings, basis, epsilon, config.t0, t
+            )
             emit(t, (
-                *_polar(result_alpha[first, second]),
-                *_polar(result_beta[first, second]),
+                *_polar(result.alpha[first, second]),
+                *_polar(result.beta[first, second]),
             ))
-    # epsilon 0 runs no first-order window
-    window = epsilon and validity_window(couplings.drive_frequency, epsilon)
+    window = validity_window(couplings.drive_frequency, epsilon)
     if window:
         low, high = window
         durations = times - config.t0

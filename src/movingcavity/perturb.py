@@ -11,7 +11,6 @@ envelope (closed-form Fourier transforms).
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import functools
 import math
@@ -22,12 +21,7 @@ from typing import Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import BoundaryCondition, require_finite, require_positive
-from .staticmodes import (
-    StaticBasis,
-    axis_deriv_table,
-    axis_value_table,
-    gauss_legendre,
-)
+from .staticmodes import StaticBasis, quadrature_tables
 
 __all__ = [
     "HarmonicTerm",
@@ -173,8 +167,6 @@ class PerturbationSpec:
     delta_x         outward boundary displacement harmonics per face,
                     keyed by (axis, sign)
     base_frequency  drive frequency when the perturbation is monochromatic
-    delta_f         time-dependent positivity shift; must stay zero, since
-                    it never contributes at first order
     """
 
     epsilon: float
@@ -183,15 +175,9 @@ class PerturbationSpec:
     delta_r_bar: HarmonicSum = field(default_factory=HarmonicSum.zero)
     delta_x: Mapping[FaceKey, HarmonicSum] = field(default_factory=dict)
     base_frequency: Optional[float] = None
-    delta_f: HarmonicSum = field(default_factory=HarmonicSum.zero)
 
     def __post_init__(self):
         require_positive("epsilon", self.epsilon)
-        if not self.delta_f.is_zero():
-            raise UnsupportedSpecError(
-                "a time-dependent positivity shift never contributes at "
-                "first order and is not supported; leave delta_f zero"
-            )
 
     def __add__(self, other: "PerturbationSpec") -> "PerturbationSpec":
         if self.epsilon != other.epsilon:
@@ -302,26 +288,10 @@ def _pair_integrals(basis: StaticBasis, faces, quad_points: int):
     as an evaluation for that one pair, so it does not depend on which
     other modes share the basis.
     """
-    lengths = basis.modes[0].lengths
-    dim = len(lengths)
-    value_gram, deriv_gram, end_values, end_derivs = [], [], [], []
-    for axis in range(dim):
-        half = lengths[axis] / 2.0
-        nodes, weights = gauss_legendre(-half, half, quad_points)
-        vals = axis_value_table(basis, axis, nodes)
-        ders = axis_deriv_table(basis, axis, nodes)
-        value_gram.append((vals * weights) @ vals.T)
-        deriv_gram.append((ders * weights) @ ders.T)
-        ends = np.array([-half, half])
-        end_values.append(axis_value_table(basis, axis, ends))
-        end_derivs.append(axis_deriv_table(basis, axis, ends))
-    norms = np.array([m.normalization for m in basis.modes])
-    scale = np.outer(norms, norms)
-
-    overlap = 1.0
-    for gram in value_gram:
-        overlap = overlap * gram
-    overlap = overlap * norms[:, None] * norms[None, :]
+    overlap, axes = quadrature_tables(basis, quad_points)
+    value_gram, deriv_gram, end_values, end_derivs = zip(*axes)
+    dim = len(axes)
+    scale = np.outer(basis.normalization, basis.normalization)
 
     surfaces = {}
     for axis, sign in faces:
@@ -384,12 +354,10 @@ def _coupling(
     """
     where = {key: h for h, key in enumerate(harmonics)}
     size = len(basis)
-    freqs = [mode.frequency for mode in basis.modes]
-    omega = np.array(freqs)
+    omega = basis.frequencies
     bulk = np.zeros((len(harmonics), size, size), dtype=complex)
     for i, coeff in enumerate(spec.delta_o_coeffs):
-        k2 = np.array([-mode.wavenumbers[i] ** 2 for mode in basis.modes])
-        factor = k2[:, None] * overlap
+        factor = -basis.wavenumbers[:, i, None] ** 2 * overlap
         for term in coeff.terms:
             bulk[where[term.frequency, term.form]] += term.amplitude * factor
     factor = (
@@ -404,7 +372,7 @@ def _coupling(
     surface = np.zeros_like(bulk)
     dirichlet = bc is BoundaryCondition.DIRICHLET
     mass2 = basis.params.mass**2
-    squares = np.array([f**2 for f in freqs])
+    squares = omega**2
     for face, harmonics_x in spec.delta_x.items():
         if harmonics_x.is_zero():
             continue
@@ -440,7 +408,7 @@ def _coupling(
 def _pair_coupling(spec, basis, n, m, bc, resonant, quad_points, branch):
     """The (n, m) coupling, computed on the two-mode basis of n and m."""
     _check_indices(basis, n, m)
-    pair = dataclasses.replace(basis, modes=(basis.modes[n], basis.modes[m]))
+    pair = basis.take([n, m])
     harmonics = _spec_harmonics(spec)
     overlap, surfaces = _pair_integrals(pair, spec.delta_x, quad_points)
     amplitudes = _coupling(
@@ -580,11 +548,12 @@ def validity_window(
 ) -> Optional[Tuple[float, float]]:
     """Heuristic first-order range [low, high] of window lengths.
 
-    None when there is no drive frequency to judge by.
+    None when there is no drive frequency to judge by, and when epsilon is
+    0, where first order is exact.  A negative epsilon counts by its size.
     """
-    if drive_frequency is None or drive_frequency <= 0:
+    if drive_frequency is None or drive_frequency <= 0 or epsilon == 0:
         return None
-    return 5.0 / drive_frequency, 0.1 / (epsilon * drive_frequency)
+    return 5.0 / drive_frequency, 0.1 / (abs(epsilon) * drive_frequency)
 
 
 def _check_validity_window(drive_frequency, epsilon, t0, tf):

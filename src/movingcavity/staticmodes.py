@@ -12,10 +12,9 @@ which is the convention the coupling and evolution modules rely on.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -92,45 +91,79 @@ class StaticMode:
     lengths: Tuple[float, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StaticBasis:
+    """Closed-form eigenmodes of the static cavity, by (frequency, index).
+
+    Mode i has the quantum numbers ``index[i]`` and wavenumbers
+    ``wavenumbers[i]``, one per axis, both (N, d), and the frequency
+    ``frequencies[i]`` and normalization ``normalization[i]``, both (N,).
+    The constructor marks the four arrays read-only.  ``modes`` presents
+    the same numbers as ``StaticMode`` objects, built on first access.
+    A basis compares and hashes by identity, as arrays have no truth value.
+    """
+
     geometry: object
     bc: BoundaryCondition
     params: FieldParams
-    modes: Tuple[StaticMode, ...]
+    index: np.ndarray
+    wavenumbers: np.ndarray
+    frequencies: np.ndarray
+    normalization: np.ndarray
+
+    def __post_init__(self):
+        for array in self._arrays():
+            array.flags.writeable = False
+
+    def _arrays(self):
+        return self.index, self.wavenumbers, self.frequencies, self.normalization
 
     def __len__(self) -> int:
-        return len(self.modes)
+        return len(self.frequencies)
 
-    @property
-    def frequencies(self) -> np.ndarray:
-        return np.array([m.frequency for m in self.modes])
+    def take(self, rows) -> "StaticBasis":
+        """The basis of the modes ``rows`` of this one, in that order."""
+        return StaticBasis(
+            self.geometry, self.bc, self.params,
+            *(array[rows] for array in self._arrays()),
+        )
+
+    @functools.cached_property
+    def modes(self) -> Tuple[StaticMode, ...]:
+        lengths = self.geometry.lengths
+        sine = self.bc is BoundaryCondition.DIRICHLET
+        parity = ("sin" if sine else "cos",) * len(lengths)
+        return tuple(
+            StaticMode(tuple(n), tuple(k), omega, norm, parity, lengths)
+            for n, k, omega, norm in zip(
+                *(array.tolist() for array in self._arrays())
+            )
+        )
 
 
-def _mode_norm(frequency: float, wavenumbers, lengths) -> float:
+def _build_basis(geometry, params, bc, index, cutoff=math.inf) -> StaticBasis:
+    """The modes of quantum numbers ``index`` (N, d) with frequency <= cutoff.
+
+    Each mode takes the floating-point operations of a mode built alone,
+    in the same order, so its numbers do not depend on the other modes.
+    """
+    lengths = geometry.lengths
+    wavenumbers = math.pi * index / np.array(lengths)
+    square = 0.0
+    for k in wavenumbers.T:
+        square = square + k * k
+    frequencies = np.sqrt(square + params.mass_term)
     # integral of the un-normalised product mode: L_i/2 per oscillatory
     # axis factor, L_i for a constant (k=0 Neumann) factor.
     prod = 1.0
-    for k, length in zip(wavenumbers, lengths):
-        prod *= length / 2.0 if k > 0 else length
-    return 1.0 / math.sqrt(2.0 * frequency * prod)
-
-
-def _make_mode(index, geometry, params, bc) -> StaticMode:
-    lengths = geometry.lengths
-    ks = tuple(math.pi * n / length for n, length in zip(index, lengths))
-    omega = math.sqrt(sum(k * k for k in ks) + params.mass_term)
-    parity = tuple(
-        "sin" if bc is BoundaryCondition.DIRICHLET else "cos" for _ in index
-    )
-    return StaticMode(
-        index=tuple(index),
-        wavenumbers=ks,
-        frequency=omega,
-        normalization=_mode_norm(omega, ks, lengths),
-        parity=parity,
-        lengths=lengths,
-    )
+    for k, length in zip(wavenumbers.T, lengths):
+        prod = prod * np.where(k > 0, length / 2.0, length)
+    normalization = 1.0 / np.sqrt(2.0 * frequencies * prod)
+    keep = np.flatnonzero(frequencies <= cutoff)
+    order = np.lexsort((*index[keep].T[::-1], frequencies[keep]))
+    return StaticBasis(
+        geometry, bc, params, index, wavenumbers, frequencies, normalization
+    ).take(keep[order])
 
 
 def solve_interval_modes(
@@ -153,11 +186,8 @@ def solve_interval_modes(
         start = 0
     else:
         start = 1
-    modes = tuple(
-        _make_mode((n,), geometry, params, bc)
-        for n in range(start, start + count)
-    )
-    return StaticBasis(geometry=geometry, bc=bc, params=params, modes=modes)
+    index = np.arange(start, start + count)[:, None]
+    return _build_basis(geometry, params, bc, index)
 
 
 def solve_box_modes(
@@ -174,36 +204,45 @@ def solve_box_modes(
     floating point, so a mass below about 1.5e-162 counts as massless (see
     ``has_uniform_mode``).
     """
-    lengths = geometry.lengths
     lowest = 1 if bc is BoundaryCondition.DIRICHLET else 0
-    keep_uniform = has_uniform_mode(params)
     # Per-axis bound: k_n <= cutoff requires n <= cutoff * L / pi.
-    maxima = [int(math.floor(frequency_cutoff * length / math.pi)) for length in lengths]
-    candidates = []
-    for index in itertools.product(*(range(lowest, nmax + 1) for nmax in maxima)):
-        if not any(index) and not keep_uniform:
-            continue
-        mode = _make_mode(index, geometry, params, bc)
-        if mode.frequency <= frequency_cutoff:
-            candidates.append(mode)
-    if not candidates:
+    ranges = [
+        np.arange(lowest, math.floor(frequency_cutoff * length / math.pi) + 1)
+        for length in geometry.lengths
+    ]
+    grid = np.meshgrid(*ranges, indexing="ij")
+    index = np.stack(grid, axis=-1).reshape(-1, len(ranges))
+    if not has_uniform_mode(params):
+        index = index[index.any(axis=1)]
+    basis = _build_basis(geometry, params, bc, index, frequency_cutoff)
+    if not len(basis):
         raise EmptyBasisError(
             f"frequency cutoff {frequency_cutoff} captures no modes"
         )
-    candidates.sort(key=lambda m: (m.frequency, m.index))
-    return StaticBasis(
-        geometry=geometry, bc=bc, params=params, modes=tuple(candidates)
+    return basis
+
+
+def axis_factors(dirichlet: bool, wavenumbers, lengths, x):
+    """Values and x-derivatives of separable axis factors at ``x``.
+
+    The factor of wavenumber k on an axis of length L is sin(k (x + L/2))
+    between Dirichlet walls and cos(k (x + L/2)) between Neumann walls; a
+    Neumann factor with k = 0 is the constant 1.  The arguments broadcast
+    against each other.
+    """
+    k = np.asarray(wavenumbers, dtype=float)
+    arg = k * (np.asarray(x, dtype=float) + np.asarray(lengths) / 2.0)
+    if dirichlet:
+        return np.sin(arg), k * np.cos(arg)
+    return np.cos(arg), -k * np.sin(arg)
+
+
+def _mode_factors(mode: StaticMode, point) -> Tuple[list, list]:
+    """Each axis factor of a mode at a point, and its derivative."""
+    values, derivs = axis_factors(
+        mode.parity[0] == "sin", mode.wavenumbers, mode.lengths, point
     )
-
-
-def _axis_factor(parity: str, k: float, length: float, x):
-    arg = k * (np.asarray(x, dtype=float) + length / 2.0)
-    return np.sin(arg) if parity == "sin" else np.cos(arg)
-
-
-def _axis_factor_deriv(parity: str, k: float, length: float, x):
-    arg = k * (np.asarray(x, dtype=float) + length / 2.0)
-    return k * np.cos(arg) if parity == "sin" else -k * np.sin(arg)
+    return values.tolist(), derivs.tolist()
 
 
 def eval_mode(mode: StaticMode, point) -> float:
@@ -216,34 +255,19 @@ def eval_mode(mode: StaticMode, point) -> float:
         if abs(x) > length / 2.0 + tol * length:
             raise ValueError(f"point {point} outside the cavity")
     value = mode.normalization
-    for x, parity, k, length in zip(
-        point, mode.parity, mode.wavenumbers, mode.lengths
-    ):
-        value *= _axis_factor(parity, k, length, x)
+    for factor in _mode_factors(mode, point)[0]:
+        value *= factor
     return float(value)
 
 
 def eval_mode_gradient(mode: StaticMode, point) -> np.ndarray:
     """Gradient of the eigenfunction at a point inside the cavity."""
-    point = np.atleast_1d(np.asarray(point, dtype=float))
-    dim = len(mode.lengths)
-    factors = [
-        _axis_factor(p, k, length, x)
-        for x, p, k, length in zip(
-            point, mode.parity, mode.wavenumbers, mode.lengths
-        )
-    ]
-    derivs = [
-        _axis_factor_deriv(p, k, length, x)
-        for x, p, k, length in zip(
-            point, mode.parity, mode.wavenumbers, mode.lengths
-        )
-    ]
-    grad = np.empty(dim)
-    for axis in range(dim):
+    factors, derivs = _mode_factors(mode, np.atleast_1d(point))
+    grad = np.empty(len(factors))
+    for axis in range(len(factors)):
         value = mode.normalization
-        for j in range(dim):
-            value *= derivs[j] if j == axis else factors[j]
+        for j, factor in enumerate(factors):
+            value *= derivs[j] if j == axis else factor
         grad[axis] = value
     return grad
 
@@ -260,45 +284,31 @@ def gauss_legendre(a: float, b: float, npts: int):
     return half * nodes + 0.5 * (a + b), half * weights
 
 
-def axis_value_table(basis: StaticBasis, axis: int, nodes) -> np.ndarray:
-    """(n_modes, n_nodes) table of the axis factors of every mode."""
-    return np.array(
-        [
-            _axis_factor(m.parity[axis], m.wavenumbers[axis], m.lengths[axis], nodes)
-            for m in basis.modes
-        ]
-    )
+def quadrature_tables(basis: StaticBasis, quad_points: int):
+    """Gauss-Legendre Grams of every mode pair, per axis and over the volume.
 
-
-def axis_deriv_table(basis: StaticBasis, axis: int, nodes) -> np.ndarray:
-    """(n_modes, n_nodes) table of the axis-factor derivatives."""
-    return np.array(
-        [
-            _axis_factor_deriv(
-                m.parity[axis], m.wavenumbers[axis], m.lengths[axis], nodes
-            )
-            for m in basis.modes
-        ]
-    )
-
-
-def overlap_matrix(basis: StaticBasis, quad_points: int = 64) -> np.ndarray:
-    """Quadrature Gram matrix of mode products integral Psi_n Psi_m dV.
-
-    Uses tensor-product Gauss-Legendre with ``quad_points`` nodes per axis,
-    exploiting the separability of the closed-form modes.
+    Returns (overlap, axes).  ``overlap[n, m]`` is the integral of
+    Psi_n Psi_m over the cavity, and ``axes`` holds one tuple per axis:
+      gram        (N, N) integral of the products of two modes' factors
+      deriv_gram  (N, N) the same for the factors' x-derivatives
+      ends        (N, 2) the factors at the walls -L/2 and L/2
+      end_derivs  (N, 2) their x-derivatives there
     """
-    lengths = basis.modes[0].lengths
-    dim = len(lengths)
-    gram = np.ones((len(basis), len(basis)))
-    for axis in range(dim):
-        nodes, weights = gauss_legendre(
-            -lengths[axis] / 2.0, lengths[axis] / 2.0, quad_points
+    dirichlet = basis.bc is BoundaryCondition.DIRICHLET
+    axes = []
+    for k, length in zip(basis.wavenumbers.T, basis.geometry.lengths):
+        half = length / 2.0
+        nodes, weights = gauss_legendre(-half, half, quad_points)
+        vals, ders = axis_factors(dirichlet, k[:, None], length, nodes)
+        walls = axis_factors(dirichlet, k[:, None], length, (-half, half))
+        axes.append(
+            ((vals * weights) @ vals.T, (ders * weights) @ ders.T, *walls)
         )
-        table = axis_value_table(basis, axis, nodes)
-        gram *= (table * weights) @ table.T
-    norms = np.array([m.normalization for m in basis.modes])
-    return gram * np.outer(norms, norms)
+    norms = basis.normalization
+    overlap = 1.0
+    for gram, *_ in axes:
+        overlap = overlap * gram
+    return overlap * norms[:, None] * norms[None, :], axes
 
 
 def orthonormality_residual(basis: StaticBasis, quad_points: int = 64) -> float:
@@ -310,7 +320,7 @@ def orthonormality_residual(basis: StaticBasis, quad_points: int = 64) -> float:
     """
     if len(basis) == 0:
         raise EmptyBasisError("basis has no modes")
-    gram = overlap_matrix(basis, quad_points)
+    overlap, _ = quadrature_tables(basis, quad_points)
     roots = np.sqrt(basis.frequencies)
-    scaled = 2.0 * np.outer(roots, roots) * gram
+    scaled = 2.0 * np.outer(roots, roots) * overlap
     return float(np.max(np.abs(scaled - np.eye(len(basis)))))

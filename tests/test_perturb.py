@@ -23,6 +23,7 @@ from movingcavity.perturb import (
     coupling_alpha,
     coupling_beta,
     find_resonances,
+    validity_window,
 )
 from movingcavity.scenarios import (
     DceConfig,
@@ -34,8 +35,7 @@ from movingcavity.scenarios import (
 from movingcavity.staticmodes import (
     Box,
     Interval,
-    axis_deriv_table,
-    axis_value_table,
+    axis_factors,
     gauss_legendre,
     solve_box_modes,
     solve_interval_modes,
@@ -96,7 +96,9 @@ def test_harmonic_term_rejects_non_finite_values(name, amplitude, frequency):
 
 
 def test_spec_rejects_nonzero_positivity_shift():
-    with pytest.raises(UnsupportedSpecError):
+    # a positivity shift never contributes at first order; a spec has no
+    # field for it
+    with pytest.raises(TypeError, match="delta_f"):
         PerturbationSpec(epsilon=1e-3, delta_f=HarmonicSum.single(1.0, 2.0))
 
 
@@ -185,21 +187,23 @@ def reference_couplings(spec, basis, bc, resonant, quad_points=64):
     The per-pair integrals the dense build replaces: per-axis Gram and
     endpoint tables, then the volume and face integrals of each pair.
     """
-    lengths = basis.modes[0].lengths
+    lengths = basis.geometry.lengths
     dim = len(lengths)
+    dirichlet = basis.bc is D
     grams, dgrams, ends_v, ends_d = [], [], [], []
     for axis in range(dim):
         half = lengths[axis] / 2.0
         nodes, weights = gauss_legendre(-half, half, quad_points)
-        vals = axis_value_table(basis, axis, nodes)
-        ders = axis_deriv_table(basis, axis, nodes)
+        k = basis.wavenumbers[:, axis, None]
+        vals, ders = axis_factors(dirichlet, k, lengths[axis], nodes)
         grams.append((vals * weights) @ vals.T)
         dgrams.append((ders * weights) @ ders.T)
         ends = np.array([-half, half])
-        ends_v.append(axis_value_table(basis, axis, ends))
-        ends_d.append(axis_deriv_table(basis, axis, ends))
-    norms = np.array([m.normalization for m in basis.modes])
-    omega = [m.frequency for m in basis.modes]
+        values, derivs = axis_factors(dirichlet, k, lengths[axis], ends)
+        ends_v.append(values)
+        ends_d.append(derivs)
+    norms = basis.normalization
+    omega = basis.frequencies.tolist()
     xi, mass = basis.params.coupling_xi, basis.params.mass
 
     def overlap(n, m):
@@ -439,6 +443,32 @@ def test_validity_window_warning_outside_bounds():
     mats = build_coupling_matrices(spec, basis, D)
     with pytest.warns(ValidityWindowWarning):
         bogoliubov_perturbative(mats, basis, 1e-3, 0.0, 0.1)
+
+
+def test_zero_epsilon_gives_identity_without_warning():
+    spec, _, basis = dce_setup(drive=3.0)
+    mats = build_coupling_matrices(spec, basis, D)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = bogoliubov_perturbative(mats, basis, 0.0, 0.0, 0.1)
+    assert validity_window(3.0, 0.0) is None
+    assert np.array_equal(result.alpha, np.eye(len(basis)))
+    assert np.array_equal(result.beta, np.zeros((len(basis), len(basis))))
+
+
+def test_negative_epsilon_judged_by_its_size():
+    spec, _, basis = dce_setup(drive=3.0)
+    mats = build_coupling_matrices(spec, basis, D)
+    assert validity_window(3.0, -1e-3) == validity_window(3.0, 1e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        minus = bogoliubov_perturbative(mats, basis, -1e-3, 0.0, 10.0)
+    with pytest.warns(ValidityWindowWarning):
+        bogoliubov_perturbative(mats, basis, -1e-3, 0.0, 0.1)
+    plus = bogoliubov_perturbative(mats, basis, 1e-3, 0.0, 10.0)
+    off = ~np.eye(len(basis), dtype=bool)
+    assert np.array_equal(minus.alpha[off], -plus.alpha[off])
+    assert np.array_equal(minus.beta, -plus.beta)
 
 
 @pytest.mark.parametrize("name, value", [

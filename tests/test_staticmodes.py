@@ -1,5 +1,6 @@
 """Tests for the closed-form static cavity eigenbases."""
 
+import itertools
 import math
 
 import numpy as np
@@ -173,7 +174,9 @@ def test_single_mode_orthonormality_residual():
 def test_empty_basis_residual_raises():
     basis = solve_interval_modes(Interval(1.0), FieldParams(), D, 1)
     empty = StaticBasis(
-        geometry=basis.geometry, bc=basis.bc, params=basis.params, modes=()
+        geometry=basis.geometry, bc=basis.bc, params=basis.params,
+        index=np.empty((0, 1), dtype=int), wavenumbers=np.empty((0, 1)),
+        frequencies=np.empty(0), normalization=np.empty(0),
     )
     with pytest.raises(EmptyBasisError):
         orthonormality_residual(empty)
@@ -204,3 +207,69 @@ def test_frequency_dispersion_relation():
     for mode in basis.modes:
         expected = math.sqrt(sum(k * k for k in mode.wavenumbers) + 0.49)
         assert mode.frequency == pytest.approx(expected, rel=1e-14)
+
+
+@pytest.mark.parametrize("bc", [D, N])
+def test_basis_arrays_are_read_only(bc):
+    for basis in (
+        solve_interval_modes(Interval(2.3), FieldParams(mass=0.4), bc, 5),
+        solve_box_modes(Box(1.0, 1.3, 0.9), FieldParams(), bc, 9.0),
+    ):
+        dim = len(basis.geometry.lengths)
+        size = len(basis)
+        shapes = [(size, dim), (size, dim), (size,), (size,)]
+        arrays = (
+            basis.index, basis.wavenumbers, basis.frequencies,
+            basis.normalization,
+        )
+        for array, shape in zip(arrays, shapes):
+            assert array.shape == shape
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+
+@pytest.mark.parametrize("bc", [D, N])
+def test_modes_match_arrays_as_python_numbers(bc):
+    basis = solve_box_modes(Box(1.0, 1.3, 0.9), FieldParams(mass=0.7), bc, 9.0)
+    assert len(basis.modes) == len(basis)
+    parity = ("sin" if bc is D else "cos",) * 3
+    for i, mode in enumerate(basis.modes):
+        assert all(type(n) is int for n in mode.index)
+        assert all(type(k) is float for k in mode.wavenumbers)
+        assert type(mode.frequency) is float
+        assert type(mode.normalization) is float
+        assert mode.index == tuple(basis.index[i].tolist())
+        assert mode.wavenumbers == tuple(basis.wavenumbers[i].tolist())
+        assert mode.frequency == basis.frequencies[i]
+        assert mode.normalization == basis.normalization[i]
+        assert mode.parity == parity
+        assert mode.lengths == (1.0, 1.3, 0.9)
+
+
+@pytest.mark.parametrize("bc, mass, lengths", [
+    (D, 0.0, (1.0, 1.3, 0.9)),
+    (D, 0.0, (1.0, 1.0, 1.0)),  # cubes and squares have equal frequencies
+    (N, 0.0, (1.0, 1.0, 1.0)),
+    (N, 0.7, (2.0, 1.0, 1.0)),
+])
+def test_box_order_matches_sorted_product(bc, mass, lengths):
+    cutoff = 11.0
+    params = FieldParams(mass=mass)
+    lowest = 1 if bc is D else 0
+    maxima = [int(math.floor(cutoff * length / math.pi)) for length in lengths]
+    reference = []
+    for index in itertools.product(*(range(lowest, n + 1) for n in maxima)):
+        if not any(index) and mass == 0.0:
+            continue
+        square = 0.0  # summed in axis order, as a loop of one mode would
+        for n, length in zip(index, lengths):
+            k = math.pi * n / length
+            square += k * k
+        omega = math.sqrt(square + params.mass_term)
+        if omega <= cutoff:
+            reference.append((omega, index))
+    reference.sort()
+    basis = solve_box_modes(Box(*lengths), params, bc, cutoff)
+    assert [index for _, index in reference] == [m.index for m in basis.modes]
+    assert [omega for omega, _ in reference] == basis.frequencies.tolist()
