@@ -5,8 +5,9 @@ metrics ds^2 = -dt^2 + h_ij(t) dx^i dx^j with diagonal, spatially constant
 h_ij, whose slices are flat.  This module holds the field parameters, the
 boundary-condition choice, the one rule that decides whether a Neumann
 field keeps its uniform mode, the positivity shift of the slice operator
-that follows from it, and the checks that reject non-finite values and
-non-positive sizes when an object is built.
+that follows from it, the checks that reject non-finite values and
+non-positive sizes when an object is built, and the matrix exponential
+shared by the integrators.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "FieldParams",
     "has_uniform_mode",
@@ -24,6 +27,7 @@ __all__ = [
     "require_positive",
     "BoundaryCondition",
     "POSITIVITY_EPS",
+    "expm",
 ]
 
 # Strictly positive shift used when xi*R^h + m^2 fails to be positive;
@@ -95,3 +99,47 @@ def require_finite(name: str, value: complex) -> None:
     """Raise ``ValueError`` naming ``name`` unless ``value`` is finite."""
     if not cmath.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
+
+
+# Pade-13 numerator coefficients, scaled so that the constant term is 1
+# (then expm(0) is exactly the identity), and the 1-norm up to which the
+# approximant is accurate to double precision (Higham 2005, table 2.3)
+_PADE13 = tuple(b / 64764752532480000.0 for b in (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0,
+    670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+    16380.0, 182.0, 1.0,
+))
+_THETA13 = 5.371920351148152
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """Exponential of the square matrix ``a``.
+
+    Scaling and squaring with the [13/13] Pade approximant (Higham, SIAM
+    J. Matrix Anal. Appl. 26, 1179 (2005)): ``a`` is scaled by 2^-s so
+    that its 1-norm is at most theta_13, the approximant is solved from
+    its odd and even parts, and the result is squared s times.  Unlike an
+    eigendecomposition it is exact on defective matrices.
+    """
+    a = np.asarray(a)
+    norm = np.linalg.norm(a, 1)
+    squarings = max(0, math.ceil(math.log2(norm / _THETA13))) if norm else 0
+    a = a / 2.0**squarings
+    b = _PADE13
+    eye = np.eye(len(a), dtype=a.dtype)
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    odd = a @ (
+        a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+        + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye
+    )
+    even = (
+        a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+        + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    )
+    result = np.linalg.solve(even - odd, even + odd)
+    for _ in range(squarings):
+        result = result @ result
+    return result

@@ -369,6 +369,8 @@ def test_no_zero_frequency_under_motion():
 
 
 def test_rk4_convergence_order():
+    # the name predates the Magnus integrator; it measures whichever
+    # 4th-order integrator evolve_transformation uses
     config = DceConfig(
         variant=DceVariant.RIGHT_ONLY, length=math.pi, bc=D,
         epsilon=1e-3, omega_drive=3.0,

@@ -1,11 +1,12 @@
-"""Tests for field parameters and the zero-mode rule."""
+"""Tests for field parameters, the zero-mode rule and the exponential."""
 
 import math
 
+import numpy as np
 import pytest
 
 from movingcavity import POSITIVITY_EPS, FieldParams, has_uniform_mode
-from movingcavity.core import positivity_shift
+from movingcavity.core import expm, positivity_shift
 
 
 def test_negative_mass_rejected():
@@ -44,3 +45,32 @@ def test_f_term_positive_shift_for_massless_field():
     shift = positivity_shift(FieldParams(mass=0.0))
     assert shift == POSITIVITY_EPS
     assert shift > 0
+
+
+@pytest.mark.parametrize("norm", [0.1, 1.0, 10.0, 100.0])
+def test_expm_matches_eigendecomposition_on_anti_hermitian(norm):
+    # norms above theta_13 = 5.37 take the scaling-and-squaring branch
+    rng = np.random.default_rng(24)
+    x = rng.normal(size=(24, 24)) + 1j * rng.normal(size=(24, 24))
+    a = x - x.conj().T
+    a *= norm / np.linalg.norm(a, 1)
+    w, v = np.linalg.eigh(-1j * a)  # a = i H with H Hermitian
+    expected = (v * np.exp(1j * w)) @ v.conj().T
+    assert np.max(np.abs(expm(a) - expected)) < 1e-13
+
+
+def test_expm_matches_taylor_series_on_non_normal():
+    rng = np.random.default_rng(7)
+    a = np.triu(rng.normal(size=(12, 12)), 1) + 0.2 * rng.normal(size=(12, 12))
+    a *= 0.5 / np.linalg.norm(a, 1)
+    assert np.max(np.abs(a @ a.T - a.T @ a)) > 1e-3
+    expected, term = np.eye(12), np.eye(12)
+    for k in range(1, 31):
+        term = term @ a / k
+        expected = expected + term
+    assert np.max(np.abs(expm(a) - expected)) < 1e-14
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_expm_of_zero_is_identity(dtype):
+    assert np.array_equal(expm(np.zeros((5, 5), dtype=dtype)), np.eye(5))

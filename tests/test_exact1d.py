@@ -288,6 +288,18 @@ def test_batched_solve_names_first_offending_time():
         solve_instantaneous_bases(traj, FieldParams(), D, times, 3)
 
 
+def test_bases_compare_and_hash_by_identity():
+    traj = BoundaryTrajectory.static(0.0, 1.0)
+    first, second = (
+        solve_instantaneous_basis(traj, FieldParams(), D, 0.0, 3)
+        for _ in range(2)
+    )
+    assert np.array_equal(first.omega, second.omega)
+    assert first == first
+    assert first != second
+    assert len({first, second, first}) == 2
+
+
 def test_custom_norm_orthonormality_moving():
     traj = dce_trajectory(variant=DceVariant.BREATHING, epsilon=0.05)
     t = 0.3
@@ -464,8 +476,33 @@ def test_static_trajectory_gives_pure_phases():
         traj, FieldParams(), D, 0.0, 4
     ).frequencies[:4]
     expected = np.diag(np.exp(1j * freqs * 2.0))
-    # fixed-step RK4 phase error dominates the deviation
+    # the Magnus step is exact for this constant generator; the bound is
+    # a loose one (test_static_walls_give_exact_phases_at_default_step
+    # holds it to 1e-11)
     assert np.max(np.abs(state.alpha - expected)) < 2e-5
+
+
+@pytest.mark.parametrize("mass", [0.0, 1.3])
+def test_static_walls_give_exact_phases_at_default_step(mass):
+    traj = BoundaryTrajectory.static(0.0, math.pi)
+    params = FieldParams(mass=mass)
+    state = evolve_transformation(traj, params, D, 0.0, 2.0, 4)
+    freqs = solve_instantaneous_basis(traj, params, D, 0.0, 4).frequencies
+    expected = np.diag(np.exp(1j * freqs[:4] * 2.0))
+    assert np.max(np.abs(state.alpha - expected)) < 1e-11
+
+
+def test_default_step_matches_eighth_step_at_12_bands():
+    # DCE-I at drive omega_1 + omega_2 = 3 over one period, epsilon 1e-2
+    traj = dce_trajectory(epsilon=1e-2)
+    omega_max = np.max(np.abs(
+        solve_instantaneous_basis(traj, FieldParams(), D, 0.0, 12).frequencies
+    ))
+    window = (FieldParams(), D, 0.0, 2.0 * math.pi / 3.0, 12)
+    coarse = evolve_transformation(traj, *window)
+    fine = evolve_transformation(traj, *window, step=0.3 / omega_max / 8)
+    assert fine.step_count == 8 * coarse.step_count
+    assert np.max(np.abs(coarse.U - fine.U)) < 1e-6
 
 
 def test_verbose_logs_the_step_plan_and_keeps_stdout_clean(caplog, capsys):
@@ -542,6 +579,19 @@ def test_identity_preserved_and_checkpoints_recorded():
     assert times == pytest.approx([0.8, 1.2], abs=0.05)
     for _, u in state.checkpoints:
         assert u.shape == (8, 8)
+
+
+def test_checkpoints_land_at_nearest_step_end():
+    # dt = 0.1; 0.34 is nearer the end at 0.3 than at 0.4
+    requested = (0.04, 0.26, 0.34, 0.96)
+    state = evolve_transformation(
+        dce_trajectory(), FieldParams(), D, 0.0, 1.0, 3, step=0.1,
+        checkpoint_times=requested,
+    )
+    times = [t for t, _ in state.checkpoints]
+    assert times == pytest.approx([0.0, 0.3, 0.3, 1.0], abs=1e-12)
+    for want, got in zip(requested, times):
+        assert abs(got - want) <= 0.05 + 1e-12
 
 
 def test_absorb_phases_matches_plain_evolution():
