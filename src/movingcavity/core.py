@@ -114,20 +114,24 @@ _THETA13 = 5.371920351148152
 
 
 def expm(a: np.ndarray) -> np.ndarray:
-    """Exponential of the square matrix ``a``.
+    """Exponential of the square matrix ``a``, or of each of a stack of them.
 
     Scaling and squaring with the [13/13] Pade approximant (Higham, SIAM
-    J. Matrix Anal. Appl. 26, 1179 (2005)): ``a`` is scaled by 2^-s so
-    that its 1-norm is at most theta_13, the approximant is solved from
-    its odd and even parts, and the result is squared s times.  Unlike an
+    J. Matrix Anal. Appl. 26, 1179 (2005)): each matrix of ``a``, shape
+    (..., n, n), is scaled by 2^-s so that its 1-norm is at most
+    theta_13, the approximant is solved from its odd and even parts, and
+    the result is squared s times.  s is chosen per matrix, so a matrix
+    gives the same bits alone as in a stack.  Unlike an
     eigendecomposition it is exact on defective matrices.
     """
     a = np.asarray(a)
-    norm = np.linalg.norm(a, 1)
-    squarings = max(0, math.ceil(math.log2(norm / _THETA13))) if norm else 0
-    a = a / 2.0**squarings
+    shape = a.shape
+    a = a.reshape(-1, *shape[-2:])
+    norm = np.abs(a).sum(axis=-2).max(axis=-1)
+    squarings = np.ceil(np.log2(np.maximum(norm, _THETA13) / _THETA13))
+    a = a / (2.0**squarings)[:, None, None]
     b = _PADE13
-    eye = np.eye(len(a), dtype=a.dtype)
+    eye = np.eye(shape[-1], dtype=a.dtype)
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a4 @ a2
@@ -140,6 +144,7 @@ def expm(a: np.ndarray) -> np.ndarray:
         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
     )
     result = np.linalg.solve(even - odd, even + odd)
-    for _ in range(squarings):
-        result = result @ result
-    return result
+    for i in range(int(squarings.max(initial=0))):
+        more = squarings > i
+        result[more] = result[more] @ result[more]
+    return result.reshape(shape)

@@ -74,3 +74,18 @@ def test_expm_matches_taylor_series_on_non_normal():
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_expm_of_zero_is_identity(dtype):
     assert np.array_equal(expm(np.zeros((5, 5), dtype=dtype)), np.eye(5))
+
+
+def test_expm_of_a_stack_matches_per_matrix_calls():
+    # a zero matrix, 1-norm 2 (no squaring, below theta_13 = 5.37) and
+    # 1-norm 40 (three squarings: 40 / theta_13 = 7.4)
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(3, 16, 16)) + 1j * rng.normal(size=(3, 16, 16))
+    x[0] = 0.0
+    for i, norm in ((1, 2.0), (2, 40.0)):
+        x[i] *= norm / np.linalg.norm(x[i], 1)
+    stack = expm(x)
+    assert stack.shape == x.shape
+    for a, exp_a in zip(x, stack):
+        assert np.array_equal(exp_a, expm(a))
+    assert np.array_equal(stack[0], np.eye(16))

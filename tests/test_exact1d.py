@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from movingcavity import exact1d
-from movingcavity.core import BoundaryCondition, FieldParams
+from movingcavity.core import BoundaryCondition, FieldParams, expm
 from movingcavity.exact1d import (
     BoundaryTrajectory,
     InvalidTrajectoryError,
@@ -395,7 +395,9 @@ def _fd_generator(traj, params, bc, t, bands, h):
         traj, params, bc, [t, t - h, t + h], bands
     )
     xm, xp = now.x_minus, now.x_plus
-    nodes, weights = gauss_legendre(xm, xp, max(64, 8 * bands))
+    nodes, weights = gauss_legendre(
+        xm, xp, exact1d._quad_count(bands, None)
+    )
     points = np.concatenate([nodes, [0.5 * (xm + xp), xm, xp]])
     vals, dvals = now.values(points)
     inner = len(nodes)
@@ -443,6 +445,29 @@ def test_analytic_generator_matches_finite_differences(case):
     else:
         assert np.max(np.abs(domega)) == 0.0
         assert gaps[0] <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("bc", [D, N])
+@pytest.mark.parametrize("mass", [0.0, 1.5])
+def test_quadrature_rule_stays_at_round_off(bc, mass):
+    # the generator at 4N + 16 points against a (16N + 64)-point reference,
+    # held to twice the deviation of the earlier max(64, 8N) rule
+    params = FieldParams(mass=mass)
+    times = np.array([0.2, 0.7, 1.3])
+    for variant in (DceVariant.RIGHT_ONLY, DceVariant.BREATHING):
+        traj = dce_trajectory(variant=variant, bc=bc, epsilon=0.05, mass=mass)
+        for bands in (3, 12, 24):
+            def vhats(quad_points):
+                return exact1d._chunk_vhats(
+                    traj, params, bc, times, bands, quad_points
+                )
+
+            reference = vhats(16 * bands + 64)
+            scale = np.max(np.abs(reference))
+            rule = np.max(np.abs(vhats(None) - reference))
+            earlier = np.max(np.abs(vhats(max(64, 8 * bands)) - reference))
+            assert exact1d._quad_count(bands, None) == 4 * bands + 16
+            assert rule <= max(2.0 * earlier, 1e-12 * scale)
 
 
 def test_degenerate_root_rate_raises(monkeypatch):
@@ -513,19 +538,46 @@ def test_verbose_logs_the_step_plan_and_keeps_stdout_clean(caplog, capsys):
     assert record.name == "movingcavity.exact1d"
     assert re.fullmatch(
         r"integrating 2 steps of dt=0\.1 \(guidance dt <= [0-9.e-]+\); "
-        r"5 nodes in 1 chunks of up to \d+",
+        r"5 nodes in 1 chunks of up to \d+; 24 quadrature points",
         record.getMessage(),
     )
     assert capsys.readouterr().out == ""
 
 
+DCE_II = (
+    dce_trajectory(variant=DceVariant.BREATHING, bc=N, mass=1.5),
+    FieldParams(mass=1.5), N, 0.0, 0.5, 4,
+)
+
+
 def _dce_ii_window():
-    """U over a short massive Neumann window."""
-    traj = dce_trajectory(variant=DceVariant.BREATHING, bc=N, mass=1.5)
+    """U and a checkpoint at each step end, short massive Neumann window."""
     state = evolve_transformation(
-        traj, FieldParams(mass=1.5), N, 0.0, 0.5, 4
+        *DCE_II, checkpoint_times=np.linspace(0.0, 0.5, 41)
     )
-    return state.U
+    return state.U, state.checkpoints
+
+
+def _per_step_reference(traj, params, bc, t0, tf, bands):
+    """U after each step of the default plan, one node and expm at a time."""
+    omega_max = np.max(np.abs(
+        solve_instantaneous_basis(traj, params, bc, t0, bands).frequencies
+    ))
+    n_steps = math.ceil((tf - t0) / (0.3 / omega_max))
+    dt = (tf - t0) / n_steps
+
+    def generator(t):
+        return generator_matrix(assemble_vhat(traj, params, bc, t, bands))
+
+    us = [np.eye(2 * bands, dtype=complex)]
+    k1 = generator(t0)
+    for start in t0 + np.arange(n_steps) * dt:
+        k2, k3 = generator(start + dt / 2.0), generator(start + dt)
+        exponent = (dt / 6.0) * (k1 + 4.0 * k2 + k3)
+        exponent -= (dt * dt / 12.0) * (k1 @ k3 - k3 @ k1)
+        us.append(expm(exponent) @ us[-1])
+        k1 = k3
+    return dt, us
 
 
 def _chunk_layout(caplog):
@@ -538,16 +590,32 @@ def _chunk_layout(caplog):
 
 
 def test_batched_evolution_matches_per_node_path(monkeypatch, caplog):
+    dt, reference = _per_step_reference(*DCE_II)
+    basis_bytes = 8 * (exact1d._quad_count(4, None) + 3) * 8
+    runs = {}
     with caplog.at_level(logging.INFO, logger="movingcavity.exact1d"):
-        batched = _dce_ii_window()
+        # the default layout takes the whole window as one chunk
+        runs["whole"] = _dce_ii_window()
         nodes, chunks, _ = _chunk_layout(caplog)
-        assert chunks < nodes
+        assert (nodes, chunks) == (2 * len(reference) - 1, 1)
+
+        # three nodes per chunk: steps 1 (nodes 2-4) and 2 (nodes 4-6)
+        # straddle chunk boundaries
+        monkeypatch.setattr(exact1d, "CHUNK_BYTES", 3 * basis_bytes)
+        runs["three"] = _dce_ii_window()
+        assert _chunk_layout(caplog) == (nodes, -(-nodes // 3), 3)
+        assert nodes > 7
 
         # one node per chunk solves every basis alone
         monkeypatch.setattr(exact1d, "CHUNK_BYTES", 1)
-        per_node = _dce_ii_window()
+        runs["single"] = _dce_ii_window()
         assert _chunk_layout(caplog) == (nodes, nodes, 1)
-    assert np.array_equal(batched, per_node)
+    for u, checkpoints in runs.values():
+        assert np.array_equal(u, reference[-1])
+        steps = [round(t / dt) for t, _ in checkpoints]
+        assert set(steps) == set(range(len(reference)))
+        for step, (_, u_step) in zip(steps, checkpoints):
+            assert np.array_equal(u_step, reference[step])
 
 
 def test_evolution_names_first_offending_time_inside_a_chunk(caplog):
@@ -592,17 +660,6 @@ def test_checkpoints_land_at_nearest_step_end():
     assert times == pytest.approx([0.0, 0.3, 0.3, 1.0], abs=1e-12)
     for want, got in zip(requested, times):
         assert abs(got - want) <= 0.05 + 1e-12
-
-
-def test_absorb_phases_matches_plain_evolution():
-    traj = dce_trajectory(epsilon=1e-3)
-    plain = evolve_transformation(
-        traj, FieldParams(), D, 0.0, 2.0, 4, step=0.01
-    )
-    rotated = evolve_transformation(
-        traj, FieldParams(), D, 0.0, 2.0, 4, step=0.01, absorb_phases=True
-    )
-    assert np.max(np.abs(plain.U - rotated.U)) < 1e-6
 
 
 @pytest.mark.parametrize("name, value", [
