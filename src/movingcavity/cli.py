@@ -452,10 +452,7 @@ def cmd_evolve(config: RunConfig, fmt: str, output: Optional[str]) -> int:
             f"field 'samples': {config.samples} samples of the window "
             f"[{config.t0!r}, {config.tf!r}] put the first sample at t0"
         )
-    couplings = build_coupling_matrices(
-        spec, basis, config.bc,
-        quad_points=64 if config.quad_points is None else config.quad_points,
-    )
+    couplings = build_coupling_matrices(spec, basis, config.bc)
     columns = ["t", "n", "m", "abs_alpha", "arg_alpha", "abs_beta", "arg_beta"]
     if fmt == "csv":  # streamed, one sample at a time
         with _open_output(output) as handle:

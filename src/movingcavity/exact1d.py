@@ -36,7 +36,7 @@ from .core import (
     require_finite,
     require_positive,
 )
-from .staticmodes import gauss_legendre
+from .staticmodes import band_limited_points, gauss_legendre
 
 __all__ = [
     "BoundaryTrajectory",
@@ -578,17 +578,13 @@ def _quad_count(bands, quad_points):
     """Gauss-Legendre nodes per basis: ``quad_points``, else 4N + 16.
 
     The integrands are products of two of the 2N modes, whose wavenumbers
-    reach about (N + 1) pi / L, and Gauss-Legendre reaches round-off on
-    such band-limited analytic integrands with a few points per band
-    (Trefethen, SIAM Rev. 50, 67 (2008)).  4N + 16 was measured against
-    a (16N + 64)-point reference over Dirichlet and Neumann, m in
-    {0, 1.5}, L in {1, pi, 5}, DCE-I/II and N from 3 to 48: every
-    generator block stays at the round-off floor of the earlier
-    max(64, 8N) rule (worst 4.6e-13 relative).  The count depends on N
-    alone, so every node of a window uses the same one.
+    reach about (N + 1) pi / L, so the rule is ``band_limited_points(N)``:
+    every generator block stays at the round-off floor of a
+    (16N + 64)-point reference.  The count depends on N alone, so every
+    node of a window uses the same one.
     """
     if quad_points is None:
-        return 4 * bands + 16
+        return band_limited_points(bands)
     if quad_points < 1:
         raise ValueError(f"quad_points must be >= 1, got {quad_points}")
     return quad_points

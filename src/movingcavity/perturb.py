@@ -21,7 +21,7 @@ from typing import Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import BoundaryCondition, require_finite, require_positive
-from .staticmodes import StaticBasis, quadrature_tables
+from .staticmodes import StaticBasis, axis_integrals
 
 __all__ = [
     "HarmonicTerm",
@@ -134,8 +134,8 @@ class HarmonicSum:
     def __neg__(self) -> "HarmonicSum":
         return self * (-1.0)
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return all(abs(term.amplitude) <= tol for term in self.terms)
+    def is_zero(self) -> bool:
+        return not self.terms
 
     def amplitude_at(self, frequency: float, form: str = "sin") -> complex:
         for term in self.terms:
@@ -272,10 +272,10 @@ class BogoliubovMatrix:
 
 
 # ---------------------------------------------------------------------------
-# quadrature integrals for all mode pairs
+# volume and face integrals for all mode pairs
 
 
-def _pair_integrals(basis: StaticBasis, faces, quad_points: int):
+def _pair_integrals(basis: StaticBasis, faces):
     """Volume overlaps and face integrals of every mode pair of a basis.
 
     Returns (overlap, surfaces): ``overlap[n, m]`` is the integral of
@@ -284,14 +284,18 @@ def _pair_integrals(basis: StaticBasis, faces, quad_points: int):
       value        integral of Psi_n Psi_m over the face
       grad_dot     integral of grad(Psi_n) . grad(Psi_m) over the face
       normal_grad  integral of (n.grad Psi_n)(n.grad Psi_m) over the face
-    Each entry takes the same floating-point operations, in the same order,
-    as an evaluation for that one pair, so it does not depend on which
-    other modes share the basis.
+    Every integral is a product of the closed-form axis integrals of
+    ``axis_integrals``, taken elementwise, so an entry depends on its two
+    modes alone and pairs that differ in a quantum number off the face
+    axis give exactly 0.0.
     """
-    overlap, axes = quadrature_tables(basis, quad_points)
+    axes = axis_integrals(basis)
     value_gram, deriv_gram, end_values, end_derivs = zip(*axes)
     dim = len(axes)
     scale = np.outer(basis.normalization, basis.normalization)
+    overlap = scale
+    for gram in value_gram:
+        overlap = overlap * gram
 
     surfaces = {}
     for axis, sign in faces:
@@ -405,12 +409,12 @@ def _coupling(
     return total
 
 
-def _pair_coupling(spec, basis, n, m, bc, resonant, quad_points, branch):
+def _pair_coupling(spec, basis, n, m, bc, resonant, branch):
     """The (n, m) coupling, computed on the two-mode basis of n and m."""
     _check_indices(basis, n, m)
     pair = basis.take([n, m])
     harmonics = _spec_harmonics(spec)
-    overlap, surfaces = _pair_integrals(pair, spec.delta_x, quad_points)
+    overlap, surfaces = _pair_integrals(pair, spec.delta_x)
     amplitudes = _coupling(
         spec, pair, bc, resonant, harmonics, overlap, surfaces, branch
     )
@@ -424,16 +428,15 @@ def coupling_alpha(
     m: int,
     bc: BoundaryCondition,
     resonant: bool = False,
-    quad_points: int = 64,
 ) -> HarmonicSum:
     """Harmonic decomposition of the first-order mode-mixing coupling.
 
-    Volume part by separable Gauss-Legendre quadrature; surface part by
-    per-face quadrature with the boundary-condition-specific bracket.
-    With ``resonant=True`` each displacement harmonic is remapped to its
-    own resonance target before the bracket is formed.
+    Volume and face integrals in closed form, per axis; the surface part
+    takes the boundary-condition-specific bracket.  With ``resonant=True``
+    each displacement harmonic is remapped to its own resonance target
+    before the bracket is formed.
     """
-    return _pair_coupling(spec, basis, n, m, bc, resonant, quad_points, -1)
+    return _pair_coupling(spec, basis, n, m, bc, resonant, -1)
 
 
 def coupling_beta(
@@ -443,10 +446,9 @@ def coupling_beta(
     m: int,
     bc: BoundaryCondition,
     resonant: bool = False,
-    quad_points: int = 64,
 ) -> HarmonicSum:
     """Harmonic decomposition of the first-order pair-creation coupling."""
-    return _pair_coupling(spec, basis, n, m, bc, resonant, quad_points, +1)
+    return _pair_coupling(spec, basis, n, m, bc, resonant, +1)
 
 
 def build_coupling_matrices(
@@ -454,11 +456,10 @@ def build_coupling_matrices(
     basis: StaticBasis,
     bc: BoundaryCondition,
     resonant: bool = False,
-    quad_points: int = 64,
 ) -> CouplingMatrices:
     """Coupling harmonics for every pair of modes in the basis."""
     harmonics = _spec_harmonics(spec)
-    overlap, surfaces = _pair_integrals(basis, spec.delta_x, quad_points)
+    overlap, surfaces = _pair_integrals(basis, spec.delta_x)
     alpha, beta = (
         _coupling(spec, basis, bc, resonant, harmonics, overlap, surfaces, b)
         for b in (-1, +1)

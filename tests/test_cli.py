@@ -4,7 +4,11 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -254,10 +258,7 @@ def reference_evolve_rows(config):
     """evolve's table as one row list per (t, pair), built sample by sample."""
     spec = cli._build_scenario_objects(config)[0]
     basis = cli._static_basis(config)
-    couplings = build_coupling_matrices(
-        spec, basis, config.bc,
-        quad_points=64 if config.quad_points is None else config.quad_points,
-    )
+    couplings = build_coupling_matrices(spec, basis, config.bc)
     pairs = cli._selected_pairs(config, len(basis))
     first = [n for n, _ in pairs]
     second = [m for _, m in pairs]
@@ -283,6 +284,39 @@ def reference_evolve_rows(config):
                 )
             )
     return rows
+
+
+@pytest.mark.parametrize("resonant", [False, True])
+def test_default_gw_box_couplings_keep_z_selection_rule(resonant):
+    # no term of the gw-rigid spec acts along z, so modes whose z quantum
+    # numbers differ do not couple: exactly, not to round-off
+    config = load_config(None, {"scenario": "gw-rigid"})
+    spec = cli._build_scenario_objects(config)[0]
+    basis = cli._static_basis(config)
+    couplings = build_coupling_matrices(spec, basis, config.bc, resonant)
+    z = basis.index[:, 2]
+    differ = z[:, None] != z[None, :]
+    assert len(basis) == 231 and differ.sum() > len(basis) ** 2 / 2
+    for amplitudes in (couplings.alpha, couplings.beta):
+        assert np.all(amplitudes[:, differ] == 0.0)
+
+
+def test_evolve_bytes_do_not_depend_on_blas_threads(tmp_path):
+    config = write_config(tmp_path, scenario="gw-rigid", samples=1)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path,
+               "OPENBLAS_NUM_THREADS": threads}
+        result = subprocess.run(
+            [sys.executable, "-m", "movingcavity.cli", "evolve",
+             "--config", config],
+            env=env, capture_output=True, check=True,
+        )
+        outputs.append(result.stdout)
+    assert len(outputs[0]) > 1_000_000
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("name, fmt", [

@@ -36,6 +36,7 @@ from movingcavity.staticmodes import (
     Box,
     Interval,
     axis_factors,
+    axis_integrals,
     gauss_legendre,
     solve_box_modes,
     solve_interval_modes,
@@ -181,36 +182,69 @@ def test_coupling_index_bounds():
 # dense couplings against the per-pair reference
 
 
-def reference_couplings(spec, basis, bc, resonant, quad_points=64):
+def quadrature_axis_tables(basis, quad_points=64):
+    """Per-axis Gram and wall tables of a basis by Gauss-Legendre quadrature.
+
+    One tuple (gram, deriv_gram, ends, end_derivs) per axis, in the layout
+    of ``staticmodes.axis_integrals``.
+    """
+    lengths = basis.geometry.lengths
+    dirichlet = basis.bc is D
+    tables = []
+    for axis, length in enumerate(lengths):
+        half = length / 2.0
+        nodes, weights = gauss_legendre(-half, half, quad_points)
+        k = basis.wavenumbers[:, axis, None]
+        vals, ders = axis_factors(dirichlet, k, length, nodes)
+        ends, end_derivs = axis_factors(dirichlet, k, length, (-half, half))
+        tables.append(
+            ((vals * weights) @ vals.T, (ders * weights) @ ders.T,
+             ends, end_derivs)
+        )
+    return tables
+
+
+def reference_couplings(spec, basis, bc, resonant):
     """(N, N) lists of alpha and beta HarmonicSums, one pair at a time.
 
-    The per-pair integrals the dense build replaces: per-axis Gram and
-    endpoint tables, then the volume and face integrals of each pair.
+    The per-pair integrals the dense build replaces: the closed-form axis
+    integrals of each pair, then its volume and face integrals.
     """
     lengths = basis.geometry.lengths
     dim = len(lengths)
     dirichlet = basis.bc is D
-    grams, dgrams, ends_v, ends_d = [], [], [], []
-    for axis in range(dim):
-        half = lengths[axis] / 2.0
-        nodes, weights = gauss_legendre(-half, half, quad_points)
-        k = basis.wavenumbers[:, axis, None]
-        vals, ders = axis_factors(dirichlet, k, lengths[axis], nodes)
-        grams.append((vals * weights) @ vals.T)
-        dgrams.append((ders * weights) @ ders.T)
-        ends = np.array([-half, half])
-        values, derivs = axis_factors(dirichlet, k, lengths[axis], ends)
-        ends_v.append(values)
-        ends_d.append(derivs)
+    index = basis.index.tolist()
+    wavenumbers = basis.wavenumbers.tolist()
     norms = basis.normalization
     omega = basis.frequencies.tolist()
     xi, mass = basis.params.coupling_xi, basis.params.mass
 
+    def gram(axis, n, m):
+        # L/2 for a sin or cos factor, L for the constant k = 0 factor
+        if index[n][axis] != index[m][axis]:
+            return 0.0
+        if wavenumbers[n][axis] > 0:
+            return lengths[axis] / 2.0
+        return lengths[axis]
+
+    def deriv_gram(axis, n, m):
+        if index[n][axis] != index[m][axis]:
+            return 0.0
+        k = wavenumbers[n][axis]
+        return k * k * (lengths[axis] / 2.0)
+
+    def walls(axis, n, col):
+        # factor and derivative at -L/2 (col 0) or L/2 (col 1)
+        sign = -1.0 if col == 1 and index[n][axis] % 2 else 1.0
+        if dirichlet:
+            return 0.0, wavenumbers[n][axis] * sign
+        return sign, 0.0
+
     def overlap(n, m):
-        prod = 1.0
-        for gram in grams:
-            prod *= gram[n, m]
-        return prod * norms[n] * norms[m]
+        prod = norms[n] * norms[m]
+        for axis in range(dim):
+            prod *= gram(axis, n, m)
+        return prod
 
     def face_integrals(n, m, axis, sign):
         col = 0 if sign < 0 else 1
@@ -218,17 +252,20 @@ def reference_couplings(spec, basis, bc, resonant, quad_points=64):
         tangential = 1.0
         for j in range(dim):
             if j != axis:
-                tangential *= grams[j][n, m]
-        fn = ends_v[axis][n, col] * ends_v[axis][m, col]
-        dn = ends_d[axis][n, col] * ends_d[axis][m, col]
+                tangential *= gram(j, n, m)
+        (value_n, deriv_n), (value_m, deriv_m) = (
+            walls(axis, n, col), walls(axis, m, col)
+        )
+        fn = value_n * value_m
+        dn = deriv_n * deriv_m
         grad_dot = dn * tangential
         for j in range(dim):
             if j == axis:
                 continue
-            prod = fn * dgrams[j][n, m]
+            prod = fn * deriv_gram(j, n, m)
             for k in range(dim):
                 if k != axis and k != j:
-                    prod *= grams[k][n, m]
+                    prod *= gram(k, n, m)
             grad_dot += prod
         grad_dot *= scale
         return scale * fn * tangential, grad_dot, scale * dn * tangential
@@ -323,6 +360,18 @@ def coupling_cases():
             yield bc, spec, basis
 
 
+def test_axis_integrals_match_quadrature():
+    for _, _, basis in coupling_cases():
+        got = axis_integrals(basis)
+        want = quadrature_axis_tables(basis)
+        for axis, length in enumerate(basis.geometry.lengths):
+            # natural sizes: factors are at most 1, derivatives at most k
+            k = max(np.max(basis.wavenumbers[:, axis]), 1.0)
+            for table, size in enumerate((length, k * k * length, 1.0, k)):
+                error = np.max(np.abs(got[axis][table] - want[axis][table]))
+                assert error <= 1e-13 * size
+
+
 @pytest.mark.parametrize("resonant", [False, True])
 def test_dense_couplings_match_per_pair_reference(resonant):
     for bc, spec, basis in coupling_cases():
@@ -333,6 +382,26 @@ def test_dense_couplings_match_per_pair_reference(resonant):
             assert [[hs.terms for hs in row] for row in got] == [
                 [hs.terms for hs in row] for row in want
             ]
+
+
+def test_long_box_beta_matches_predictor():
+    # n_y from 30 up on the long side, where 64 quadrature points were
+    # 6.9e-4 off
+    config = GwConfig(
+        lx=1.0, ly=5.0, lz=0.9, bc=D, epsilon=1e-3, omega_drive=5.0,
+        frequency_cutoff=25.0,
+    )
+    spec, predictor = build_gw(config)
+    basis = solve_box_modes(Box(1.0, 5.0, 0.9), FieldParams(), D, 25.0)
+    rows = np.flatnonzero(basis.index[:, 1] >= 30)[:40]
+    assert len(rows) == 40
+    basis = basis.take(rows)
+    couplings = build_coupling_matrices(spec, basis, D, resonant=True)
+    beta = couplings.beta[couplings.harmonics.index((5.0, "sin"))]
+    index = [tuple(n) for n in basis.index.tolist()]
+    want = np.array([[predictor.beta_hat(n, m).amplitude_at(5.0)
+                      for m in index] for n in index])
+    assert np.max(np.abs(beta - want)) < 1e-8 * np.max(np.abs(want))
 
 
 def test_dense_couplings_arrays_and_views_agree():

@@ -171,6 +171,21 @@ def test_single_mode_orthonormality_residual():
     assert orthonormality_residual(basis) < 1e-12
 
 
+@pytest.mark.parametrize("bc", [D, N])
+def test_fifty_mode_interval_orthonormality_residual(bc):
+    # 64 Gauss-Legendre points read 0.39 here: the point count must grow
+    # with the largest quantum number
+    basis = solve_interval_modes(Interval(1.0), FieldParams(mass=0.6), bc, 50)
+    assert orthonormality_residual(basis) < 1e-13
+
+
+def test_long_box_orthonormality_residual():
+    # n_y reaches 39 on the long side, where 64 points read 0.049
+    basis = solve_box_modes(Box(1.0, 5.0, 0.9), FieldParams(), D, 25.0)
+    assert len(basis) == 942
+    assert orthonormality_residual(basis) < 1e-13
+
+
 def test_empty_basis_residual_raises():
     basis = solve_interval_modes(Interval(1.0), FieldParams(), D, 1)
     empty = StaticBasis(
