@@ -38,11 +38,14 @@ from .exact1d import (
     generator_matrix,
     solve_instantaneous_basis,
 )
-from .perturb import (
+# evolve evaluates through perturbative_cells; bogoliubov_perturbative stays
+# a cli attribute for tracers that rebind it (perfbench/tracing.py)
+from .perturb import (  # noqa: F401
     ValidityWindowWarning,
     build_coupling_matrices,
     bogoliubov_perturbative,
     find_resonances,
+    perturbative_cells,
     validity_window,
 )
 from .scenarios import (
@@ -390,26 +393,45 @@ def _polar(values: np.ndarray) -> Tuple[List[float], List[float]]:
     return list(map(abs, values.tolist())), phases.tolist()
 
 
-def _evolve_samples(config, couplings, basis, pairs, times, emit) -> None:
+# polar cells (|alpha|, arg alpha, |beta|, arg beta) of an uncoupled pair
+_UNCOUPLED = (0.0, 0.0, 0.0, 0.0)
+_UNCOUPLED_DIAGONAL = (1.0, 0.0, 0.0, 0.0)
+
+
+def _constant_cells(couplings, pairs) -> List[Optional[Tuple[float, ...]]]:
+    """Each selected pair's polar cells if they never change, else None.
+
+    A pair that ``couplings.coupled`` marks as uncoupled has alpha = beta =
+    0 (alpha = 1 on the diagonal) at every sample time.
+    """
+    coupled = couplings.coupled.tolist()
+    return [
+        None if coupled[n][m] else
+        _UNCOUPLED_DIAGONAL if n == m else _UNCOUPLED
+        for n, m in pairs
+    ]
+
+
+def _evolve_samples(config, couplings, basis, live, times, emit) -> None:
     """Call ``emit(t, polar)`` at each sample time, in order.
 
-    ``polar`` holds |alpha|, arg alpha, |beta| and arg beta of the selected
-    pairs as lists.  Under ``--verbose`` one line on the ``movingcavity.cli``
-    logger counts the samples outside the first-order validity window.
+    ``polar`` holds |alpha|, arg alpha, |beta| and arg beta of the coupled
+    pairs ``live`` as lists: only those cells are evaluated, through
+    ``perturbative_cells``, and the entries are those of the dense
+    ``bogoliubov_perturbative`` bit for bit.  Under ``--verbose`` one line
+    on the ``movingcavity.cli`` logger counts the samples outside the
+    first-order validity window.
     """
-    first = [n for n, _ in pairs]
-    second = [m for _, m in pairs]
+    rows = np.array([n for n, _ in live], dtype=int)
+    cols = np.array([m for _, m in live], dtype=int)
     epsilon = config.epsilon
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ValidityWindowWarning)
         for t in times.tolist():
-            result = bogoliubov_perturbative(
-                couplings, basis, epsilon, config.t0, t
+            alpha, beta = perturbative_cells(
+                couplings, basis, epsilon, config.t0, t, rows, cols
             )
-            emit(t, (
-                *_polar(result.alpha[first, second]),
-                *_polar(result.beta[first, second]),
-            ))
+            emit(t, (*_polar(alpha), *_polar(beta)))
     window = validity_window(couplings.drive_frequency, epsilon)
     if window:
         low, high = window
@@ -422,15 +444,27 @@ def _evolve_samples(config, couplings, basis, pairs, times, emit) -> None:
         )
 
 
-def _csv_blocks(handle: typing.IO, pairs: Sequence[Tuple[int, int]]):
+def _csv_blocks(
+    handle: typing.IO,
+    pairs: Sequence[Tuple[int, int]],
+    constants: List[Optional[Tuple[float, ...]]],
+):
     """A writer of one sample's CSV lines per call, one line per pair.
 
     Each line reads t, n, m and the four polar columns, t and the floats
-    in %.17g, as ``write_table`` writes them.  t is formatted once per
-    sample and joins the parts of the template, which one % call fills.
+    in %.17g, as ``write_table`` writes them.  A pair with constant cells
+    (``_constant_cells``) has them baked into the template as text; the
+    ``polar`` lists of a call fill the other pairs, in order.  t is
+    formatted once per sample and joins the parts of the template, which
+    one % call fills.
     """
-    parts = [""] + [f",{n},{m},%.17g,%.17g,%.17g,%.17g\n" for n, m in pairs]
-    cells: List[Any] = [None] * (4 * len(pairs))
+    text = {None: "%.17g,%.17g,%.17g,%.17g"}  # a live pair's four cells
+    for const in set(constants) - {None}:
+        text[const] = ",".join("%.17g" % value for value in const)
+    parts = [""] + [
+        f",{n},{m},{text[const]}\n" for (n, m), const in zip(pairs, constants)
+    ]
+    cells: List[Any] = [None] * (4 * constants.count(None))
 
     def write(t: float, polar: Sequence[List[float]]) -> None:
         for column, values in enumerate(polar):
@@ -441,6 +475,11 @@ def _csv_blocks(handle: typing.IO, pairs: Sequence[Tuple[int, int]]):
 
 
 def cmd_evolve(config: RunConfig, fmt: str, output: Optional[str]) -> int:
+    if config.quad_points is not None:
+        raise ConfigError(
+            "field 'quad_points': evolve takes its couplings in closed form; "
+            "only evolve-exact reads quad_points"
+        )
     spec = _build_scenario_objects(config)[0]
     basis = _static_basis(config)
     pairs = _selected_pairs(config, len(basis))
@@ -453,23 +492,27 @@ def cmd_evolve(config: RunConfig, fmt: str, output: Optional[str]) -> int:
             f"[{config.t0!r}, {config.tf!r}] put the first sample at t0"
         )
     couplings = build_coupling_matrices(spec, basis, config.bc)
+    constants = _constant_cells(couplings, pairs)
+    live = [pair for pair, const in zip(pairs, constants) if const is None]
     columns = ["t", "n", "m", "abs_alpha", "arg_alpha", "abs_beta", "arg_beta"]
     if fmt == "csv":  # streamed, one sample at a time
         with _open_output(output) as handle:
             handle.write(",".join(columns) + "\n")
             _evolve_samples(
-                config, couplings, basis, pairs, times,
-                _csv_blocks(handle, pairs),
+                config, couplings, basis, live, times,
+                _csv_blocks(handle, pairs, constants),
             )
         return EXIT_OK
     rows: List[List[Any]] = []
 
     def collect(t, polar):
+        cells = iter(zip(*polar))
         rows.extend(
-            [t, n, m, *values] for (n, m), *values in zip(pairs, *polar)
+            [t, n, m, *(next(cells) if const is None else const)]
+            for (n, m), const in zip(pairs, constants)
         )
 
-    _evolve_samples(config, couplings, basis, pairs, times, collect)
+    _evolve_samples(config, couplings, basis, live, times, collect)
     write_table(columns, rows, config.meta(), fmt, output)
     return EXIT_OK
 

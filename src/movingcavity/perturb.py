@@ -41,6 +41,7 @@ __all__ = [
     "build_coupling_matrices",
     "find_resonances",
     "bogoliubov_perturbative",
+    "perturbative_cells",
     "bogoliubov_asymptotic",
 ]
 
@@ -228,7 +229,8 @@ class CouplingMatrices:
     harmonic ``harmonics[h]``, a (frequency, form) key in ``HarmonicSum``
     order, in the mode-mixing and pair-creation coupling of the pair
     (n, m).  ``alpha_hat`` and ``beta_hat`` present the same numbers as
-    read-only (N, N) object arrays of ``HarmonicSum``.
+    read-only (N, N) object arrays of ``HarmonicSum``.  ``coupled`` marks
+    the pairs with a nonzero amplitude in some harmonic.
     """
 
     harmonics: Tuple[Tuple[float, str], ...]
@@ -244,6 +246,17 @@ class CouplingMatrices:
     @functools.cached_property
     def beta_hat(self) -> np.ndarray:
         return _harmonic_sums(self.harmonics, self.beta)
+
+    @functools.cached_property
+    def coupled(self) -> np.ndarray:
+        """Read-only (N, N) bool: does the pair couple in any harmonic.
+
+        A pair that does not has first-order alpha = beta = 0 at every
+        time and under every envelope, alpha = 1 on the diagonal.
+        """
+        mask = np.any(self.alpha != 0, axis=0) | np.any(self.beta != 0, axis=0)
+        mask.flags.writeable = False
+        return mask
 
 
 def _harmonic_sums(harmonics, amplitudes: np.ndarray) -> np.ndarray:
@@ -569,8 +582,22 @@ def _check_validity_window(drive_frequency, epsilon, t0, tf):
             f"validity range [{low:.4g}, {high:.4g}] for drive frequency "
             f"{drive_frequency:.4g} and epsilon {epsilon:.4g}",
             ValidityWindowWarning,
-            stacklevel=3,
+            stacklevel=4,  # the caller of the public function
         )
+
+
+def _window_kernel(couplings, epsilon, t0, tf):
+    """The integral of exp(i mu t) over [t0, tf], as ``_first_order`` takes it.
+
+    Rejects a non-finite or empty window, and warns (never raises) when
+    the window lies outside the heuristic first-order validity range.
+    """
+    for name, value in (("t0", t0), ("tf", tf), ("epsilon", epsilon)):
+        require_finite(name, value)
+    if tf <= t0:
+        raise ValueError("window must satisfy t0 < tf")
+    _check_validity_window(couplings.drive_frequency, epsilon, t0, tf)
+    return lambda mu: _phase_integral(mu, t0, tf)
 
 
 def bogoliubov_perturbative(
@@ -587,32 +614,57 @@ def bogoliubov_perturbative(
     diagonal is set to one.  A warning (never an error) flags windows
     outside the heuristic first-order validity range.
     """
-    for name, value in (("t0", t0), ("tf", tf), ("epsilon", epsilon)):
-        require_finite(name, value)
-    if tf <= t0:
-        raise ValueError("window must satisfy t0 < tf")
-    _check_validity_window(couplings.drive_frequency, epsilon, t0, tf)
-    alpha, beta = _first_order(
-        couplings, basis, epsilon, lambda mu: _phase_integral(mu, t0, tf)
-    )
+    kernel = _window_kernel(couplings, epsilon, t0, tf)
+    alpha, beta = _first_order(couplings, basis, epsilon, kernel)
     return BogoliubovMatrix(
         alpha=alpha, beta=beta, epsilon_used=epsilon, window=(t0, tf)
     )
 
 
-def _first_order(couplings, basis, epsilon, kernel):
-    """First-order alpha and beta of every pair for a window or an envelope.
+def perturbative_cells(
+    couplings: CouplingMatrices,
+    basis: StaticBasis,
+    epsilon: float,
+    t0: float,
+    tf: float,
+    rows: np.ndarray,
+    cols: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """First-order alpha and beta over a window at the cells (rows, cols).
+
+    ``rows`` and ``cols`` are integer index arrays that broadcast together;
+    the results take their shape and equal the entries of
+    ``bogoliubov_perturbative`` at those cells bit for bit, with the same
+    checks and warning.
+    """
+    kernel = _window_kernel(couplings, epsilon, t0, tf)
+    cells = np.asarray(rows), np.asarray(cols)
+    return _first_order(couplings, basis, epsilon, kernel, cells)
+
+
+def _first_order(couplings, basis, epsilon, kernel, cells=None):
+    """First-order alpha and beta of every pair, or at the cells (rows, cols).
 
     Each entry is epsilon times the integral of exp(-i detuning t) against
     the pair's coupling harmonics, where ``kernel(mu)`` gives the integral
     of exp(i mu t) against the window or the envelope for an array of mu.
-    The alpha diagonal is set to one.
+    Alpha is one on the diagonal.  Without ``cells`` the results are
+    (N, N) matrices, computed on views; with them, on the gathered
+    entries.  Every operation is elementwise, so an entry does not depend
+    on which other cells are evaluated with it.
     """
     freqs = basis.frequencies
+    if cells is None:
+        alpha, beta = couplings.alpha, couplings.beta
+        first, second = freqs[:, None], freqs[None, :]
+    else:
+        rows, cols = cells
+        alpha = couplings.alpha[:, rows, cols]
+        beta = couplings.beta[:, rows, cols]
+        first, second = freqs[rows], freqs[cols]
     coefficients = []
     for amplitudes, detuning in (
-        (couplings.alpha, freqs[:, None] - freqs[None, :]),
-        (couplings.beta, freqs[:, None] + freqs[None, :]),
+        (alpha, first - second), (beta, first + second)
     ):
         total = np.zeros(detuning.shape, dtype=complex)
         for (frequency, form), amplitude in zip(
@@ -626,7 +678,10 @@ def _first_order(couplings, basis, epsilon, kernel):
                 total += _cmul(amplitude, plus + minus) / 2.0
         coefficients.append(epsilon * total)
     alpha, beta = coefficients
-    np.fill_diagonal(alpha, 1.0)
+    if cells is None:
+        np.fill_diagonal(alpha, 1.0)
+    else:
+        alpha[rows == cols] = 1.0
     return alpha, beta
 
 

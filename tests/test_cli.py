@@ -1,6 +1,7 @@
 """Tests for the command-line interface: dispatch, serialization, exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -251,6 +252,20 @@ EVOLVE_CONFIGS = {
         "scenario": "gw-rigid", "bc": "neumann", "frequency_cutoff": 9,
         "samples": 4, "pairs": [[3, 1], [0, 0], [3, 1]],
     },
+    # uncoupled (0, 1), coupled (0, 4) and (1, 12), coupled diagonal
+    # (0, 0), uncoupled diagonal (1, 1), and repeats of both kinds
+    "mixed-pairs": {
+        "scenario": "gw-rigid", "frequency_cutoff": 12, "samples": 3,
+        "pairs": [[0, 1], [0, 4], [0, 0], [1, 1], [0, 4], [1, 12], [0, 1]],
+    },
+    "gw-box-static": {
+        "scenario": "gw-rigid", "frequency_cutoff": 12, "epsilon": 0.0,
+        "samples": 3,
+    },
+    "gw-massive-neumann": {
+        "scenario": "gw-rigid", "bc": "neumann", "mass": 0.8,
+        "frequency_cutoff": 10, "samples": 4,
+    },
 }
 
 
@@ -319,8 +334,24 @@ def test_evolve_bytes_do_not_depend_on_blas_threads(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_evolve_configs_mix_constant_and_live_cells():
+    # the byte-identity cases below cover coupled and uncoupled pairs, on
+    # and off the diagonal
+    for name in ("gw-box", "mixed-pairs", "gw-massive-neumann"):
+        config = load_config(None, dict(EVOLVE_CONFIGS[name]))
+        spec = cli._build_scenario_objects(config)[0]
+        basis = cli._static_basis(config)
+        coupled = build_coupling_matrices(spec, basis, config.bc).coupled
+        kinds = {
+            (bool(coupled[n, m]), n == m)
+            for n, m in cli._selected_pairs(config, len(basis))
+        }
+        assert len(kinds) == 4, name
+
+
 @pytest.mark.parametrize("name, fmt", [
     *((name, "csv") for name in EVOLVE_CONFIGS), ("gw-box", "json"),
+    ("gw-massive-neumann", "json"),
 ])
 def test_evolve_bytes_match_row_table(name, fmt, tmp_path, capsys):
     fields = EVOLVE_CONFIGS[name]
@@ -339,6 +370,27 @@ def test_evolve_bytes_match_row_table(name, fmt, tmp_path, capsys):
                            "--format", fmt, "--output", str(table))
     assert (code, out) == (EXIT_OK, "")
     assert table.read_bytes() == want.encode("utf-8")
+
+
+def test_default_gw_box_csv_bytes_are_pinned(tmp_path, capsys):
+    # the default gw-rigid box: 231 modes, 25 samples of 53361 pairs, most
+    # of them uncoupled and written as constant text
+    config = write_config(tmp_path, scenario="gw-rigid")
+    table = tmp_path / "table.csv"
+    code, out, err = run_cli(
+        capsys, "evolve", "--config", config, "--output", str(table)
+    )
+    assert (code, out, err) == (EXIT_OK, "", "")
+    digest = hashlib.sha256()
+    with open(table, "rb") as handle:
+        for block in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(block)
+    size = table.stat().st_size
+    table.unlink()
+    assert size == 43_116_590
+    assert digest.hexdigest() == (
+        "2a7b48085097f18e70b62d907af3977b19a53257a10fffac174a6d4b12fe750e"
+    )
 
 
 def test_evolve_first_sample_at_t0_leaves_no_output(tmp_path, capsys):
@@ -445,6 +497,19 @@ def test_evolve_rejects_nonpositive_quad_points(tmp_path, capsys, quad_points):
     assert code == EXIT_CONFIG
     assert out == ""
     assert "quad_points" in err
+
+
+def test_evolve_rejects_quad_points_it_does_not_read(tmp_path, capsys):
+    # evolve's couplings are closed form: a valid quad_points would be
+    # silently ignored, so evolve names the field and the one reader
+    config = write_config(tmp_path, scenario="gw-rigid", quad_points=8)
+    table = tmp_path / "table.csv"
+    for output in ((), ("--output", str(table))):
+        code, out, err = run_cli(capsys, "evolve", "--config", config, *output)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.startswith("config error: field 'quad_points': ")
+        assert "only evolve-exact reads quad_points" in err
+    assert not table.exists()
 
 
 def assert_verbose_logs_to_stderr_only(tmp_path, capsys, command, config):

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from movingcavity import perturb
 from movingcavity.core import BoundaryCondition, FieldParams
 from movingcavity.perturb import (
     GaussianEnvelope,
@@ -23,6 +24,7 @@ from movingcavity.perturb import (
     coupling_alpha,
     coupling_beta,
     find_resonances,
+    perturbative_cells,
     validity_window,
 )
 from movingcavity.scenarios import (
@@ -653,6 +655,80 @@ def test_asymptotic_matches_scalar_loop():
                 scale = np.max(np.abs(want - np.diag(np.diag(alpha))))
                 assert scale > 0
                 assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+
+def cell_cases():
+    for bc in (D, N):
+        for variant in DceVariant:
+            spec, _, basis = dce_setup(
+                variant=variant, bc=bc, length=1.7, mass=0.6, count=6
+            )
+            yield spec, basis, bc
+    spec, basis = gw_setup(D)
+    yield spec, basis, D
+
+
+@pytest.mark.parametrize("resonant", [False, True])
+def test_cells_match_dense_coefficients(resonant):
+    # gathered cells, in a shuffled order with repeats, against the dense
+    # window and envelope matrices, bit for bit
+    rng = np.random.default_rng(19)
+    uncoupled_seen = 0
+    envelopes = (GaussianEnvelope(4.0), RaisedCosineEnvelope(9.0))
+    for spec, basis, bc in cell_cases():
+        mats = build_coupling_matrices(spec, basis, bc, resonant)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ValidityWindowWarning)
+            window = bogoliubov_perturbative(mats, basis, 1e-3, 0.3, 7.9)
+        dense = [window] + [
+            bogoliubov_asymptotic(mats, basis, 1e-3, envelope)
+            for envelope in envelopes
+        ]
+        size = len(basis)
+        every = rng.permutation(np.repeat(np.arange(size * size), 2))
+        coupled = np.flatnonzero(mats.coupled)
+        for flat in (every, coupled, coupled[:1]):
+            rows, cols = np.divmod(flat, size)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ValidityWindowWarning)
+                gathered = [perturbative_cells(
+                    mats, basis, 1e-3, 0.3, 7.9, rows.tolist(), cols
+                )]
+            gathered += [
+                perturb._first_order(
+                    mats, basis, 1e-3, envelope.transform, (rows, cols)
+                )
+                for envelope in envelopes
+            ]
+            for result, (alpha, beta) in zip(dense, gathered):
+                assert np.array_equal(alpha, result.alpha[rows, cols])
+                assert np.array_equal(beta, result.beta[rows, cols])
+        # a pair with no amplitude in any harmonic evaluates to 0 (alpha 1
+        # on the diagonal), and ``coupled`` is the HarmonicSum view's rule
+        hats = zip(mats.alpha_hat.flat, mats.beta_hat.flat)
+        assert mats.coupled.ravel().tolist() == [
+            not (a.is_zero() and b.is_zero()) for a, b in hats
+        ]
+        off = ~mats.coupled & ~np.eye(size, dtype=bool)
+        diagonal = np.diag(~mats.coupled)
+        for result in dense:
+            assert np.all(result.alpha[off] == 0.0)
+            assert np.all(result.beta[~mats.coupled] == 0.0)
+            assert np.all(np.diag(result.alpha)[diagonal] == 1.0)
+        uncoupled_seen += int(np.count_nonzero(~mats.coupled))
+    assert uncoupled_seen > 0
+
+
+def test_cells_keep_the_window_checks():
+    spec, _, basis = dce_setup(drive=3.0)
+    mats = build_coupling_matrices(spec, basis, D)
+    rows, cols = np.array([0, 1]), np.array([1, 1])
+    with pytest.warns(ValidityWindowWarning):
+        perturbative_cells(mats, basis, 1e-3, 0.0, 0.1, rows, cols)
+    with pytest.raises(ValueError, match="t0 < tf"):
+        perturbative_cells(mats, basis, 1e-3, 1.0, 1.0, rows, cols)
+    with pytest.raises(ValueError, match="tf must be finite"):
+        perturbative_cells(mats, basis, 1e-3, 0.0, math.inf, rows, cols)
 
 
 # ---------------------------------------------------------------------------
