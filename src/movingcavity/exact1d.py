@@ -10,11 +10,13 @@ exactly.  The time derivatives are exact: the roots move as
 in the wall accelerations, and the modes follow from the null vector of
 the boundary rows and from their norm.  The generator depends on t
 alone, so its bases, one per node, are solved and assembled in batched
-chunks of times ahead of the step loop, and the exponentials of each
-chunk's Magnus steps are taken as one stack.  Blocks are ordered positive
-branch first, then negative branch; with static start and end slices the
-top blocks of the transformation are the mode-mixing and pair-creation
-coefficients.
+chunks of times ahead of the step loop, in one workspace per evolution,
+and the exponentials of each chunk's Magnus steps are taken as one
+stack.  The steps run on the real generator blocks; the unitary change to
+the frequency modes is applied to the product only.  Blocks are ordered
+positive branch first, then negative branch; with static start and end
+slices the top blocks of the transformation are the mode-mixing and
+pair-creation coefficients.
 """
 
 from __future__ import annotations
@@ -179,62 +181,82 @@ class BoundaryTrajectory:
 # (oscillatory lam > 0, evanescent lam < 0).
 
 
-def _cs(x, lam):
-    """c and s at points ``x`` for spectral parameters ``lam``, broadcast."""
+def _cs(x, lam, out=None):
+    """c and s at points ``x`` for spectral parameters ``lam``, broadcast.
+
+    ``out`` is a pair of float arrays of the broadcast shape that receive
+    c and s; both are allocated when it is omitted.
+    """
     x = np.asarray(x, dtype=float)
     lam = np.asarray(lam, dtype=float)
+    c_out, s_out = (None, None) if out is None else out
     if lam.size and lam.min() > 0:  # all oscillatory: no mask work
         k = np.sqrt(lam)
-        kx = k * x
-        s = np.sin(kx)
+        # s is computed in place, in an array even for 0-d arguments
+        kx = s = np.asarray(np.multiply(k, x, out=s_out))
+        c = np.cos(kx, out=c_out)
+        np.sin(kx, out=s)
         s /= k
-        return np.cos(kx), s
-    # mixed regimes: each entry takes its own branch; the other branch is
-    # evaluated at 0 so that cosh cannot overflow on an oscillatory entry
+        return c, s
+    # mixed regimes: each entry takes its own branch and no other, so that
+    # cosh cannot overflow on an oscillatory entry
     k = np.sqrt(np.abs(lam))
-    kx = k * x
     osc, evan = lam > 0, lam < 0
-    kx_osc, kx_evan = np.where(osc, kx, 0.0), np.where(evan, kx, 0.0)
-    c = np.where(osc, np.cos(kx_osc), np.cosh(kx_evan))  # lam == 0: c = 1
-    s = np.where(osc, np.sin(kx_osc), np.sinh(kx_evan))
-    s /= np.where(osc | evan, k, 1.0)
-    return c, np.where(osc | evan, s, x)  # lam == 0: s = x
+    kx = s = np.asarray(np.multiply(k, x, out=s_out))
+    c = np.empty_like(s) if c_out is None else c_out
+    np.cos(kx, out=c, where=osc)
+    np.cosh(kx, out=c, where=evan)
+    np.sin(kx, out=s, where=osc)
+    np.sinh(kx, out=s, where=evan)
+    np.divide(s, k, out=s, where=osc | evan)
+    rest = ~(osc | evan)  # lam == 0: c = 1, s = x
+    np.copyto(c, 1.0, where=rest)
+    np.copyto(s, x, where=rest)
+    return c, s
 
 
-def _cs_rates(x, lam, c, s):
+def _cs_rates(x, lam, c, s, out=None):
     """lam-derivatives of c and s from their values at ``x``, broadcast.
 
     dc/dlam = -x s / 2 and ds/dlam = (x c - s) / (2 lam) hold in both
     regimes.  The second cancels as lam x^2 -> 0, so a mode whose
     |lam| X^2 is below ``LAM_SERIES_CUT``, X the largest |x| along the
     last (point) axis, takes its series -x^3/6 + lam x^5/60 -
-    lam^2 x^7/1680 at all its points.
+    lam^2 x^7/1680 at all its points.  ``out`` is a pair of arrays shaped
+    like ``c`` that receive the two; both are allocated when it is omitted.
     """
     x = np.asarray(x, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    dc = -0.5 * x * s
-    ds = x * c
+    dc_out, ds_out = (None, None) if out is None else out
+    dc = np.multiply(-0.5 * x, s, out=dc_out)
+    ds = np.multiply(x, c, out=ds_out)
     ds -= s
     reach = np.max(x * x, axis=-1, keepdims=True)
     small = np.abs(lam) * reach < LAM_SERIES_CUT
     if not small.any():
         ds /= 2.0 * lam
         return dc, ds
+    np.divide(ds, 2.0 * lam, out=ds, where=~small)
     u = lam * (x * x)
     series = x**3 * (-1.0 / 6.0 + u * (1.0 / 60.0 - u / 1680.0))
-    return dc, np.where(small, series, ds / np.where(small, 1.0, 2.0 * lam))
+    np.copyto(ds, series, where=small)
+    return dc, ds
 
 
-def _combine(lam, a, b, c, s):
+def _combine(lam, a, b, c, s, out=None, scratch=None):
     """Values and x-derivatives of the modes a c + b s, from c and s.
 
     ``lam``, ``a`` and ``b`` are (..., 2N) and ``c``, ``s`` (..., 2N, P).
+    ``out`` is a pair of arrays shaped like ``c`` that receive the two
+    and ``scratch`` one more for the products; each is allocated when
+    omitted.
     """
     lam, a, b = lam[..., None], a[..., None], b[..., None]
-    vals = a * c
-    vals += b * s
-    dvals = b * c
-    dvals -= (lam * a) * s
+    vals_out, dvals_out = (None, None) if out is None else out
+    vals = np.multiply(a, c, out=vals_out)
+    vals += np.multiply(b, s, out=scratch)
+    dvals = np.multiply(b, c, out=dvals_out)
+    dvals -= np.multiply(lam * a, s, out=scratch)
     return vals, dvals
 
 
@@ -521,14 +543,17 @@ def _find_roots(times, walls, speeds, mass2f, bc, bands, skip_low):
     return roots.reshape(len(times), 2 * bands)
 
 
-def _normalised_modes(times, omega, lam, c, s, speeds, mass2f, bc, weights):
+def _normalised_modes(times, omega, lam, c, s, speeds, mass2f, bc, weights,
+                      out=None, scratch=None):
     """Normalised, signed modes of the roots ``omega`` (T, 2N).
 
     ``c`` and ``s`` are (T, 2N, P) on each time's points: the Q
     quadrature nodes (``weights``, (T, Q)), the cavity midpoint, then the
     left and right walls; ``speeds`` is (2, T).  Returns ``a`` and ``b``,
-    (T, 2N), and the modes' values and x-derivatives on the points,
-    (T, 2N, P).  Errors name the first offending time.
+    (T, 2N), the modes' values and x-derivatives on the points,
+    (T, 2N, P), written into ``out`` when given (as in ``_combine``), and
+    int psi^2 of each normalised mode, (T, 2N).  Errors name the first
+    offending time.
     """
     r0, r1 = _boundary_rows(
         omega, lam, c[..., -2:].transpose(2, 0, 1),
@@ -548,12 +573,14 @@ def _normalised_modes(times, omega, lam, c, s, speeds, mass2f, bc, weights):
         )
     a, b = q / norm, -p / norm
     # normalisation: (m^2 + F + omega^2) int psi^2 + int psi'^2 = |omega|
-    vals, dvals = _combine(lam, a, b, c, s)
+    vals, dvals = _combine(lam, a, b, c, s, out, scratch)
     inner = weights.shape[-1]
     psi, dpsi = vals[..., :inner], dvals[..., :inner]
     w = weights[..., None]
-    quad = (mass2f + omega**2) * ((psi * psi) @ w)[..., 0] + (
-        (dpsi * dpsi) @ w
+    square = None if scratch is None else scratch[..., :inner]
+    norm_sq = (np.multiply(psi, psi, out=square) @ w)[..., 0]
+    quad = (mass2f + omega**2) * norm_sq + (
+        np.multiply(dpsi, dpsi, out=square) @ w
     )[..., 0]
     if np.any(quad <= 0):
         i = np.argmax(np.any(quad <= 0, axis=1))
@@ -571,7 +598,7 @@ def _normalised_modes(times, omega, lam, c, s, speeds, mass2f, bc, weights):
     factor = np.where(decider < 0, -1.0, 1.0) / scale
     vals *= factor[..., None]
     dvals *= factor[..., None]
-    return a * factor, b * factor, vals, dvals
+    return a * factor, b * factor, vals, dvals, norm_sq * factor**2
 
 
 def _quad_count(bands, quad_points):
@@ -601,7 +628,8 @@ def _walls(traj, times):
     return table[:2], table[2:]
 
 
-def _solve(traj, params, bc, times, bands, quad_points):
+def _solve(traj, params, bc, times, bands, quad_points, out=None,
+           scratch=None):
     """Roots and normalised modes at each of ``times`` (T,), in one batch.
 
     The characteristic determinant couples the eigenvalue to the boundary
@@ -611,8 +639,10 @@ def _solve(traj, params, bc, times, bands, quad_points):
     time's quadrature nodes, midpoint and walls, for the normalisation.
     Returns the walls and speeds (2, T); the points (T, P) and weights
     (T, Q) as in ``_normalised_modes``; ``omega``, ``lam``, ``a`` and
-    ``b``, (T, 2N); and c, s and the modes' values and x-derivatives on
-    the points, (T, 2N, P).
+    ``b``, (T, 2N); c, s and the modes' values and x-derivatives on the
+    points, (T, 2N, P); and int psi^2 of each mode, (T, 2N).  ``out``
+    holds four (T, 2N, P) arrays that receive c, s and the values, and
+    ``scratch`` one more for the products; each is allocated when omitted.
     """
     if bands < 1:
         raise ValueError(f"bands must be >= 1, got {bands}")
@@ -634,11 +664,14 @@ def _solve(traj, params, bc, times, bands, quad_points):
     middle = 0.5 * (walls[0] + walls[1])
     points = np.concatenate([nodes, middle[:, None], walls.T], axis=1)
     lam = omega * omega - mass2f
-    c, s = _cs(points[:, None, :], lam[..., None])
-    a, b, vals, dvals = _normalised_modes(
-        times, omega, lam, c, s, speeds, mass2f, bc, weights
+    cs_out, vals_out = (None, None) if out is None else (out[:2], out[2:])
+    c, s = _cs(points[:, None, :], lam[..., None], cs_out)
+    a, b, vals, dvals, norm_sq = _normalised_modes(
+        times, omega, lam, c, s, speeds, mass2f, bc, weights, vals_out,
+        scratch,
     )
-    return walls, speeds, points, weights, omega, lam, a, b, c, s, vals, dvals
+    return (walls, speeds, points, weights, omega, lam, a, b, c, s, vals,
+            dvals, norm_sq)
 
 
 def solve_instantaneous_bases(
@@ -715,8 +748,8 @@ def mode_transform_matrix(bands: int) -> np.ndarray:
     )
 
 
-def _mode_rates(times, omega, lam, a, b, points, c, s, vals, dvals, weights,
-                speeds, accels, mass2f, bc):
+def _mode_rates(times, omega, lam, a, b, points, c, s, vals, dvals, norm_sq,
+                weights, speeds, accels, mass2f, bc, out=None, scratch=None):
     """d omega/dt, (C, 2N), and d psi/dt at fixed x on the points.
 
     Arrays are those of ``_solve`` and ``accels`` the wall accelerations,
@@ -726,9 +759,12 @@ def _mode_rates(times, omega, lam, a, b, points, c, s, vals, dvals, weights,
     keeps it null for both rows (a least-squares blend of the two walls,
     which agree), and along itself as the norm form
     Q = (m^2 + F + omega^2) int psi^2 + int psi'^2 = |omega| requires,
-    with the walls' Leibniz terms.  ``c`` and ``s`` are overwritten.
+    with the walls' Leibniz terms.  ``norm_sq`` is int psi^2 of each mode.
+    ``c`` and ``s`` are overwritten; ``out`` is a pair of arrays shaped
+    like them that receive the lam-derivatives of c and s, and
+    ``scratch`` one more for the products, each allocated when omitted.
     """
-    dc, ds = _cs_rates(points[:, None, :], lam[..., None], c, s)
+    dc, ds = _cs_rates(points[:, None, :], lam[..., None], c, s, out)
     at_walls = [
         array[..., -2:].transpose(2, 0, 1) for array in (c, s, dc, ds)
     ]
@@ -769,9 +805,10 @@ def _mode_rates(times, omega, lam, a, b, points, c, s, vals, dvals, weights,
     #       + 2 [psi' psi_t] + sum_e n_e v_e [(mu + omega^2) psi^2 + psi'^2]
     inner = weights.shape[-1]
     w = weights[..., None]
-    psi = vals[..., :inner]
-    norm_sq = ((psi * psi) @ w)[..., 0]
-    cross = ((psi * rate[..., :inner]) @ w)[..., 0]
+    product = None if scratch is None else scratch[..., :inner]
+    cross = (
+        np.multiply(vals[..., :inner], rate[..., :inner], out=product) @ w
+    )[..., 0]
     outward = np.array([-1.0, 1.0])
     psi_w, dpsi_w = vals[..., -2:], dvals[..., -2:]
     boundary = (dpsi_w * rate[..., -2:]) @ outward
@@ -780,11 +817,12 @@ def _mode_rates(times, omega, lam, a, b, points, c, s, vals, dvals, weights,
     boundary += (density * (outward * speeds.T)[:, None, :]).sum(axis=-1)
     q_rate = 2.0 * omega * domega * norm_sq + 4.0 * omega**2 * cross + boundary
     kappa = domega / (2.0 * omega) - q_rate / (2.0 * np.abs(omega))
-    rate += kappa[..., None] * vals
+    rate += np.multiply(kappa[..., None], vals, out=scratch)
     return domega, rate
 
 
-def _vhat(omegas, domega, vals, dvals, dvals_dt, weights, speeds, f_term, bc):
+def _vhat(omegas, domega, vals, dvals, dvals_dt, weights, speeds, f_term, bc,
+          scratch=None):
     """Real 2N x 2N generator blocks of C nodes, (C, 2N, 2N).
 
     ``omegas`` and ``domega`` (C, 2N) are the frequencies at the nodes
@@ -792,17 +830,20 @@ def _vhat(omegas, domega, vals, dvals, dvals_dt, weights, speeds, f_term, bc):
     values and x-derivatives and ``dvals_dt`` their time derivatives at
     fixed x, each (C, 2N, P) on the Q quadrature nodes (``weights``,
     (C, Q)), the midpoint and then the left and right walls; ``speeds``
-    (C, 2) are the wall velocities.
+    (C, 2) are the wall velocities.  ``scratch``, shaped like ``vals``,
+    takes the weighted integrands; it is allocated when omitted.
     """
     inner = weights.shape[-1]
     psi = vals[..., :inner]
     dpsi_dt = dvals_dt[..., :inner]
     psi_t = np.swapaxes(psi, -1, -2)
     w = weights[..., None, :]
+    product = None if scratch is None else scratch[..., :inner]
 
     # volume integrals, all pairs at once
-    overlap = (psi * w) @ psi_t  # int psi_n psi_m
-    dt_overlap = (dpsi_dt * w) @ psi_t  # int (d psi_n/dt) psi_m
+    overlap = np.multiply(psi, w, out=product) @ psi_t  # int psi_n psi_m
+    # int (d psi_n/dt) psi_m
+    dt_overlap = np.multiply(dpsi_dt, w, out=product) @ psi_t
 
     # wall values: left wall, right wall
     psi_end, dpsi_end = vals[..., -2:], dvals[..., -2:]
@@ -827,25 +868,43 @@ def _vhat(omegas, domega, vals, dvals, dvals_dt, weights, speeds, f_term, bc):
     return vhat
 
 
-def _chunk_vhats(traj, params, bc, times, bands, quad_points):
-    """Generator blocks at the nodes ``times``, (C, 2N, 2N), in one pass.
+def _workspace(nodes, bands, quad_points):
+    """Seven float (node x 2N x point) arrays for ``_chunk_vhats``, as one."""
+    return np.empty(
+        (7, nodes, 2 * bands, _quad_count(bands, quad_points) + 3)
+    )
+
+
+def _chunk_vhats(traj, params, bc, times, bands, quad_points, work=None):
+    """Frequencies (C, 2N) and real generator blocks (C, 2N, 2N) at ``times``.
 
     Each node's basis is solved once, in one batched call for the chunk;
     the time derivatives of its modes come in closed form from the wall
-    velocities and accelerations (``_mode_rates``).
+    velocities and accelerations (``_mode_rates``).  Every (C, 2N, P)
+    array of the pass is a leading slice of ``work``, a ``_workspace``
+    for at least C nodes (one is allocated when omitted), so a caller
+    that passes the same workspace to each chunk allocates none of them
+    again.  The blocks share no memory with ``work``.
     """
-    (_, speeds, points, weights, omega, lam, a, b, c, s, vals,
-     dvals) = _solve(traj, params, bc, times, bands, quad_points)
+    if work is None:
+        work = _workspace(len(times), bands, quad_points)
+    c, s, vals, dvals, dc, ds, scratch = work[:, : len(times)]
+    (_, speeds, points, weights, omega, lam, a, b, c, s, vals, dvals,
+     norm_sq) = _solve(
+        traj, params, bc, times, bands, quad_points, (c, s, vals, dvals),
+        scratch,
+    )
     accels = np.array(
         [traj.accelerations(t) for t in times.tolist()], dtype=float
     ).reshape(len(times), 2).T
     f_term = positivity_shift(params)
     domega, dvals_dt = _mode_rates(
-        times, omega, lam, a, b, points, c, s, vals, dvals, weights, speeds,
-        accels, params.mass_term + f_term, bc,
+        times, omega, lam, a, b, points, c, s, vals, dvals, norm_sq, weights,
+        speeds, accels, params.mass_term + f_term, bc, (dc, ds), scratch,
     )
-    return _vhat(
-        omega, domega, vals, dvals, dvals_dt, weights, speeds.T, f_term, bc
+    return omega, _vhat(
+        omega, domega, vals, dvals, dvals_dt, weights, speeds.T, f_term, bc,
+        scratch,
     )
 
 
@@ -865,13 +924,14 @@ def assemble_vhat(
     """
     return _chunk_vhats(
         traj, params, bc, np.array([float(t)]), bands, quad_points
-    )[0]
+    )[1][0]
 
 
 def generator_matrix(vhat: np.ndarray) -> np.ndarray:
     """Complex generator M V-hat M* of the transformation equation.
 
-    ``vhat`` may carry leading node axes.
+    ``vhat`` may carry leading node axes.  ``evolve_transformation``
+    integrates V-hat itself and never forms this matrix.
     """
     bands = vhat.shape[-1] // 2
     m = mode_transform_matrix(bands)
@@ -938,14 +998,24 @@ def evolve_transformation(
     convergence radius pi.  ``checkpoint_times`` must lie in [t0, tf];
     each is recorded at the nearest step end, so at most dt/2 from it.
 
+    The generator is K = M V-hat M* with V-hat real and M
+    (``mode_transform_matrix``) unitary, so Omega_K = M Omega_V M* and
+    exp(Omega_K) = M exp(Omega_V) M*.  The steps therefore run on the
+    real V-hat, the stability check takes the spectral radius of
+    dt V-hat (the spectrum of dt K), and M U M* is formed only for each
+    checkpoint and for the result.
+
     The generator depends on t alone, so its nodes (t0, then the midpoint
-    and end of each step) are known in advance.  They are taken in chunks
-    sized so that one (node x 2N x point) array stays within
-    ``CHUNK_BYTES``; every basis has the same ``_quad_count`` points, so
-    the layout depends on N and ``quad_points`` alone.  Each chunk's
-    bases are solved in one batch, one basis per node, and its generator
-    blocks assembled together with the modes' closed-form time
-    derivatives.  The Omegas of all the steps a chunk completes are then
+    and end of each step) are known in advance.  t0 is solved first: it
+    gives omega_max for the default step and the first step's V-hat.  The
+    nodes are taken in chunks sized so that one (node x 2N x point) array
+    stays within ``CHUNK_BYTES`` (the first chunk less t0); every basis
+    has the same ``_quad_count`` points, so the layout depends on N and
+    ``quad_points`` alone.  One ``_workspace`` for a whole chunk is
+    allocated per call and reused by every chunk.  Each chunk's bases are
+    solved in one batch, one basis per node, and its generator blocks
+    assembled together with the modes' closed-form time derivatives.
+    The Omegas of all the steps a chunk completes are then
     formed and exponentiated as one stack; a step that straddles a chunk
     boundary carries its nodes over to the next chunk.  Only the
     products U <- exp(Omega) U are left to the step loop, and the result
@@ -965,17 +1035,19 @@ def evolve_transformation(
     outside = [t for t in checkpoint_times if not t0 <= t <= tf]
     if outside:
         raise ValueError(f"checkpoint_times outside [t0, tf]: {outside}")
-    start_basis = solve_instantaneous_basis(
-        traj, params, bc, t0, bands, quad_points
+    size = 2 * bands
+    quad_count = _quad_count(bands, quad_points)
+    chunk_nodes = max(1, CHUNK_BYTES // (size * (quad_count + 3) * 8))
+    work = _workspace(chunk_nodes, bands, quad_points)
+    # node 0 both sets the default step and starts the first step
+    omega, carry = _chunk_vhats(
+        traj, params, bc, np.array([float(t0)]), bands, quad_points, work
     )
-    omega_max = float(np.max(np.abs(start_basis.frequencies)))
+    omega_max = float(np.max(np.abs(omega)))
     if step is None:
         step = 0.3 / omega_max
     n_steps = max(1, int(math.ceil((tf - t0) / step)))
     dt = (tf - t0) / n_steps
-    size = 2 * bands
-    quad_count = _quad_count(bands, quad_points)
-    chunk_nodes = max(1, CHUNK_BYTES // (size * (quad_count + 3) * 8))
 
     # t0, then the midpoint and the end of each step
     starts = t0 + np.arange(n_steps) * dt
@@ -990,41 +1062,49 @@ def evolve_transformation(
         -(-len(node_times) // chunk_nodes), chunk_nodes, quad_count,
     )
 
-    u = np.eye(size, dtype=complex)
+    def check(j, vhat):
+        """The stability bound at the start of step j, V-hat there."""
+        if j < n_steps and (j == 0 or j % 50 == 49):
+            radius = _spectral_radius(dt * vhat)
+            if radius > 1.5:
+                raise StabilityError(
+                    f"dt * generator spectral radius {radius:.3f} > 1.5 "
+                    f"at t={t0 + j * dt:.6g}; reduce the step or the "
+                    f"number of bands"
+                )
+
+    m = mode_transform_matrix(bands)
+    m_dagger = m.conj().T
+    u = np.eye(size)  # in the real eigenbasis; M u M* in the modes
     pending = sorted(checkpoint_times, reverse=True)
     checkpoints = []
 
     def record(t, u_now):
         while pending and pending[-1] <= t + 0.5 * dt:
             pending.pop()
-            checkpoints.append((t, u_now.copy()))
+            checkpoints.append((t, m @ u_now @ m_dagger))
 
     record(t0, u)
+    check(0, carry[0])
     done = 0  # steps taken
-    carry = np.empty((0, size, size), dtype=complex)
     for first in range(0, len(node_times), chunk_nodes):
-        times = node_times[first : first + chunk_nodes]
-        k = generator_matrix(
-            _chunk_vhats(traj, params, bc, times, bands, quad_points)
-        )
-        for node in range(first + first % 2, first + len(k), 2):
-            j = node // 2  # the step that starts at this node
-            if j < n_steps and (j == 0 or j % 50 == 49):
-                radius = _spectral_radius(dt * k[node - first])
-                if radius > 1.5:
-                    raise StabilityError(
-                        f"dt * generator spectral radius {radius:.3f} > 1.5 "
-                        f"at t={t0 + j * dt:.6g}; reduce the step or the "
-                        f"number of bands"
-                    )
-        k = np.concatenate([carry, k])
-        steps = (len(k) - 1) // 2  # complete steps: start, midpoint, end
-        carry = k[2 * steps :]
+        lead = max(first, 1)  # node 0 is solved above
+        times = node_times[lead : first + chunk_nodes]
+        if not len(times):  # a one-node first chunk holds only node 0
+            continue
+        vhat = _chunk_vhats(
+            traj, params, bc, times, bands, quad_points, work
+        )[1]
+        for node in range(lead + lead % 2, lead + len(vhat), 2):
+            check(node // 2, vhat[node - lead])
+        vhat = np.concatenate([carry, vhat])
+        steps = (len(vhat) - 1) // 2  # complete steps: start, midpoint, end
+        carry = vhat[2 * steps :]
         if not steps:
             continue
-        k1 = k[0 : 2 * steps : 2]
-        k2 = k[1 : 2 * steps : 2]
-        k3 = k[2 : 2 * steps + 1 : 2]
+        k1 = vhat[0 : 2 * steps : 2]
+        k2 = vhat[1 : 2 * steps : 2]
+        k3 = vhat[2 : 2 * steps + 1 : 2]
         exponent = (dt / 6.0) * (k1 + 4.0 * k2 + k3)
         exponent -= (dt * dt / 12.0) * (k1 @ k3 - k3 @ k1)
         for factor in expm(exponent):
@@ -1032,7 +1112,7 @@ def evolve_transformation(
             done += 1
             record(t0 + done * dt, u)
     return TransformationState(
-        U=u,
+        U=m @ u @ m_dagger,
         t_start=t0,
         t_current=tf,
         step_count=n_steps,

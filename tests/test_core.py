@@ -7,6 +7,7 @@ import pytest
 
 from movingcavity import POSITIVITY_EPS, FieldParams, has_uniform_mode
 from movingcavity.core import expm, positivity_shift
+from movingcavity.exact1d import mode_transform_matrix
 
 
 def test_negative_mass_rejected():
@@ -89,3 +90,21 @@ def test_expm_of_a_stack_matches_per_matrix_calls():
     for a, exp_a in zip(x, stack):
         assert np.array_equal(exp_a, expm(a))
     assert np.array_equal(stack[0], np.eye(16))
+
+
+def test_expm_of_a_real_stack_is_real_and_matches_the_complex_route():
+    # the exact path exponentiates real Magnus exponents and moves only the
+    # product to the frequency modes: M exp(A) M* = exp(M A M*), M unitary
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(4, 16, 16))
+    x = x - np.swapaxes(x, -1, -2) + 0.1 * x  # near-orthogonal exponentials
+    x[0] = 0.0
+    for i, norm in ((1, 0.3), (2, 2.0), (3, 40.0)):
+        x[i] *= norm / np.linalg.norm(x[i], 1)
+    stack = expm(x)
+    assert stack.dtype == np.float64
+    m = mode_transform_matrix(8)
+    for a, exp_a in zip(x, stack):
+        assert np.array_equal(exp_a, expm(a))
+        complex_route = expm(m @ a @ m.conj().T)
+        assert np.max(np.abs(m @ exp_a @ m.conj().T - complex_route)) < 1e-14

@@ -3,6 +3,7 @@
 import logging
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -143,6 +144,24 @@ def test_cs_mixed_regimes_match_elementwise_evaluation():
     assert np.all(c[2] == 1.0) and np.all(s[2] == x[0])
 
 
+@pytest.mark.parametrize("lams", [
+    [2.0, 0.3, 900.0],  # all oscillatory
+    [2.0, -1.5, 0.0, 0.3, -4.0, 0.0, 900.0],  # mixed
+])
+def test_cs_fills_given_arrays_in_both_regimes(lams):
+    # kx reaches 1200 on the lam = 900 entry, where cosh would overflow
+    lam = np.array(lams)[:, None]
+    x = np.linspace(-1.2, 40.0, 7)[None, :]
+    want = _cs(x, lam)
+    out = np.full((2, len(lams), 7), np.nan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _cs(x, lam, out)
+    for array, given, expected in zip(got, out, want):
+        assert np.shares_memory(array, given)
+        assert np.array_equal(given, expected)
+
+
 def test_cs_continuous_through_zero_lam():
     x = np.linspace(-2.0, 2.0, 9)
     c0, s0 = _cs(x, 0.0)
@@ -166,6 +185,9 @@ def test_cs_rates_match_centred_difference_in_lam(lams):
     assert np.max(np.abs(dc - (cp - cm) / (2 * h))) < 1e-9
     assert np.max(np.abs(ds - (sp - sm) / (2 * h))) < 1e-9
     assert np.all(np.isfinite(ds))
+    out = np.full((2, *c.shape), np.nan)
+    exact1d._cs_rates(x, lam, c, s, out)
+    assert np.array_equal(out, [dc, ds])
 
 
 def test_polish_roots_raises_when_iterations_run_out():
@@ -421,15 +443,15 @@ def test_analytic_generator_matches_finite_differences(case):
     params = FieldParams(mass=mass)
     vhat = assemble_vhat(traj, params, bc, t, bands)
     scale = float(np.max(np.abs(vhat)))
-    (walls, speeds, points, weights, omega, lam, a, b, c, s, vals,
-     dvals) = exact1d._solve(traj, params, bc, np.array([t]), bands, None)
+    (walls, speeds, points, weights, omega, lam, a, b, c, s, vals, dvals,
+     norm_sq) = exact1d._solve(traj, params, bc, np.array([t]), bands, None)
     if case.endswith("evanescent"):
         assert np.count_nonzero(lam < 0) == 1
     accels = np.array([traj.accelerations(t)]).T
     domega = exact1d._mode_rates(
-        np.array([t]), omega, lam, a, b, points, c, s, vals, dvals, weights,
-        speeds, accels, params.mass_term + exact1d.positivity_shift(params),
-        bc,
+        np.array([t]), omega, lam, a, b, points, c, s, vals, dvals, norm_sq,
+        weights, speeds, accels,
+        params.mass_term + exact1d.positivity_shift(params), bc,
     )[0][0]
     gaps = []
     for h in (1e-4, 5e-5):
@@ -460,7 +482,7 @@ def test_quadrature_rule_stays_at_round_off(bc, mass):
             def vhats(quad_points):
                 return exact1d._chunk_vhats(
                     traj, params, bc, times, bands, quad_points
-                )
+                )[1]
 
             reference = vhats(16 * bands + 64)
             scale = np.max(np.abs(reference))
@@ -558,18 +580,18 @@ def _dce_ii_window():
     return state.U, state.checkpoints
 
 
-def _per_step_reference(traj, params, bc, t0, tf, bands):
-    """U after each step of the default plan, one node and expm at a time."""
+def _step_plan(traj, params, bc, t0, tf, bands):
+    """dt and step count of the default plan."""
     omega_max = np.max(np.abs(
         solve_instantaneous_basis(traj, params, bc, t0, bands).frequencies
     ))
     n_steps = math.ceil((tf - t0) / (0.3 / omega_max))
-    dt = (tf - t0) / n_steps
+    return (tf - t0) / n_steps, n_steps
 
-    def generator(t):
-        return generator_matrix(assemble_vhat(traj, params, bc, t, bands))
 
-    us = [np.eye(2 * bands, dtype=complex)]
+def _magnus_steps(generator, t0, dt, n_steps, eye):
+    """The product after each Magnus step, one generator and expm at a time."""
+    us = [eye]
     k1 = generator(t0)
     for start in t0 + np.arange(n_steps) * dt:
         k2, k3 = generator(start + dt / 2.0), generator(start + dt)
@@ -577,7 +599,31 @@ def _per_step_reference(traj, params, bc, t0, tf, bands):
         exponent -= (dt * dt / 12.0) * (k1 @ k3 - k3 @ k1)
         us.append(expm(exponent) @ us[-1])
         k1 = k3
-    return dt, us
+    return us
+
+
+def _per_step_reference(traj, params, bc, t0, tf, bands):
+    """U after each step of the default plan, one node and expm at a time.
+
+    The steps run on the real V-hat; each U is then M U M* in the
+    frequency modes.
+    """
+    dt, n_steps = _step_plan(traj, params, bc, t0, tf, bands)
+    m = mode_transform_matrix(bands)
+    reals = _magnus_steps(
+        lambda t: assemble_vhat(traj, params, bc, t, bands), t0, dt, n_steps,
+        np.eye(2 * bands),
+    )
+    return dt, [m @ u @ m.conj().T for u in reals]
+
+
+def _complex_per_step(traj, params, bc, t0, tf, bands):
+    """The same steps on the complex generator M V-hat M* throughout."""
+    dt, n_steps = _step_plan(traj, params, bc, t0, tf, bands)
+    return dt, _magnus_steps(
+        lambda t: generator_matrix(assemble_vhat(traj, params, bc, t, bands)),
+        t0, dt, n_steps, np.eye(2 * bands, dtype=complex),
+    )
 
 
 def _chunk_layout(caplog):
@@ -616,6 +662,90 @@ def test_batched_evolution_matches_per_node_path(monkeypatch, caplog):
         assert set(steps) == set(range(len(reference)))
         for step, (_, u_step) in zip(steps, checkpoints):
             assert np.array_equal(u_step, reference[step])
+
+
+ORACLE_CASES = {
+    "dce-i-dirichlet": (dce_trajectory(epsilon=0.05), D, 0.0),
+    "dce-i-neumann": (dce_trajectory(bc=N, epsilon=0.05), N, 0.0),
+    "dce-ii-dirichlet": (
+        dce_trajectory(variant=DceVariant.BREATHING, epsilon=0.05), D, 0.0
+    ),
+    "dce-ii-neumann": (
+        dce_trajectory(variant=DceVariant.BREATHING, bc=N, epsilon=0.05), N,
+        0.0,
+    ),
+    "neumann-evanescent": (_accelerating_contraction(), N, 1.5),
+}
+
+
+@pytest.mark.parametrize("bands", [4, 12])
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+def test_real_basis_evolution_matches_complex_generator_steps(case, bands):
+    # M is unitary, so M exp(Omega_V) M* = exp(M Omega_V M*): the real steps
+    # and the complex ones differ by round-off only
+    traj, bc, mass = ORACLE_CASES[case]
+    params = FieldParams(mass=mass)
+    window = (traj, params, bc, 0.0, 0.4, bands)
+    if case == "neumann-evanescent":
+        basis = solve_instantaneous_basis(traj, params, bc, 0.0, bands)
+        assert np.count_nonzero(basis.lam < 0) == 1
+    dt, reference = _complex_per_step(*window)
+    state = evolve_transformation(
+        *window, checkpoint_times=np.linspace(0.0, 0.4, len(reference))
+    )
+    assert state.step_count == len(reference) - 1
+    assert np.max(np.abs(state.U - reference[-1])) <= 1e-13
+    steps = [round(t / dt) for t, _ in state.checkpoints]
+    assert set(steps) == set(range(len(reference)))
+    for step, (_, u_step) in zip(steps, state.checkpoints):
+        assert np.max(np.abs(u_step - reference[step])) <= 1e-13
+
+
+def test_each_node_is_solved_once(monkeypatch):
+    # t0 gives both the default step and the first step's generator
+    solve = exact1d._solve
+    solved = []
+
+    def counting(traj, params, bc, times, *args):
+        solved.extend(times.tolist())
+        return solve(traj, params, bc, times, *args)
+
+    monkeypatch.setattr(exact1d, "_solve", counting)
+    basis_bytes = 8 * (exact1d._quad_count(4, None) + 3) * 8
+    for chunk_bytes in (exact1d.CHUNK_BYTES, 3 * basis_bytes, 1):
+        monkeypatch.setattr(exact1d, "CHUNK_BYTES", chunk_bytes)
+        solved.clear()
+        state = evolve_transformation(*DCE_II)
+        assert len(solved) == 2 * state.step_count + 1
+        assert len(set(solved)) == len(solved)
+
+
+def test_evolutions_share_no_workspace():
+    # each call owns its workspace: a 5-band massive Neumann evolution
+    # between two 12-band ones changes nothing, and no result aliases another
+    def evolve_a():
+        return evolve_transformation(
+            dce_trajectory(epsilon=0.05), FieldParams(), D, 0.0, 0.3, 12,
+            checkpoint_times=(0.0, 0.1, 0.1, 0.3),
+        )
+
+    first = evolve_a()
+    between = evolve_transformation(
+        _accelerating_contraction(), FieldParams(mass=1.5), N, 0.0, 0.3, 5,
+        checkpoint_times=(0.0, 0.2, 0.3),
+    )
+    again = evolve_a()
+    assert np.array_equal(again.U, first.U)
+    assert len(again.checkpoints) == len(first.checkpoints) == 4
+    for (t, u), (t_again, u_again) in zip(first.checkpoints, again.checkpoints):
+        assert t == t_again and np.array_equal(u, u_again)
+    arrays = [
+        array for state in (first, between, again)
+        for array in (state.U, *(u for _, u in state.checkpoints))
+    ]
+    for i, array in enumerate(arrays):
+        for other in arrays[i + 1 :]:
+            assert not np.shares_memory(array, other)
 
 
 def test_evolution_names_first_offending_time_inside_a_chunk(caplog):
