@@ -9,19 +9,22 @@ exactly.  The time derivatives are exact: the roots move as
 -(dD/dt)/(dD/domega) on the characteristic determinant D, which brings
 in the wall accelerations, and the modes follow from the null vector of
 the boundary rows and from their norm.  The generator depends on t
-alone, so its bases, one per node, are solved and assembled in batched
-chunks of times ahead of the step loop, in one workspace per evolution,
-and the exponentials of each chunk's Magnus steps are taken as one
-stack.  The steps run on the real generator blocks; the unitary change to
-the frequency modes is applied to the product only.  Blocks are ordered
-positive branch first, then negative branch; with static start and end
-slices the top blocks of the transformation are the mode-mixing and
-pair-creation coefficients.
+alone, so every node's eigenproblem is solved ahead of the step loop in
+two layouts: the roots in large root batches, one sign scan and one
+polish each, and the modes and generator blocks in smaller point
+chunks, in one workspace per evolution, where the exponentials of
+each chunk's Magnus steps are taken as one stack.  The steps run on the
+real generator blocks; the unitary change to the frequency modes is
+applied to the product only.  Blocks are ordered positive branch first,
+then negative branch; with static start and end slices the top blocks
+of the transformation are the mode-mixing and pair-creation
+coefficients.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -76,7 +79,7 @@ FD_STEP = 1e-6  # finite-difference step for wall velocities
 ACCEL_STEP = 1e-3  # finite-difference step for wall accelerations
 LAM_SERIES_CUT = 1e-3  # |lam| x^2 below which ds/dlam takes its series
 BRACKET_DENSITY = 4  # root-scan nodes per half mode spacing
-CHUNK_BYTES = 1 << 18  # one (node x 2N x point) array of a chunk
+CHUNK_BYTES = 1 << 18  # one array of a point chunk or of a root batch's grid
 
 _log = logging.getLogger(__name__)
 
@@ -389,20 +392,19 @@ def _boundary_rates(omega, lam, x, c, s, dc, ds, v, bc):
     return by_x, by_v, by_omega
 
 
-def _wall_rows(omegas, walls, speeds, mass2f, bc):
-    """Boundary rows of ``omegas`` at both walls, wall axis first.
+def _char_det_vec(omegas, walls, speeds, mass2f, bc, lam=None):
+    """Characteristic determinant evaluated on an array of frequencies.
 
     ``walls`` and ``speeds`` hold the (left, right) wall positions and
     speeds on their first axis; the rest broadcasts against ``omegas``.
+    ``lam = omegas^2 - (m^2 + F)`` may be given in any shape that
+    broadcasts against ``omegas``: c and s depend on lam alone, so a
+    scan of both branches evaluates them once for the two.
     """
-    lam = omegas * omegas - mass2f
+    if lam is None:
+        lam = omegas * omegas - mass2f
     c, s = _cs(walls, lam)
-    return _boundary_rows(omegas, lam, c, s, speeds, bc)
-
-
-def _char_det_vec(omegas, walls, speeds, mass2f, bc):
-    """Characteristic determinant evaluated on an array of frequencies."""
-    r0, r1 = _wall_rows(omegas, walls, speeds, mass2f, bc)
+    r0, r1 = _boundary_rows(omegas, lam, c, s, speeds, bc)
     return r0[0] * r1[1] - r1[0] * r0[1]
 
 
@@ -495,18 +497,42 @@ def _polish_roots(f_vec, a, b, fa, fb, max_iter=100, labels=None):
     fail(f"root polish did not converge in {max_iter} iterations", ~done)
 
 
-def _find_roots(times, walls, speeds, mass2f, bc, bands, skip_low):
+def _scan_terms(params, bc):
+    """m^2 + F of the field and ``skip_low`` of its root scan.
+
+    The uniform mode survives only for a massive Neumann field, where
+    "massless" means m^2 + xi R^h is 0 in floating point (a mass below
+    about 1.5e-162 counts as massless; see ``has_uniform_mode``).  In all
+    other cases the band ladder starts at k ~ pi/L and the sub-band
+    velocity-induced solution (which collapses to the excluded zero
+    frequency as v -> 0) is left out to keep both branches aligned.
+    """
+    skip_low = not (
+        has_uniform_mode(params) and bc is BoundaryCondition.NEUMANN
+    )
+    return params.mass_term + positivity_shift(params), skip_low
+
+
+def _find_roots(times, walls, speeds, params, bc, bands):
     """First ``bands`` roots of each branch at each time, (T, 2N), + first.
 
-    ``walls`` and ``speeds`` are (2, T).  Both branches of every time are
-    scanned at once on the signed grids ``[grid, -grid]``; an event is an
-    exact zero at a node or a sign change to the next node.  All brackets
+    ``walls`` and ``speeds`` are (2, T).  The characteristic determinant
+    couples the eigenvalue to the boundary rows through the wall
+    velocities, so roots are bracketed by a sign scan
+    (``BRACKET_DENSITY`` nodes per half mode spacing) and polished by
+    Anderson-Bjorck iteration.  Both branches of every time are scanned
+    at once on the signed grids ``[grid, -grid]``; an event is an exact
+    zero at a node or a sign change to the next node.  All brackets
     share one polish.
     """
+    if bands < 1:
+        raise ValueError(f"bands must be >= 1, got {bands}")
+    mass2f, skip_low = _scan_terms(params, bc)
     grid, sub_band = _scan_grid(walls[1] - walls[0], mass2f, bands, skip_low)
     nodes = grid[:, None, :] * np.array([[1.0], [-1.0]])  # (T, 2, G)
     values = _char_det_vec(
-        nodes, walls[:, :, None, None], speeds[:, :, None, None], mass2f, bc
+        nodes, walls[:, :, None, None], speeds[:, :, None, None], mass2f, bc,
+        (grid * grid - mass2f)[:, None, :],
     )
     exact = values == 0.0
     event = exact.copy()
@@ -527,18 +553,21 @@ def _find_roots(times, walls, speeds, mass2f, bc, bands, skip_low):
             f"[{nodes[i, row, 0]:.6g}, {nodes[i, row, -1]:.6g}] with "
             f"{grid.shape[1]} nodes"
         )
-    ts, rows, cols = np.nonzero(event & (np.cumsum(event, axis=2) <= bands))
-    roots = nodes[ts, rows, cols]
-    bracket = ~exact[ts, rows, cols]
+    # flat indices into the (T, 2, G) arrays: time-major, + branch first
+    picked = np.flatnonzero(event & (np.cumsum(event, axis=2) <= bands))
+    nodes, values = nodes.reshape(-1), values.reshape(-1)
+    roots = nodes[picked]
+    bracket = values[picked] != 0.0
     if np.any(bracket):
-        t, r, i = ts[bracket], rows[bracket], cols[bracket]
+        lo = picked[bracket]
+        t = lo // (2 * grid.shape[1])
         bracket_walls, bracket_speeds = walls[:, t], speeds[:, t]
         roots[bracket] = _polish_roots(
             lambda w: _char_det_vec(
                 w, bracket_walls, bracket_speeds, mass2f, bc
             ),
-            nodes[t, r, i], nodes[t, r, i + 1],
-            values[t, r, i], values[t, r, i + 1], labels=times[t],
+            nodes[lo], nodes[lo + 1], values[lo], values[lo + 1],
+            labels=times[t],
         )
     return roots.reshape(len(times), 2 * bands)
 
@@ -617,49 +646,44 @@ def _quad_count(bands, quad_points):
     return quad_points
 
 
-def _walls(traj, times):
-    """Wall positions and wall speeds at ``times``, each (2, T), left first.
+def _walls(traj, times, accelerations=False):
+    """Wall positions and speeds at ``times``, (2, 2, T), left wall first.
 
-    The times are checked in order, so an invalid trajectory is reported
-    at the first offending one.
+    With ``accelerations`` the wall accelerations follow as a third
+    (2, T) row, (3, 2, T).  Each time is checked whole, then the next,
+    so an invalid trajectory is reported at the first offending time.
     """
-    rows = [traj.positions(t) + traj.velocities(t) for t in times]
-    table = np.array(rows, dtype=float).reshape(len(rows), 4).T
-    return table[:2], table[2:]
-
-
-def _solve(traj, params, bc, times, bands, quad_points, out=None,
-           scratch=None):
-    """Roots and normalised modes at each of ``times`` (T,), in one batch.
-
-    The characteristic determinant couples the eigenvalue to the boundary
-    rows through the wall velocities, so roots are bracketed by a sign
-    scan (``BRACKET_DENSITY`` nodes per half mode spacing) and polished by
-    Anderson-Bjorck iteration; c and s are then evaluated once, on each
-    time's quadrature nodes, midpoint and walls, for the normalisation.
-    Returns the walls and speeds (2, T); the points (T, P) and weights
-    (T, Q) as in ``_normalised_modes``; ``omega``, ``lam``, ``a`` and
-    ``b``, (T, 2N); c, s and the modes' values and x-derivatives on the
-    points, (T, 2N, P); and int psi^2 of each mode, (T, 2N).  ``out``
-    holds four (T, 2N, P) arrays that receive c, s and the values, and
-    ``scratch`` one more for the products; each is allocated when omitted.
-    """
-    if bands < 1:
-        raise ValueError(f"bands must be >= 1, got {bands}")
-    walls, speeds = _walls(traj, times.tolist())
-    mass2f = params.mass_term + positivity_shift(params)
-    # The uniform mode survives only for a massive Neumann field, where
-    # "massless" means m^2 + xi R^h is 0 in floating point (a mass below
-    # about 1.5e-162 counts as massless; see ``has_uniform_mode``).  In all
-    # other cases the band ladder starts at k ~ pi/L and the sub-band
-    # velocity-induced solution (which collapses to the excluded zero
-    # frequency as v -> 0) is left out to keep both branches aligned.
-    skip_low = not (
-        has_uniform_mode(params) and bc is BoundaryCondition.NEUMANN
+    rows = (
+        traj.positions(t) + traj.velocities(t)
+        + (traj.accelerations(t) if accelerations else ())
+        for t in times
     )
-    omega = _find_roots(times, walls, speeds, mass2f, bc, bands, skip_low)
+    kinds = 3 if accelerations else 2
+    table = np.fromiter(
+        itertools.chain.from_iterable(rows), dtype=float,
+        count=2 * kinds * len(times),
+    )
+    return table.reshape(len(times), kinds, 2).transpose(1, 2, 0)
+
+
+def _solve(params, bc, times, walls, speeds, omega, quad_points, out=None,
+           scratch=None):
+    """Normalised modes of the roots ``omega`` (T, 2N) at ``times`` (T,).
+
+    The roots come from ``_find_roots`` at the same walls and speeds,
+    (2, T), which a caller may have taken in batches of another layout.
+    c and s are evaluated once, on each time's quadrature nodes, midpoint
+    and walls, for the normalisation.  Returns the points (T, P) and
+    weights (T, Q) as in ``_normalised_modes``; ``lam``, ``a`` and ``b``,
+    (T, 2N); c, s and the modes' values and x-derivatives on the points,
+    (T, 2N, P); and int psi^2 of each mode, (T, 2N).  ``out`` holds four
+    (T, 2N, P) arrays that receive c, s and the values, and ``scratch``
+    one more for the products; each is allocated when omitted.
+    """
+    mass2f = params.mass_term + positivity_shift(params)
     nodes, weights = gauss_legendre(
-        walls[0][:, None], walls[1][:, None], _quad_count(bands, quad_points)
+        walls[0][:, None], walls[1][:, None],
+        _quad_count(omega.shape[1] // 2, quad_points),
     )
     middle = 0.5 * (walls[0] + walls[1])
     points = np.concatenate([nodes, middle[:, None], walls.T], axis=1)
@@ -670,8 +694,7 @@ def _solve(traj, params, bc, times, bands, quad_points, out=None,
         times, omega, lam, c, s, speeds, mass2f, bc, weights, vals_out,
         scratch,
     )
-    return (walls, speeds, points, weights, omega, lam, a, b, c, s, vals,
-            dvals, norm_sq)
+    return points, weights, lam, a, b, c, s, vals, dvals, norm_sq
 
 
 def solve_instantaneous_bases(
@@ -694,9 +717,11 @@ def solve_instantaneous_bases(
     first offending time in the order given.
     """
     times = np.asarray(times, dtype=float).reshape(-1)
-    walls, _, _, _, omega, lam, a, b, *_ = _solve(
-        traj, params, bc, times, bands, quad_points
-    )
+    walls, speeds = _walls(traj, times.tolist())
+    omega = _find_roots(times, walls, speeds, params, bc, bands)
+    lam, a, b = _solve(
+        params, bc, times, walls, speeds, omega, quad_points
+    )[2:5]
     for array in (omega, lam, a, b):
         array.flags.writeable = False
     f_term = positivity_shift(params)
@@ -875,11 +900,14 @@ def _workspace(nodes, bands, quad_points):
     )
 
 
-def _chunk_vhats(traj, params, bc, times, bands, quad_points, work=None):
-    """Frequencies (C, 2N) and real generator blocks (C, 2N, 2N) at ``times``.
+def _chunk_vhats(params, bc, times, walls, speeds, accels, omega,
+                 quad_points, work=None):
+    """Real generator blocks (C, 2N, 2N) at ``times`` (C,).
 
-    Each node's basis is solved once, in one batched call for the chunk;
-    the time derivatives of its modes come in closed form from the wall
+    ``walls``, ``speeds`` and ``accels`` (2, C) are the trajectory at the
+    times (``_walls``) and ``omega`` (C, 2N) their roots
+    (``_find_roots``).  The chunk's modes are normalised in one batched
+    ``_solve``; their time derivatives come in closed form from the wall
     velocities and accelerations (``_mode_rates``).  Every (C, 2N, P)
     array of the pass is a leading slice of ``work``, a ``_workspace``
     for at least C nodes (one is allocated when omitted), so a caller
@@ -887,22 +915,18 @@ def _chunk_vhats(traj, params, bc, times, bands, quad_points, work=None):
     again.  The blocks share no memory with ``work``.
     """
     if work is None:
-        work = _workspace(len(times), bands, quad_points)
+        work = _workspace(len(times), omega.shape[1] // 2, quad_points)
     c, s, vals, dvals, dc, ds, scratch = work[:, : len(times)]
-    (_, speeds, points, weights, omega, lam, a, b, c, s, vals, dvals,
-     norm_sq) = _solve(
-        traj, params, bc, times, bands, quad_points, (c, s, vals, dvals),
-        scratch,
+    points, weights, lam, a, b, c, s, vals, dvals, norm_sq = _solve(
+        params, bc, times, walls, speeds, omega, quad_points,
+        (c, s, vals, dvals), scratch,
     )
-    accels = np.array(
-        [traj.accelerations(t) for t in times.tolist()], dtype=float
-    ).reshape(len(times), 2).T
     f_term = positivity_shift(params)
     domega, dvals_dt = _mode_rates(
         times, omega, lam, a, b, points, c, s, vals, dvals, norm_sq, weights,
         speeds, accels, params.mass_term + f_term, bc, (dc, ds), scratch,
     )
-    return omega, _vhat(
+    return _vhat(
         omega, domega, vals, dvals, dvals_dt, weights, speeds.T, f_term, bc,
         scratch,
     )
@@ -918,13 +942,16 @@ def assemble_vhat(
 ) -> np.ndarray:
     """Real 2N x 2N generator block matrix at time t.
 
-    The one-node call of the chunk assembly in ``evolve_transformation``:
-    one basis at t, and closed-form time derivatives of its modes from
-    the wall velocities and accelerations.
+    The one-node case of ``evolve_transformation``'s assembly: the wall
+    positions, velocities and accelerations at t, its roots, one basis,
+    and closed-form time derivatives of its modes.
     """
+    times = np.array([float(t)])
+    walls, speeds, accels = _walls(traj, times.tolist(), accelerations=True)
+    omega = _find_roots(times, walls, speeds, params, bc, bands)
     return _chunk_vhats(
-        traj, params, bc, np.array([float(t)]), bands, quad_points
-    )[1][0]
+        params, bc, times, walls, speeds, accels, omega, quad_points
+    )[0]
 
 
 def generator_matrix(vhat: np.ndarray) -> np.ndarray:
@@ -1006,25 +1033,36 @@ def evolve_transformation(
     checkpoint and for the result.
 
     The generator depends on t alone, so its nodes (t0, then the midpoint
-    and end of each step) are known in advance.  t0 is solved first: it
-    gives omega_max for the default step and the first step's V-hat.  The
-    nodes are taken in chunks sized so that one (node x 2N x point) array
-    stays within ``CHUNK_BYTES`` (the first chunk less t0); every basis
-    has the same ``_quad_count`` points, so the layout depends on N and
-    ``quad_points`` alone.  One ``_workspace`` for a whole chunk is
-    allocated per call and reused by every chunk.  Each chunk's bases are
-    solved in one batch, one basis per node, and its generator blocks
-    assembled together with the modes' closed-form time derivatives.
-    The Omegas of all the steps a chunk completes are then
-    formed and exponentiated as one stack; a step that straddles a chunk
-    boundary carries its nodes over to the next chunk.  Only the
-    products U <- exp(Omega) U are left to the step loop, and the result
-    does not depend on the chunk layout to the last bit.  The nodes of a
-    chunk do not interact, so a chunk raises exactly when one of its
-    nodes would raise alone; the error keeps its type and names the
-    first offending time of the stage that failed.  The step plan, the
-    chunk layout and the quadrature count are logged as one INFO line to
-    the ``movingcavity.exact1d`` logger.
+    and end of each step) are known in advance.  t0's roots are found first,
+    alone: they give omega_max for the default step.  Then the wall
+    positions, speeds and accelerations of every later node are evaluated
+    and checked in time order.  The later nodes' roots come in root batches,
+    each one ``_find_roots`` call (one sign scan and one polish over all its
+    brackets) whose (node x branch x scan node) grid stays within
+    ``CHUNK_BYTES``; the modes and generators come in point chunks, each of
+    which keeps one (node x 2N x point) array within ``CHUNK_BYTES``.  Every
+    basis has the same ``_quad_count`` points and every scan grid as many
+    nodes as t0's, so both layouts depend on N, the field and
+    ``quad_points`` alone.  A root batch is taken just before the first
+    chunk that needs its roots, so the roots held never exceed one batch and
+    one chunk, however long the window.  Each chunk takes its nodes'
+    trajectory rows and roots by slice, normalises their modes in one batch
+    and assembles its generator blocks together with the modes' closed-form
+    time derivatives, in one ``_workspace`` that is allocated per call,
+    after the first root batch, and reused by every chunk.  The Omegas of
+    all the steps a chunk completes are then formed and exponentiated as one
+    stack; a step that straddles a chunk boundary carries its nodes over to
+    the next chunk.  Only the products U <- exp(Omega) U are left to the
+    step loop, and the result does not depend on either layout to the last
+    bit: the nodes of a batch or chunk do not interact, each bracket of a
+    polish converges on its own, and so a batch or chunk raises exactly when
+    one of its nodes would raise alone.  Errors therefore come stage by
+    stage: t0's trajectory and roots, the trajectory of every later node,
+    and then each root batch, followed by the chunks whose roots it
+    completes with their modes, generators and stability checks.  Each
+    error keeps its type and names the first offending time of the stage
+    that failed.  The step plan, both layouts and the quadrature count are
+    logged as one INFO line to the ``movingcavity.exact1d`` logger.
     """
     require_finite("t0", t0)
     require_finite("tf", tf)
@@ -1037,13 +1075,12 @@ def evolve_transformation(
         raise ValueError(f"checkpoint_times outside [t0, tf]: {outside}")
     size = 2 * bands
     quad_count = _quad_count(bands, quad_points)
-    chunk_nodes = max(1, CHUNK_BYTES // (size * (quad_count + 3) * 8))
-    work = _workspace(chunk_nodes, bands, quad_points)
-    # node 0 both sets the default step and starts the first step
-    omega, carry = _chunk_vhats(
-        traj, params, bc, np.array([float(t0)]), bands, quad_points, work
+    # t0's roots set the default step
+    kinematics = _walls(traj, [float(t0)], accelerations=True)
+    omega0 = _find_roots(
+        np.array([float(t0)]), *kinematics[:2], params, bc, bands
     )
-    omega_max = float(np.max(np.abs(omega)))
+    omega_max = float(np.max(np.abs(omega0)))
     if step is None:
         step = 0.3 / omega_max
     n_steps = max(1, int(math.ceil((tf - t0) / step)))
@@ -1055,12 +1092,36 @@ def evolve_transformation(
     node_times[0] = t0
     node_times[1::2] = starts + dt / 2.0
     node_times[2::2] = starts + dt
+    # a root batch's (node x branch x scan node) grid and a chunk's
+    # (node x 2N x point) arrays each stay within CHUNK_BYTES; every node's
+    # scan grid is as wide as t0's
+    mass2f, skip_low = _scan_terms(params, bc)
+    scan_width = _scan_grid(
+        kinematics[0, 1] - kinematics[0, 0], mass2f, bands, skip_low
+    )[0].shape[1]
+    root_nodes = max(1, CHUNK_BYTES // (2 * scan_width * 8))
+    chunk_nodes = max(1, CHUNK_BYTES // (size * (quad_count + 3) * 8))
     _log.info(
         "integrating %d steps of dt=%.6g (guidance dt <= %.6g); "
-        "%d nodes in %d chunks of up to %d; %d quadrature points",
+        "%d nodes in %d chunks of up to %d; %d quadrature points; "
+        "roots in %d batches of up to %d nodes",
         n_steps, dt, 0.3 / omega_max, len(node_times),
         -(-len(node_times) // chunk_nodes), chunk_nodes, quad_count,
+        -(-(len(node_times) - 1) // root_nodes), root_nodes,
     )
+
+    # every later node's trajectory, checked in time order before any scan
+    later = _walls(traj, node_times[1:].tolist(), accelerations=True)
+    walls, speeds, accels = np.concatenate([kinematics, later], axis=2)
+
+    def root_batches():
+        """The later nodes' roots, one root batch at a time."""
+        for first in range(1, len(node_times), root_nodes):
+            batch = slice(first, first + root_nodes)
+            yield _find_roots(
+                node_times[batch], walls[:, batch], speeds[:, batch], params,
+                bc, bands,
+            )
 
     def check(j, vhat):
         """The stability bound at the start of step j, V-hat there."""
@@ -1085,18 +1146,28 @@ def evolve_transformation(
             checkpoints.append((t, m @ u_now @ m_dagger))
 
     record(t0, u)
-    check(0, carry[0])
+    # roots found and not yet used, from node `first` on; a root batch is
+    # taken when a chunk needs it, so the held roots stay within one batch
+    # and one chunk however long the window
+    batches = root_batches()
+    found = np.concatenate([omega0, next(batches)])
+    # allocated after the first root batch: in a one-batch window no scan
+    # array is live beside it
+    work = _workspace(chunk_nodes, bands, quad_points)
+    carry = np.empty((0, size, size))
     done = 0  # steps taken
     for first in range(0, len(node_times), chunk_nodes):
-        lead = max(first, 1)  # node 0 is solved above
-        times = node_times[lead : first + chunk_nodes]
-        if not len(times):  # a one-node first chunk holds only node 0
-            continue
+        chunk = slice(first, first + chunk_nodes)
+        times = node_times[chunk]
+        while len(found) < len(times):
+            found = np.concatenate([found, next(batches)])
         vhat = _chunk_vhats(
-            traj, params, bc, times, bands, quad_points, work
-        )[1]
-        for node in range(lead + lead % 2, lead + len(vhat), 2):
-            check(node // 2, vhat[node - lead])
+            params, bc, times, walls[:, chunk], speeds[:, chunk],
+            accels[:, chunk], found[: len(times)], quad_points, work,
+        )
+        found = found[len(times) :]
+        for node in range(first + first % 2, first + len(vhat), 2):
+            check(node // 2, vhat[node - first])
         vhat = np.concatenate([carry, vhat])
         steps = (len(vhat) - 1) // 2  # complete steps: start, midpoint, end
         carry = vhat[2 * steps :]

@@ -443,11 +443,14 @@ def test_analytic_generator_matches_finite_differences(case):
     params = FieldParams(mass=mass)
     vhat = assemble_vhat(traj, params, bc, t, bands)
     scale = float(np.max(np.abs(vhat)))
-    (walls, speeds, points, weights, omega, lam, a, b, c, s, vals, dvals,
-     norm_sq) = exact1d._solve(traj, params, bc, np.array([t]), bands, None)
+    times = np.array([t])
+    walls, speeds, accels = exact1d._walls(traj, [t], accelerations=True)
+    omega = exact1d._find_roots(times, walls, speeds, params, bc, bands)
+    points, weights, lam, a, b, c, s, vals, dvals, norm_sq = exact1d._solve(
+        params, bc, times, walls, speeds, omega, None
+    )
     if case.endswith("evanescent"):
         assert np.count_nonzero(lam < 0) == 1
-    accels = np.array([traj.accelerations(t)]).T
     domega = exact1d._mode_rates(
         np.array([t]), omega, lam, a, b, points, c, s, vals, dvals, norm_sq,
         weights, speeds, accels,
@@ -480,9 +483,10 @@ def test_quadrature_rule_stays_at_round_off(bc, mass):
         traj = dce_trajectory(variant=variant, bc=bc, epsilon=0.05, mass=mass)
         for bands in (3, 12, 24):
             def vhats(quad_points):
-                return exact1d._chunk_vhats(
-                    traj, params, bc, times, bands, quad_points
-                )[1]
+                return np.array([
+                    assemble_vhat(traj, params, bc, t, bands, quad_points)
+                    for t in times
+                ])
 
             reference = vhats(16 * bands + 64)
             scale = np.max(np.abs(reference))
@@ -560,7 +564,8 @@ def test_verbose_logs_the_step_plan_and_keeps_stdout_clean(caplog, capsys):
     assert record.name == "movingcavity.exact1d"
     assert re.fullmatch(
         r"integrating 2 steps of dt=0\.1 \(guidance dt <= [0-9.e-]+\); "
-        r"5 nodes in 1 chunks of up to \d+; 24 quadrature points",
+        r"5 nodes in 1 chunks of up to \d+; 24 quadrature points; "
+        r"roots in 1 batches of up to \d+ nodes",
         record.getMessage(),
     )
     assert capsys.readouterr().out == ""
@@ -635,28 +640,53 @@ def _chunk_layout(caplog):
     return tuple(int(n) for n in layout.groups())
 
 
+def _root_layout(caplog):
+    """(root batches, nodes per batch) from the last evolution's log."""
+    layout = re.search(
+        r"roots in (\d+) batches of up to (\d+) nodes",
+        caplog.records[-1].getMessage(),
+    )
+    return tuple(int(n) for n in layout.groups())
+
+
+# bytes a node takes in DCE_II's point chunks ((node x 2N x point) array)
+# and in its root batches ((node x branch x scan node) grid, whose massive
+# Neumann scan covers the evanescent window too)
+BASIS_BYTES = 8 * (exact1d._quad_count(4, None) + 3) * 8
+SCAN_BYTES = 2 * exact1d._scan_grid(
+    np.array([math.pi]), 1.5**2, 4, False
+)[0].shape[1] * 8
+
+
 def test_batched_evolution_matches_per_node_path(monkeypatch, caplog):
     dt, reference = _per_step_reference(*DCE_II)
-    basis_bytes = 8 * (exact1d._quad_count(4, None) + 3) * 8
-    runs = {}
+    runs = []
     with caplog.at_level(logging.INFO, logger="movingcavity.exact1d"):
-        # the default layout takes the whole window as one chunk
-        runs["whole"] = _dce_ii_window()
+        # the default layout takes the whole window as one chunk and the
+        # nodes after t0 as one root batch
+        runs.append(_dce_ii_window())
         nodes, chunks, _ = _chunk_layout(caplog)
         assert (nodes, chunks) == (2 * len(reference) - 1, 1)
-
-        # three nodes per chunk: steps 1 (nodes 2-4) and 2 (nodes 4-6)
-        # straddle chunk boundaries
-        monkeypatch.setattr(exact1d, "CHUNK_BYTES", 3 * basis_bytes)
-        runs["three"] = _dce_ii_window()
-        assert _chunk_layout(caplog) == (nodes, -(-nodes // 3), 3)
-        assert nodes > 7
-
-        # one node per chunk solves every basis alone
-        monkeypatch.setattr(exact1d, "CHUNK_BYTES", 1)
-        runs["single"] = _dce_ii_window()
-        assert _chunk_layout(caplog) == (nodes, nodes, 1)
-    for u, checkpoints in runs.values():
+        assert _root_layout(caplog)[0] == 1
+        assert nodes > 9
+        for chunk_bytes, per_chunk, per_batch in (
+            # steps 1 (nodes 2-4) and 2 (nodes 4-6) straddle chunk
+            # boundaries; two root batches
+            (3 * BASIS_BYTES, 3, 7),
+            # chunk and root batch boundaries that rarely meet
+            (5 * SCAN_BYTES, 2, 5),
+            # every basis alone
+            (1, 1, 1),
+        ):
+            monkeypatch.setattr(exact1d, "CHUNK_BYTES", chunk_bytes)
+            runs.append(_dce_ii_window())
+            assert _chunk_layout(caplog) == (
+                nodes, -(-nodes // per_chunk), per_chunk
+            )
+            assert _root_layout(caplog) == (
+                -(-(nodes - 1) // per_batch), per_batch
+            )
+    for u, checkpoints in runs:
         assert np.array_equal(u, reference[-1])
         steps = [round(t / dt) for t, _ in checkpoints]
         assert set(steps) == set(range(len(reference)))
@@ -702,22 +732,33 @@ def test_real_basis_evolution_matches_complex_generator_steps(case, bands):
 
 
 def test_each_node_is_solved_once(monkeypatch):
-    # t0 gives both the default step and the first step's generator
-    solve = exact1d._solve
-    solved = []
+    # t0's roots give the default step; every node's roots are found once
+    # and its modes normalised once, whatever the layout
+    find_roots, solve = exact1d._find_roots, exact1d._solve
+    found, solved = [], []
 
-    def counting(traj, params, bc, times, *args):
+    def counting_roots(times, *args):
+        found.extend(times.tolist())
+        return find_roots(times, *args)
+
+    def counting_solve(params, bc, times, *args):
         solved.extend(times.tolist())
-        return solve(traj, params, bc, times, *args)
+        return solve(params, bc, times, *args)
 
-    monkeypatch.setattr(exact1d, "_solve", counting)
-    basis_bytes = 8 * (exact1d._quad_count(4, None) + 3) * 8
-    for chunk_bytes in (exact1d.CHUNK_BYTES, 3 * basis_bytes, 1):
+    monkeypatch.setattr(exact1d, "_find_roots", counting_roots)
+    monkeypatch.setattr(exact1d, "_solve", counting_solve)
+    for chunk_bytes in (
+        exact1d.CHUNK_BYTES, 3 * BASIS_BYTES, 5 * SCAN_BYTES, 1
+    ):
         monkeypatch.setattr(exact1d, "CHUNK_BYTES", chunk_bytes)
+        found.clear()
         solved.clear()
         state = evolve_transformation(*DCE_II)
-        assert len(solved) == 2 * state.step_count + 1
-        assert len(set(solved)) == len(solved)
+        for times in (found, solved):
+            assert len(times) == 2 * state.step_count + 1
+            assert len(set(times)) == len(times)
+        assert found[0] == solved[0] == DCE_II[3]
+        assert found == sorted(found) and solved == sorted(solved)
 
 
 def test_evolutions_share_no_workspace():
@@ -760,6 +801,35 @@ def test_evolution_names_first_offending_time_inside_a_chunk(caplog):
                 traj, FieldParams(), D, 0.0, 0.5, 3, step=0.01
             )
     assert _chunk_layout(caplog)[2] > 61
+
+
+def test_trajectory_is_checked_before_any_root_scan(monkeypatch, caplog):
+    # the right wall's acceleration turns non-finite at t = 0.1 (first seen
+    # at the node t = 0.105), and a root polish fails later in the same
+    # root batch: the trajectory comes first
+    base = dce_trajectory(epsilon=0.05)
+    traj = BoundaryTrajectory(
+        base.x_minus, base.x_plus, base.v_minus, base.v_plus, base.a_minus,
+        lambda t: math.nan if t >= 0.1 else base.a_plus(t),
+    )
+    polish = exact1d._polish_roots
+
+    def failing_late(f_vec, a, b, fa, fb, max_iter=100, labels=None):
+        if labels.max() > 0.2:
+            late = labels[labels > 0.2][0]
+            raise SolverError(f"root polish did not converge at t={late}")
+        return polish(f_vec, a, b, fa, fb, max_iter, labels)
+
+    monkeypatch.setattr(exact1d, "_polish_roots", failing_late)
+    window = (FieldParams(), D, 0.0, 0.5, 3)
+    with pytest.raises(SolverError, match=r"t=0\.2"):
+        evolve_transformation(base, *window, step=0.01)
+    with caplog.at_level(logging.INFO, logger="movingcavity.exact1d"):
+        with pytest.raises(
+            InvalidTrajectoryError, match=r"wall acceleration nan at t=0\.105"
+        ):
+            evolve_transformation(traj, *window, step=0.01)
+    assert _root_layout(caplog)[0] == 1
 
 
 def test_identity_preserved_and_checkpoints_recorded():
@@ -826,12 +896,13 @@ def test_checkpoints_at_window_ends_recorded():
 
 
 @pytest.mark.parametrize("name, value", [
-    ("step", 0.0), ("step", -0.5), ("quad_points", 0),
+    ("step", 0.0), ("step", -0.5), ("quad_points", 0), ("bands", 0),
 ])
 def test_bad_integration_argument_rejected(name, value):
+    arguments = {"bands": 2, name: value}
     with pytest.raises(ValueError, match=name):
         evolve_transformation(
-            dce_trajectory(), FieldParams(), D, 0.0, 1.0, 2, **{name: value}
+            dce_trajectory(), FieldParams(), D, 0.0, 1.0, **arguments
         )
 
 
