@@ -266,29 +266,6 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _flatten_row(row: Sequence[Any]) -> List[Any]:
-    """Expand complex entries into re/im pairs, keep others as-is."""
-    flat: List[Any] = []
-    for item in row:
-        if isinstance(item, complex):
-            flat.append(float(item.real))
-            flat.append(float(item.imag))
-        else:
-            flat.append(item)
-    return flat
-
-
-def _flatten_columns(columns: Sequence[str], row: Sequence[Any]) -> List[str]:
-    flat: List[str] = []
-    for name, item in zip(columns, row):
-        if isinstance(item, complex):
-            flat.append(f"re_{name}")
-            flat.append(f"im_{name}")
-        else:
-            flat.append(name)
-    return flat
-
-
 def write_table(
     columns: Sequence[str],
     rows: Sequence[Sequence[Any]],
@@ -296,32 +273,92 @@ def write_table(
     fmt: str,
     output: Optional[str],
 ) -> str:
-    """Serialize a table to CSV or JSON; write to file or stdout."""
+    """Serialize a small table to CSV or JSON; write to file or stdout."""
     if fmt == "json":
         document = {"meta": meta, "columns": list(columns), "data": rows}
-        text = json.dumps(
-            document, indent=2, sort_keys=True,
-            default=lambda z: [z.real, z.imag],
-        ) + "\n"
+        text = json.dumps(document, indent=2, sort_keys=True) + "\n"
     elif fmt == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
-        header_row = rows[0] if rows else [0.0] * len(columns)
-        writer.writerow(_flatten_columns(columns, header_row))
+        writer.writerow(columns)
         for row in rows:
-            cells = []
-            for item in _flatten_row(row):
-                if isinstance(item, (float, np.floating)):
-                    cells.append(_fmt(item))
-                else:
-                    cells.append(str(item))
-            writer.writerow(cells)
+            writer.writerow([
+                _fmt(item) if isinstance(item, (float, np.floating))
+                else str(item)
+                for item in row
+            ])
         text = buffer.getvalue()
     else:
         raise ConfigError(f"field 'format': expected csv or json, got {fmt!r}")
     with _open_output(output) as handle:
         handle.write(text)
     return text
+
+
+def _sample_table(handle, fmt, columns, meta, keys, cells):
+    """Write a sampled table's header; return its ``write`` and ``close``.
+
+    Every sample has the same rows, at least one: row k reads t, the
+    integers ``keys[k]`` and the cells ``cells[k]``.  A cell is a fixed
+    float, baked into the template as text, or live: ``float``, or
+    ``complex`` for a pair written as [re, im] in JSON and as re_*/im_*
+    columns in CSV.  ``write(t, values)`` writes one sample's rows in one
+    % call, t formatted once, the live values (Python floats, row by row)
+    filling the template; ``close()`` ends the table.  The bytes are those
+    of ``write_table`` on the same rows: CSV floats in %.17g, JSON floats
+    in their repr, which is how ``json`` encodes a finite float.
+    """
+    # a live float and complex pair; the text that starts a row, separates
+    # its cells and ends it; the text before the first sample, between two
+    # rows, and after the last sample when there was none and when some
+    if fmt == "csv":
+        real, pair = "%.17g", "%.17g,%.17g"
+        start, sep, end = "", ",", "\n"
+        opening, between, closings = "", "", ("", "")
+        kinds = (None,) * (len(columns) - len(cells[0])) + cells[0]
+        handle.write(",".join(
+            f"re_{name},im_{name}" if kind is complex else name
+            for name, kind in zip(columns, kinds)
+        ) + "\n")
+    elif fmt == "json":  # json.dumps's document; sorted, data comes second
+        real, pair = "%r", "[\n        %r,\n        %r\n      ]"
+        start, sep, end = "[\n      ", ",\n      ", "\n    ]"
+        opening, between = "[\n    ", ",\n    "
+        head, _, tail = json.dumps(
+            {"columns": list(columns), "data": "<data>", "meta": meta},
+            indent=2, sort_keys=True,
+        ).partition('"<data>"')
+        closings = ("[]" + tail + "\n", "\n  ]" + tail + "\n")
+        handle.write(head)
+    else:
+        raise ConfigError(f"field 'format': expected csv or json, got {fmt!r}")
+    # one format per distinct cell pattern, not per row: it takes the keys
+    # and leaves the live cells' formats, escaped here, for write's % call
+    key = sep + sep.join(["%d"] * len(keys[0]))
+    row = {
+        pattern: key + "".join(
+            sep + (pair if cell is complex else real if cell is float
+                   else real % cell)
+            for cell in pattern
+        ).replace("%", "%%") + end + between + start
+        for pattern in set(cells)
+    }
+    parts = [start] + [
+        row[pattern] % numbers for numbers, pattern in zip(keys, cells)
+    ]
+    parts[-1] = parts[-1].removesuffix(between + start)
+    lead = opening
+
+    def write(t: float, values: Sequence[float]) -> None:
+        nonlocal lead
+        handle.write(lead)
+        handle.write((real % t).join(parts) % tuple(values))
+        lead = between
+
+    def close() -> None:
+        handle.write(closings[lead == between])
+
+    return write, close
 
 
 def _open_output(output: Optional[str]) -> typing.ContextManager[typing.IO]:
@@ -393,31 +430,20 @@ def _polar(values: np.ndarray) -> Tuple[List[float], List[float]]:
     return list(map(abs, values.tolist())), phases.tolist()
 
 
-# polar cells (|alpha|, arg alpha, |beta|, arg beta) of an uncoupled pair
+# the cells (|alpha|, arg alpha, |beta|, arg beta) of a coupled pair, live;
+# an uncoupled pair has alpha = beta = 0 (alpha = 1 on the diagonal) at
+# every t, fixed
+_COUPLED = (float, float, float, float)
 _UNCOUPLED = (0.0, 0.0, 0.0, 0.0)
 _UNCOUPLED_DIAGONAL = (1.0, 0.0, 0.0, 0.0)
 
 
-def _constant_cells(couplings, pairs) -> List[Optional[Tuple[float, ...]]]:
-    """Each selected pair's polar cells if they never change, else None.
-
-    A pair that ``couplings.coupled`` marks as uncoupled has alpha = beta =
-    0 (alpha = 1 on the diagonal) at every sample time.
-    """
-    coupled = couplings.coupled.tolist()
-    return [
-        None if coupled[n][m] else
-        _UNCOUPLED_DIAGONAL if n == m else _UNCOUPLED
-        for n, m in pairs
-    ]
-
-
 def _evolve_samples(config, couplings, basis, live, times, emit) -> None:
-    """Call ``emit(t, polar)`` at each sample time, in order.
+    """Call ``emit(t, values)`` at each sample time, in order.
 
-    ``polar`` holds |alpha|, arg alpha, |beta| and arg beta of the coupled
-    pairs ``live`` as lists: only those cells are evaluated, through
-    ``perturbative_cells``, and the entries are those of the dense
+    ``values`` holds |alpha|, arg alpha, |beta| and arg beta of each
+    coupled pair of ``live`` in turn: only those cells are evaluated,
+    through ``perturbative_cells``, and the entries are those of the dense
     ``bogoliubov_perturbative`` bit for bit.  Under ``--verbose`` one line
     on the ``movingcavity.cli`` logger counts the samples outside the
     first-order validity window.
@@ -425,13 +451,16 @@ def _evolve_samples(config, couplings, basis, live, times, emit) -> None:
     rows = np.array([n for n, _ in live], dtype=int)
     cols = np.array([m for _, m in live], dtype=int)
     epsilon = config.epsilon
+    values: List[float] = [0.0] * (4 * len(live))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ValidityWindowWarning)
         for t in times.tolist():
             alpha, beta = perturbative_cells(
                 couplings, basis, epsilon, config.t0, t, rows, cols
             )
-            emit(t, (*_polar(alpha), *_polar(beta)))
+            for column, cells in enumerate((*_polar(alpha), *_polar(beta))):
+                values[column::4] = cells
+            emit(t, values)
     window = validity_window(couplings.drive_frequency, epsilon)
     if window:
         low, high = window
@@ -442,36 +471,6 @@ def _evolve_samples(config, couplings, basis, live, times, emit) -> None:
             "window [%.6g, %.6g] of window lengths", outside, len(times),
             low, high,
         )
-
-
-def _csv_blocks(
-    handle: typing.IO,
-    pairs: Sequence[Tuple[int, int]],
-    constants: List[Optional[Tuple[float, ...]]],
-):
-    """A writer of one sample's CSV lines per call, one line per pair.
-
-    Each line reads t, n, m and the four polar columns, t and the floats
-    in %.17g, as ``write_table`` writes them.  A pair with constant cells
-    (``_constant_cells``) has them baked into the template as text; the
-    ``polar`` lists of a call fill the other pairs, in order.  t is
-    formatted once per sample and joins the parts of the template, which
-    one % call fills.
-    """
-    text = {None: "%.17g,%.17g,%.17g,%.17g"}  # a live pair's four cells
-    for const in set(constants) - {None}:
-        text[const] = ",".join("%.17g" % value for value in const)
-    parts = [""] + [
-        f",{n},{m},{text[const]}\n" for (n, m), const in zip(pairs, constants)
-    ]
-    cells: List[Any] = [None] * (4 * constants.count(None))
-
-    def write(t: float, polar: Sequence[List[float]]) -> None:
-        for column, values in enumerate(polar):
-            cells[column::4] = values
-        handle.write(("%.17g" % t).join(parts) % tuple(cells))
-
-    return write
 
 
 def cmd_evolve(config: RunConfig, fmt: str, output: Optional[str]) -> int:
@@ -485,35 +484,27 @@ def cmd_evolve(config: RunConfig, fmt: str, output: Optional[str]) -> int:
     pairs = _selected_pairs(config, len(basis))
     times = np.linspace(config.t0, config.tf, config.samples + 1)[1:]
     # the times do not decrease, so once the first sample lies past t0 no
-    # sample can fail the window check after the CSV header is written
+    # sample can fail the window check after the header is written
     if times.size and not times[0] > config.t0:
         raise ConfigError(
             f"field 'samples': {config.samples} samples of the window "
             f"[{config.t0!r}, {config.tf!r}] put the first sample at t0"
         )
     couplings = build_coupling_matrices(spec, basis, config.bc)
-    constants = _constant_cells(couplings, pairs)
-    live = [pair for pair, const in zip(pairs, constants) if const is None]
+    coupled = couplings.coupled.tolist()
+    cells = [
+        _COUPLED if coupled[n][m] else
+        _UNCOUPLED_DIAGONAL if n == m else _UNCOUPLED
+        for n, m in pairs
+    ]
+    live = [pair for pair, kinds in zip(pairs, cells) if kinds is _COUPLED]
     columns = ["t", "n", "m", "abs_alpha", "arg_alpha", "abs_beta", "arg_beta"]
-    if fmt == "csv":  # streamed, one sample at a time
-        with _open_output(output) as handle:
-            handle.write(",".join(columns) + "\n")
-            _evolve_samples(
-                config, couplings, basis, live, times,
-                _csv_blocks(handle, pairs, constants),
-            )
-        return EXIT_OK
-    rows: List[List[Any]] = []
-
-    def collect(t, polar):
-        cells = iter(zip(*polar))
-        rows.extend(
-            [t, n, m, *(next(cells) if const is None else const)]
-            for (n, m), const in zip(pairs, constants)
+    with _open_output(output) as handle:  # streamed, one sample at a time
+        write, close = _sample_table(
+            handle, fmt, columns, config.meta(), pairs, cells
         )
-
-    _evolve_samples(config, couplings, basis, live, times, collect)
-    write_table(columns, rows, config.meta(), fmt, output)
+        _evolve_samples(config, couplings, basis, live, times, write)
+        close()
     return EXIT_OK
 
 
@@ -535,14 +526,20 @@ def cmd_evolve_exact(config: RunConfig, fmt: str, output: Optional[str]) -> int:
     )
     snapshots = list(state.checkpoints) + [(state.t_current, state.U)]
     columns = ["t", "i", "j", "U", "identity_residual"]
-    rows = []
-    for t, u in snapshots:
-        snapshot = dataclasses.replace(state, U=u, t_current=t)
-        residual = bogoliubov_identity_residual(snapshot)
-        for i in range(u.shape[0]):
-            for j in range(u.shape[1]):
-                rows.append([float(t), i, j, complex(u[i, j]), residual])
-    write_table(columns, rows, config.meta(), fmt, output)
+    keys = list(np.ndindex(state.U.shape))
+    with _open_output(output) as handle:
+        write, close = _sample_table(
+            handle, fmt, columns, config.meta(), keys,
+            [(complex, float)] * len(keys),
+        )
+        for t, u in snapshots:
+            residual = bogoliubov_identity_residual(
+                dataclasses.replace(state, U=u, t_current=t)
+            )
+            # re U, im U and the residual of each entry, row by row
+            cells = (u.real, u.imag, np.full(u.shape, residual))
+            write(float(t), np.stack(cells, axis=-1).ravel().tolist())
+        close()
     return EXIT_OK
 
 

@@ -1,6 +1,7 @@
 """Tests for the command-line interface: dispatch, serialization, exit codes."""
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -25,7 +26,11 @@ from movingcavity.cli import (
     main,
     write_table,
 )
-from movingcavity.core import BoundaryCondition
+from movingcavity.core import BoundaryCondition, FieldParams
+from movingcavity.exact1d import (
+    bogoliubov_identity_residual,
+    evolve_transformation,
+)
 from movingcavity.perturb import (
     ValidityWindowWarning,
     bogoliubov_perturbative,
@@ -266,6 +271,8 @@ EVOLVE_CONFIGS = {
         "scenario": "gw-rigid", "bc": "neumann", "mass": 0.8,
         "frequency_cutoff": 10, "samples": 4,
     },
+    # a header and no rows: CSV header only, JSON "data": []
+    "no-samples": {"samples": 0},
 }
 
 
@@ -316,7 +323,8 @@ def test_default_gw_box_couplings_keep_z_selection_rule(resonant):
         assert np.all(amplitudes[:, differ] == 0.0)
 
 
-def test_evolve_bytes_do_not_depend_on_blas_threads(tmp_path):
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_evolve_bytes_do_not_depend_on_blas_threads(fmt, tmp_path):
     config = write_config(tmp_path, scenario="gw-rigid", samples=1)
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -326,7 +334,7 @@ def test_evolve_bytes_do_not_depend_on_blas_threads(tmp_path):
                "OPENBLAS_NUM_THREADS": threads}
         result = subprocess.run(
             [sys.executable, "-m", "movingcavity.cli", "evolve",
-             "--config", config],
+             "--config", config, "--format", fmt],
             env=env, capture_output=True, check=True,
         )
         outputs.append(result.stdout)
@@ -349,10 +357,8 @@ def test_evolve_configs_mix_constant_and_live_cells():
         assert len(kinds) == 4, name
 
 
-@pytest.mark.parametrize("name, fmt", [
-    *((name, "csv") for name in EVOLVE_CONFIGS), ("gw-box", "json"),
-    ("gw-massive-neumann", "json"),
-])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", EVOLVE_CONFIGS)
 def test_evolve_bytes_match_row_table(name, fmt, tmp_path, capsys):
     fields = EVOLVE_CONFIGS[name]
     config = load_config(None, dict(fields))
@@ -476,10 +482,75 @@ def test_evolve_exact_rejects_box_scenario(tmp_path, capsys):
 
 
 def test_evolve_exact_oversized_step_exit_code(tmp_path, capsys):
+    # the step fails the stability guard: evolve-exact opens its output
+    # only once the evolution has returned, so nothing is left behind
     config = write_config(tmp_path, tf=2.0, bands=3, dt=1.0)
-    code, _, err = run_cli(capsys, "evolve-exact", "--config", config)
-    assert code == EXIT_NUMERICAL
-    assert "dt" in err
+    table = tmp_path / "table.csv"
+    for output in (("--output", str(table)), ()):
+        code, out, err = run_cli(
+            capsys, "evolve-exact", "--config", config, *output
+        )
+        assert (code, out) == (EXIT_NUMERICAL, "")
+        assert err.startswith("stability error: ") and "dt" in err
+    assert not table.exists()
+
+
+EXACT_CONFIGS = {
+    "defaults": {},
+    "neumann-massive": {"bc": "neumann", "mass": 1.3, "bands": 4},
+    "one-sample": {"samples": 1},
+    "forty-samples": {"samples": 40},
+}
+
+
+def reference_exact_table(config, fmt):
+    """evolve-exact's table built row by row: one row per entry of U."""
+    trajectory = cli._build_scenario_objects(config)[1]
+    checkpoints = np.linspace(config.t0, config.tf, config.samples + 1)[1:-1]
+    state = evolve_transformation(
+        trajectory, FieldParams(mass=config.mass), config.bc,
+        config.t0, config.tf, config.bands, step=config.dt,
+        quad_points=config.quad_points,
+        checkpoint_times=[float(t) for t in checkpoints],
+    )
+    rows = []
+    for t, u in [*state.checkpoints, (state.t_current, state.U)]:
+        snapshot = dataclasses.replace(state, U=u, t_current=t)
+        residual = bogoliubov_identity_residual(snapshot)
+        for i in range(u.shape[0]):
+            for j in range(u.shape[1]):
+                rows.append([float(t), i, j, complex(u[i, j]), residual])
+    if fmt == "json":
+        data = [[t, i, j, [z.real, z.imag], r] for t, i, j, z, r in rows]
+        document = {
+            "meta": config.meta(), "data": data,
+            "columns": ["t", "i", "j", "U", "identity_residual"],
+        }
+        return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["t", "i", "j", "re_U", "im_U", "identity_residual"])
+    for t, i, j, z, r in rows:
+        writer.writerow([f"{t:.17g}", i, j, f"{z.real:.17g}",
+                         f"{z.imag:.17g}", f"{r:.17g}"])
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", EXACT_CONFIGS)
+def test_evolve_exact_bytes_match_row_table(name, fmt, tmp_path, capsys):
+    fields = EXACT_CONFIGS[name]
+    want = reference_exact_table(load_config(None, dict(fields)), fmt)
+    path = write_config(tmp_path, **fields)
+    code, out, err = run_cli(capsys, "evolve-exact", "--config", path,
+                             "--format", fmt)
+    assert (code, err) == (EXIT_OK, "")
+    assert out == want
+    table = tmp_path / "table"
+    code, out, _ = run_cli(capsys, "evolve-exact", "--config", path,
+                           "--format", fmt, "--output", str(table))
+    assert (code, out) == (EXIT_OK, "")
+    assert table.read_bytes() == want.encode("utf-8")
 
 
 def test_evolve_exact_zero_step_is_config_error(tmp_path, capsys):
@@ -620,13 +691,12 @@ def reference_csv(columns, rows):
     """The csv-writer table: 17 significant digits per float, str otherwise."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    header_row = rows[0] if rows else [0.0] * len(columns)
-    writer.writerow(cli._flatten_columns(columns, header_row))
+    writer.writerow(columns)
     for row in rows:
         writer.writerow([
             cli._fmt(item) if isinstance(item, (float, np.floating))
             else str(item)
-            for item in cli._flatten_row(row)
+            for item in row
         ])
     return buffer.getvalue()
 
@@ -641,7 +711,6 @@ TABLES = {
     "strings": [
         ["mode-mixing", 3, x] for x in SPECIAL
     ] + [["residual(eps=0.01)", 1, 0.1]],
-    "complex": [[x, 1, complex(x, -y)] for x, y in zip(SPECIAL, SPECIAL)],
     "quoted": [["a,b", 1, 0.5], ['say "x"', 2, 1.5], ["two\nlines", 3, 0.1],
                ["cr\r", 4, 0.2], ["", 5, 0.3]],
     "mixed-types": [[1, 2.5, "x"], [1.5, 2, "y"]],
@@ -653,7 +722,7 @@ TABLES = {
 @pytest.mark.parametrize("name", sorted(TABLES))
 def test_csv_template_matches_csv_writer(name, tmp_path):
     rows = TABLES[name]
-    width = max((len(cli._flatten_row(r)) for r in rows), default=3)
+    width = max((len(r) for r in rows), default=3)
     columns = [f"c{i}" for i in range(width)]
     out = tmp_path / "table.csv"
     text = write_table(columns, rows, {}, "csv", str(out))
