@@ -218,15 +218,16 @@ def _cs(x, lam, out=None):
     return c, s
 
 
-def _cs_rates(x, lam, c, s, out=None):
+def _cs_rates(x, lam, c, s, out=None, reach=None):
     """lam-derivatives of c and s from their values at ``x``, broadcast.
 
     dc/dlam = -x s / 2 and ds/dlam = (x c - s) / (2 lam) hold in both
     regimes.  The second cancels as lam x^2 -> 0, so a mode whose
     |lam| X^2 is below ``LAM_SERIES_CUT``, X the largest |x| along the
     last (point) axis, takes its series -x^3/6 + lam x^5/60 -
-    lam^2 x^7/1680 at all its points.  ``out`` is a pair of arrays shaped
-    like ``c`` that receive the two; both are allocated when it is omitted.
+    lam^2 x^7/1680 at all its points.  ``reach`` replaces X^2 when given,
+    broadcast against ``lam``.  ``out`` is a pair of arrays shaped like
+    ``c`` that receive the two; both are allocated when it is omitted.
     """
     x = np.asarray(x, dtype=float)
     lam = np.asarray(lam, dtype=float)
@@ -234,7 +235,8 @@ def _cs_rates(x, lam, c, s, out=None):
     dc = np.multiply(-0.5 * x, s, out=dc_out)
     ds = np.multiply(x, c, out=ds_out)
     ds -= s
-    reach = np.max(x * x, axis=-1, keepdims=True)
+    if reach is None:
+        reach = np.max(x * x, axis=-1, keepdims=True)
     small = np.abs(lam) * reach < LAM_SERIES_CUT
     if not small.any():
         ds /= 2.0 * lam
@@ -392,20 +394,43 @@ def _boundary_rates(omega, lam, x, c, s, dc, ds, v, bc):
     return by_x, by_v, by_omega
 
 
-def _char_det_vec(omegas, walls, speeds, mass2f, bc, lam=None):
-    """Characteristic determinant evaluated on an array of frequencies.
+def _char_det(omega, length, v_minus, v_plus, mass2f, bc, lam=None,
+              slope=False):
+    """Characteristic determinant D = p_- q_+ - p_+ q_- of the wall rows.
 
-    ``walls`` and ``speeds`` hold the (left, right) wall positions and
-    speeds on their first axis; the rest broadcasts against ``omegas``.
-    ``lam = omegas^2 - (m^2 + F)`` may be given in any shape that
-    broadcasts against ``omegas``: c and s depend on lam alone, so a
-    scan of both branches evaluates them once for the two.
+    D depends on the walls only through the cavity length L = x_+ - x_-:
+    the Wronskian identities c_- s_+ - s_- c_+ = s(L) and
+    c_- c_+ + lam s_- s_+ = c(L) hold in every regime, so with
+    dv = v_+ - v_- and lam = omega^2 - (m^2 + F)
+
+        Dirichlet: D = (omega^2 + v_- v_+ lam) s(L) + omega dv c(L),
+        Neumann:   D = (lam + omega^2 v_- v_+) s(L) - omega dv c(L).
+
+    ``length`` and the speeds broadcast against ``omega``; ``lam`` may be
+    given in any shape that broadcasts against it: c and s depend on lam
+    alone, so a scan of both branches evaluates them once for the two.
+    With ``slope`` the result is (D, dD/domega), the slope in closed form
+    from ``_cs_rates`` with d lam = 2 omega d omega; whether s takes its
+    series there is decided for each entry on its own.
     """
+    square, product = omega * omega, v_minus * v_plus
     if lam is None:
-        lam = omegas * omegas - mass2f
-    c, s = _cs(walls, lam)
-    r0, r1 = _boundary_rows(omegas, lam, c, s, speeds, bc)
-    return r0[0] * r1[1] - r1[0] * r0[1]
+        lam = square - mass2f
+    c, s = _cs(length, lam)
+    # D = s_term s(L) + omega gap c(L); gap is also d(omega gap)/d omega
+    if bc is BoundaryCondition.NEUMANN:
+        s_term, gap = lam + product * square, v_minus - v_plus
+    else:
+        s_term, gap = square + product * lam, v_plus - v_minus
+    c_term = omega * gap
+    det = s_term * s + c_term * c
+    if not slope:
+        return det
+    # each entry is one mode at its one point: the series cut is its own
+    dc, ds = _cs_rates(length, lam, c, s, reach=length * length)
+    # d s_term/d omega = 2 omega (1 + v_- v_+) under either condition
+    by_lam = (1.0 + product) * s + s_term * ds + c_term * dc
+    return det, 2.0 * omega * by_lam + gap * c
 
 
 @functools.lru_cache(maxsize=8)
@@ -448,15 +473,23 @@ def _scan_grid(length, mass2f, bands, skip_low):
     return omegas, sub_band
 
 
-def _polish_roots(f_vec, a, b, fa, fb, max_iter=100, labels=None):
-    """Vectorised Anderson-Bjorck iteration on sign-change brackets.
+def _polish_roots(f, a, b, fa, fb, max_iter=100, labels=None):
+    """Vectorised safeguarded Newton iteration on sign-change brackets.
 
-    Each root is taken at the first iterate that moves it by at most
-    2e-15 relative (or hits an exact zero), so it does not depend on the
-    other brackets of the batch.  Raises ``SolverError`` when some roots
-    have not converged after ``max_iter`` iterations; the message names
-    the ``labels`` entry (the time) of the first offending bracket when
-    labels are given.
+    ``f`` returns the function and its slope at an array of points.  Each
+    bracket (a, b), in either order, starts at its regula-falsi point.
+    Every iterate replaces the end whose value has its sign, and an exact
+    zero closes the bracket onto itself.  A Newton step that leaves the
+    closed bracket bisects it instead, so no root leaves its bracket.  No
+    bracket may contain 0 (every ``_find_roots`` bracket lies on one side
+    of it), and the bisection is in log |x|, as a root may lie orders of
+    magnitude below the far end of its bracket.  A root settles at the
+    next iterate once that moves by at most 2e-15 relative (|f/f'| <=
+    2e-15 |x| for a Newton step, and 0 at an exact zero), so it does not
+    depend on the other brackets of the batch.  Raises ``SolverError``
+    when f is not finite or some roots have not converged after
+    ``max_iter`` iterations; the message names the ``labels`` entry (the
+    time) of the first offending bracket when labels are given.
     """
 
     def fail(message, bad):
@@ -464,37 +497,34 @@ def _polish_roots(f_vec, a, b, fa, fb, max_iter=100, labels=None):
             message += f" at t={labels[np.argmax(bad)]}"
         raise SolverError(message)
 
-    a, b = a.copy(), b.copy()
-    fa, fb = fa.copy(), fb.copy()
-    prev = None
-    roots = np.empty_like(a)
-    done = np.zeros(a.shape, dtype=bool)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    # next to an end far smaller than the other, b - fb (b - a)/(fb - fa)
+    # can round past it
+    x = np.clip(b - fb * (b - a) / (fb - fa), lo, hi)
+    sign = np.where(a < b, np.sign(fa), np.sign(fb))  # of f at lo
     for _ in range(max_iter):
-        denom = np.where(fb != fa, fb - fa, 1.0)
-        mid = b - fb * (b - a) / denom
-        # closed interval: a secant step onto a root at b must stay there
-        inside = (mid >= np.minimum(a, b)) & (mid <= np.maximum(a, b))
-        mid = np.where(inside, mid, 0.5 * (a + b))
-        fm = f_vec(mid)
-        finite = np.isfinite(fm)
+        fx, slope = f(x)
+        finite = np.isfinite(fx)
         if not finite.all():
             fail("characteristic function returned non-finite", ~finite)
-        opposite = fm * fb < 0
-        # same-side updates rescale fa to avoid regula-falsi stagnation
-        gamma = 1.0 - np.where(fb != 0, fm / np.where(fb != 0, fb, 1.0), 0.0)
-        gamma = np.where(gamma > 0, gamma, 0.5)
-        a = np.where(opposite, b, a)
-        fa = np.where(opposite, fb, gamma * fa)
-        b, fb = mid, fm
-        if prev is not None:
-            settled = (np.abs(mid - prev) <= 2e-15 * np.abs(mid)) | (fm == 0.0)
-            settled &= ~done
-            roots[settled] = mid[settled]
-            done |= settled
-            if done.all():
-                return roots
-        prev = mid
-    fail(f"root polish did not converge in {max_iter} iterations", ~done)
+        # x replaces the end of its sign; an exact zero closes the bracket
+        side = fx * sign
+        lo = np.where(side >= 0, x, lo)
+        hi = np.where(side <= 0, x, hi)
+        # a zero slope gives NaN, which no bracket holds
+        step = x - fx / np.where(slope != 0, slope, np.nan)
+        inside = (step >= lo) & (step <= hi)
+        if not inside.all():
+            # no bracket holds 0, so its geometric midpoint is inside it
+            mid = np.copysign(np.sqrt(np.abs(lo)) * np.sqrt(np.abs(hi)), lo)
+            step = np.where(inside, step, np.clip(mid, lo, hi))
+        settled = np.abs(step - x) <= 2e-15 * np.abs(x)
+        if settled.all():
+            return step
+        # a settled bracket stays at its x, so its root is the same step
+        # however many rounds the others take
+        x = np.where(settled, x, step)
+    fail(f"root polish did not converge in {max_iter} iterations", ~settled)
 
 
 def _scan_terms(params, bc):
@@ -517,21 +547,24 @@ def _find_roots(times, walls, speeds, params, bc, bands):
     """First ``bands`` roots of each branch at each time, (T, 2N), + first.
 
     ``walls`` and ``speeds`` are (2, T).  The characteristic determinant
-    couples the eigenvalue to the boundary rows through the wall
-    velocities, so roots are bracketed by a sign scan
-    (``BRACKET_DENSITY`` nodes per half mode spacing) and polished by
-    Anderson-Bjorck iteration.  Both branches of every time are scanned
-    at once on the signed grids ``[grid, -grid]``; an event is an exact
-    zero at a node or a sign change to the next node.  All brackets
-    share one polish.
+    (``_char_det``) couples the eigenvalue to the boundary rows through
+    the wall velocities and sees the walls only through the cavity
+    length, so the roots do not depend on where the cavity sits.  They
+    are bracketed by a sign scan (``BRACKET_DENSITY`` nodes per half mode
+    spacing) and polished by safeguarded Newton iteration on the
+    closed-form slope.  Both branches of every time are scanned at once
+    on the signed grids ``[grid, -grid]``; an event is an exact zero at a
+    node or a sign change to the next node.  All brackets share one
+    polish, and each root stays in its bracket.
     """
     if bands < 1:
         raise ValueError(f"bands must be >= 1, got {bands}")
     mass2f, skip_low = _scan_terms(params, bc)
-    grid, sub_band = _scan_grid(walls[1] - walls[0], mass2f, bands, skip_low)
+    length = walls[1] - walls[0]
+    grid, sub_band = _scan_grid(length, mass2f, bands, skip_low)
     nodes = grid[:, None, :] * np.array([[1.0], [-1.0]])  # (T, 2, G)
-    values = _char_det_vec(
-        nodes, walls[:, :, None, None], speeds[:, :, None, None], mass2f, bc,
+    values = _char_det(
+        nodes, length[:, None, None], *speeds[:, :, None, None], mass2f, bc,
         (grid * grid - mass2f)[:, None, :],
     )
     exact = values == 0.0
@@ -561,10 +594,10 @@ def _find_roots(times, walls, speeds, params, bc, bands):
     if np.any(bracket):
         lo = picked[bracket]
         t = lo // (2 * grid.shape[1])
-        bracket_walls, bracket_speeds = walls[:, t], speeds[:, t]
+        bracket_length, bracket_speeds = length[t], speeds[:, t]
         roots[bracket] = _polish_roots(
-            lambda w: _char_det_vec(
-                w, bracket_walls, bracket_speeds, mass2f, bc
+            lambda w: _char_det(
+                w, bracket_length, *bracket_speeds, mass2f, bc, slope=True
             ),
             nodes[lo], nodes[lo + 1], values[lo], values[lo + 1],
             labels=times[t],
@@ -707,14 +740,14 @@ def solve_instantaneous_bases(
 ) -> Tuple[InstantaneousBasis, ...]:
     """First ``bands`` eigenpairs of each frequency branch at each time.
 
-    Roots are bracketed by a sign scan and polished by Anderson-Bjorck
-    iteration; eigenfunctions are normalised in the velocity-compatible
-    quadratic form and signed by the midpoint convention.  All times
-    share one scan on a (time x branch x node) array, one polish over
-    every bracket and one normalisation pass, so a batch costs few numpy
-    calls more than a single time.  No time derivative or wall
-    acceleration is computed.  Errors keep their types and name the
-    first offending time in the order given.
+    Roots are bracketed by a sign scan and polished by safeguarded Newton
+    iteration, each inside its bracket; eigenfunctions are normalised in
+    the velocity-compatible quadratic form and signed by the midpoint
+    convention.  All times share one scan on a (time x branch x node)
+    array, one polish over every bracket and one normalisation pass, so a
+    batch costs few numpy calls more than a single time.  No time
+    derivative or wall acceleration is computed.  Errors keep their types
+    and name the first offending time in the order given.
     """
     times = np.asarray(times, dtype=float).reshape(-1)
     walls, speeds = _walls(traj, times.tolist())

@@ -4,9 +4,12 @@ import logging
 import math
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from movingcavity import exact1d
 from movingcavity.core import BoundaryCondition, FieldParams, expm
@@ -15,7 +18,7 @@ from movingcavity.exact1d import (
     InvalidTrajectoryError,
     SolverError,
     StabilityError,
-    _char_det_vec,
+    _char_det,
     _cs,
     _polish_roots,
     assemble_vhat,
@@ -190,18 +193,228 @@ def test_cs_rates_match_centred_difference_in_lam(lams):
     assert np.array_equal(out, [dc, ds])
 
 
+def _two_wall_det(omega, walls, speeds, mass2f, bc):
+    """D = p_- q_+ - p_+ q_- from the boundary rows at both walls."""
+    lam = omega * omega - mass2f
+    c, s = _cs(walls, lam)
+    p, q = exact1d._boundary_rows(omega, lam, c, s, speeds, bc)
+    return p[0] * q[1] - p[1] * q[0]
+
+
+@pytest.mark.parametrize("bc", [D, N])
+@pytest.mark.parametrize("speeds", [
+    (0.0, 0.0), (0.5, -0.3), (-0.5, 0.5), (0.2, 0.45),
+])
+def test_char_det_matches_two_wall_form(bc, speeds):
+    # m^2 + F = 2.25: |omega| 0.4 is evanescent, 1.5 is lam == 0 exactly,
+    # 1.5 + 1e-7 takes the series for ds/dlam, 2.7 and 7.3 oscillate
+    mass2f, length = 2.25, 2.3
+    omega = np.array([0.4, 1.5, 1.5 + 1e-7, 2.7, 7.3])
+    omega = np.concatenate([omega, -omega])
+    lam = omega * omega - mass2f
+    assert np.count_nonzero(lam == 0) == 2 and np.any(lam < 0)
+    walls = np.array([[-0.8], [-0.8 + length]])
+    det, slope = _char_det(omega, length, *speeds, mass2f, bc, slope=True)
+    assert np.array_equal(
+        det, _char_det(omega, length, *speeds, mass2f, bc)
+    )
+    speeds = np.array(speeds)[:, None]
+    want = _two_wall_det(omega, walls, speeds, mass2f, bc)
+    # every entry of a wall row is at most (1 + |omega| + |lam|)(|c| + |s|)
+    c, s = _cs(walls, lam)
+    scale = (1.0 + np.abs(omega) + np.abs(lam)) ** 2 * np.prod(
+        np.abs(c) + np.abs(s), axis=0
+    )
+    assert np.all(np.abs(det - want) <= 1e-15 * scale)
+    h = 1e-6
+    central = (
+        _char_det(omega + h, length, *speeds[:, 0], mass2f, bc)
+        - _char_det(omega - h, length, *speeds[:, 0], mass2f, bc)
+    ) / (2 * h)
+    assert np.all(np.abs(slope - central) <= 1e-8 * (1.0 + np.abs(slope)))
+
+
+def test_char_det_slope_takes_its_series_per_entry():
+    # lam L^2 straddles LAM_SERIES_CUT differently for the two lengths: a
+    # batch must give each entry the bits it gets alone
+    mass2f = 1.0
+    omega = np.sqrt(mass2f + np.array([2e-4, 2e-4, -3e-3, 1e-2]))
+    length = np.array([1.0, 4.0, 0.5, 0.2])
+    lam = omega * omega - mass2f
+    assert len(set(np.abs(lam) * length**2 < exact1d.LAM_SERIES_CUT)) == 2
+    for bc in (D, N):
+        batch = _char_det(omega, length, 0.3, -0.2, mass2f, bc, slope=True)
+        for i in range(len(omega)):
+            alone = _char_det(
+                omega[i:i + 1], length[i:i + 1], 0.3, -0.2, mass2f, bc,
+                slope=True,
+            )
+            assert batch[0][i] == alone[0][0] and batch[1][i] == alone[1][0]
+
+
 def test_polish_roots_raises_when_iterations_run_out():
-    # static Dirichlet walls at +-pi/2: roots at omega = 1, 2, ...
-    walls = np.array([[-math.pi / 2], [math.pi / 2]])
-    det = lambda w: _char_det_vec(w, walls, np.zeros((2, 1)), 0.0, D)
+    # static Dirichlet walls pi apart: roots at omega = 1, 2, ...
+    det = lambda w: _char_det(w, math.pi, 0.0, 0.0, 0.0, D, slope=True)
     a, b = np.array([0.9, 1.8]), np.array([1.1, 2.3])
-    with pytest.raises(SolverError):
-        _polish_roots(det, a, b, det(a), det(b), max_iter=2)
-    roots = _polish_roots(det, a, b, det(a), det(b))
-    assert roots == pytest.approx([1.0, 2.0], rel=1e-14)
-    # a secant step that lands on a root stays there: no bisection tail
-    roots = _polish_roots(det, a, b, det(a), det(b), max_iter=10)
+    fa, fb = det(a)[0], det(b)[0]
+    labels = np.array([0.25, 0.75])
+    with pytest.raises(
+        SolverError, match=r"did not converge in 2 iterations at t=0\.25"
+    ):
+        _polish_roots(det, a, b, fa, fb, max_iter=2, labels=labels)
+    roots = _polish_roots(det, a, b, fa, fb, max_iter=5, labels=labels)
     assert roots == pytest.approx([1.0, 2.0], rel=1e-15)
+
+    def blind(w):
+        value, slope = det(w)
+        return np.where(w > 1.5, np.nan, value), slope
+
+    with pytest.raises(SolverError, match=r"non-finite at t=0\.75"):
+        _polish_roots(blind, a, b, fa, fb, labels=labels)
+
+
+def test_newton_step_leaving_its_bracket_bisects():
+    # atan(x - 1) on (0.5, 11) starts at the regula-falsi point 3.02, where
+    # Newton jumps to -2.6: the bracket bisects (geometrically, as it does
+    # not hold 0) and still converges inside
+    points = []
+
+    def f(x):
+        points.append(x.copy())
+        return np.arctan(x - 1.0), 1.0 / (1.0 + (x - 1.0) ** 2)
+
+    a, b = np.array([0.5, 0.5]), np.array([11.0, 2.0])
+    roots = _polish_roots(f, a, b, *f(np.stack([a, b]))[0])
+    points = np.array(points[1:])
+    assert roots == pytest.approx([1.0, 1.0], rel=1e-15)
+    assert np.all((points >= a) & (points <= b))
+    start = points[0, 0]
+    assert 2.9 < start < 3.1
+    assert points[1, 0] == np.sqrt(a[0]) * np.sqrt(start)
+    # an exact zero closes its bracket, even where the slope vanishes too
+    cube = lambda x: ((x - 1.0) ** 3, 3.0 * (x - 1.0) ** 2)
+    a, b = np.array([0.0]), np.array([2.0])
+    assert _polish_roots(cube, a, b, -1.0, 1.0, max_iter=1) == 1.0
+
+
+@given(
+    length=st.floats(0.5, 5.0),
+    v_minus=st.floats(-0.5, 0.5),
+    v_plus=st.floats(-0.5, 0.5),
+    mass=st.floats(0.0, 2.0),
+    bc=st.sampled_from([D, N]),
+)
+# a sub-band root near m = 1e-30, in a bracket that reaches 0.79 (at
+# L = 1) or 1.57 (at L = 0.5, where the slope at its low end is 0)
+@example(length=1.0, v_minus=0.0, v_plus=1e-30, mass=1e-30, bc=N)
+@example(length=0.5, v_minus=0.0, v_plus=1e-30, mass=1e-30, bc=N)
+@settings(max_examples=30, deadline=None)
+def test_polished_roots_stay_in_their_scan_brackets(length, v_minus, v_plus,
+                                                     mass, bc):
+    polish, brackets = exact1d._polish_roots, []
+
+    def recording(f, a, b, fa, fb, max_iter=100, labels=None):
+        roots = polish(f, a, b, fa, fb, max_iter, labels)
+        brackets.extend(zip(a.tolist(), b.tolist(), roots.tolist()))
+        return roots
+
+    params = FieldParams(mass=mass)
+    walls = np.array([[0.3], [0.3 + length]])
+    speeds = np.array([[v_minus], [v_plus]])
+    with mock.patch.object(exact1d, "_polish_roots", recording):
+        omega = exact1d._find_roots(
+            np.zeros(1), walls, speeds, params, bc, 4
+        )[0]
+    mass2f = params.mass_term + exact1d.positivity_shift(params)
+    det = lambda w: float(_two_wall_det(w, walls[:, 0], speeds[:, 0],
+                                        mass2f, bc))
+    for lo, hi, root in brackets:
+        assert min(lo, hi) <= root <= max(lo, hi)
+        f_lo = det(lo)
+        while True:  # scalar bisection on the two-wall form
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            f_mid = det(mid)
+            if f_mid == 0.0:
+                lo = hi = mid
+            elif (f_mid < 0) == (f_lo < 0):
+                lo, f_lo = mid, f_mid
+            else:
+                hi = mid
+        assert root == pytest.approx(lo, rel=1e-13)
+    # each branch ascends in |omega|
+    assert np.all(np.diff(omega[:4]) > 0) and np.all(np.diff(omega[4:]) < 0)
+
+
+def test_roots_do_not_depend_on_the_cavity_position():
+    # a massive Neumann cavity scanned through its evanescent window: cosh
+    # and sinh at the walls themselves overflowed far from x = 0.  Lengths
+    # are multiples of 2^-32, so every offset below keeps them exact.
+    times = np.linspace(0.0, 2.0, 5)
+    length = np.round((math.pi + 0.05 * np.sin(times)) * 2.0**32) / 2.0**32
+    speeds = np.array([np.zeros_like(times), 0.05 * np.cos(times)])
+    roots = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for offset in (0.0, 400.0, 1e3, 1e6):
+            walls = np.array([offset + 0.0 * length, offset + length])
+            assert np.array_equal(walls[1] - walls[0], length)
+            roots.append(exact1d._find_roots(
+                times, walls, speeds, FieldParams(mass=1.3), N, 6
+            ))
+    assert np.any(roots[0] ** 2 < 1.3**2)  # an evanescent root
+    for moved in roots[1:]:
+        assert np.all(np.abs(moved - roots[0]) <= 1e-14 * np.abs(roots[0]))
+
+
+def _polish_rounds(monkeypatch):
+    """Characteristic-function evaluations of each ``_polish_roots`` call."""
+    polish, rounds = exact1d._polish_roots, []
+
+    def counting(f, *args, **kwargs):
+        calls = 0
+
+        def counted(x):
+            nonlocal calls
+            calls += 1
+            return f(x)
+
+        roots = polish(counted, *args, **kwargs)
+        rounds.append(calls)
+        return roots
+
+    monkeypatch.setattr(exact1d, "_polish_roots", counting)
+    return rounds
+
+
+def test_exact_resonant_window_polishes_in_few_rounds(monkeypatch):
+    # DCE-I at 12 bands over one period of the omega_1 + omega_2 drive:
+    # t0 alone, then every later node in one root batch
+    rounds = _polish_rounds(monkeypatch)
+    evolve_transformation(
+        dce_trajectory(), FieldParams(), D, 0.0, 2.0 * math.pi / 3.0, 12
+    )
+    assert len(rounds) == 2
+    assert max(rounds) <= 5
+
+
+def test_cold_bases_polish_in_few_rounds(monkeypatch):
+    # moving and static walls, both conditions, massive Neumann fields
+    # scanned through their evanescent window
+    rng = np.random.default_rng(20)
+    rounds = _polish_rounds(monkeypatch)
+    for k in range(48):
+        bc, mass = (D, N)[k % 2], (0.0, 0.6, 1.9)[k % 3]
+        length = float(rng.uniform(0.5, 5.0))
+        speeds = (0.0, 0.0) if k % 4 == 0 else rng.uniform(-0.5, 0.5, 2)
+        exact1d._find_roots(
+            np.zeros(1), np.array([[0.0], [length]]),
+            np.array(speeds, dtype=float)[:, None], FieldParams(mass=mass),
+            bc, 6,
+        )
+    assert len(rounds) == 48
+    assert max(rounds) <= 10
 
 
 # ---------------------------------------------------------------------------
