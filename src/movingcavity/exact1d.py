@@ -8,17 +8,21 @@ Magnus method, whose matrix exponential follows the fast free phases
 exactly.  The time derivatives are exact: the roots move as
 -(dD/dt)/(dD/domega) on the characteristic determinant D, which brings
 in the wall accelerations, and the modes follow from the null vector of
-the boundary rows and from their norm.  The generator depends on t
-alone, so every node's eigenproblem is solved ahead of the step loop in
-two layouts: the roots in large root batches, one sign scan and one
-polish each, and the modes and generator blocks in smaller point
-chunks, in one workspace per evolution, where the exponentials of
-each chunk's Magnus steps are taken as one stack.  The steps run on the
-real generator blocks; the unitary change to the frequency modes is
-applied to the product only.  Blocks are ordered positive branch first,
-then negative branch; with static start and end slices the top blocks
-of the transformation are the mode-mixing and pair-creation
-coefficients.
+the boundary rows and from their norm.  Every mode is evaluated in
+z = x - (x_- + x_+)/2, centred on the cavity, so no result depends on
+where the cavity sits.  The Gauss-Legendre rule is symmetric about
+z = 0, where c is even and s odd, so the modes are held folded: c and s
+on the half grid z >= 0 alone, and the norms from per-mode moments.
+The generator depends on t alone, so every node's eigenproblem is
+solved ahead of the step loop in two layouts: the roots in large root
+batches, one sign scan and one polish each, and the modes and generator
+blocks in smaller point chunks, in one workspace per evolution, where
+the exponentials of each chunk's Magnus steps are taken as one stack.
+The steps run on the real generator blocks; the unitary change to the
+frequency modes is applied to the product only.  Blocks are ordered
+positive branch first, then negative branch; with static start and end
+slices the top blocks of the transformation are the mode-mixing and
+pair-creation coefficients.
 """
 
 from __future__ import annotations
@@ -248,36 +252,24 @@ def _cs_rates(x, lam, c, s, out=None, reach=None):
     return dc, ds
 
 
-def _combine(lam, a, b, c, s, out=None, scratch=None):
-    """Values and x-derivatives of the modes a c + b s, from c and s.
+def _mode_values(lam, a, b, z):
+    """Values and z-derivatives of the modes a c + b s at points ``z``.
 
-    ``lam``, ``a`` and ``b`` are (..., 2N) and ``c``, ``s`` (..., 2N, P).
-    ``out`` is a pair of arrays shaped like ``c`` that receive the two
-    and ``scratch`` one more for the products; each is allocated when
-    omitted.
-    """
-    lam, a, b = lam[..., None], a[..., None], b[..., None]
-    vals_out, dvals_out = (None, None) if out is None else out
-    vals = np.multiply(a, c, out=vals_out)
-    vals += np.multiply(b, s, out=scratch)
-    dvals = np.multiply(b, c, out=dvals_out)
-    dvals -= np.multiply(lam * a, s, out=scratch)
-    return vals, dvals
-
-
-def _mode_values(lam, a, b, x):
-    """Values and x-derivatives of the modes (lam, a, b) at points ``x``.
-
-    ``lam``, ``a`` and ``b`` are (..., 2N) and ``x`` is (..., P), with
+    ``lam``, ``a`` and ``b`` are (..., 2N) and ``z`` is (..., P), with
     matching leading axes; the results are (..., 2N, P).
     """
-    c, s = _cs(np.asarray(x, dtype=float)[..., None, :], lam[..., None])
-    return _combine(lam, a, b, c, s)
+    c, s = _cs(np.asarray(z, dtype=float)[..., None, :], lam[..., None])
+    lam, a, b = lam[..., None], a[..., None], b[..., None]
+    return a * c + b * s, b * c - lam * a * s
 
 
 @dataclass(frozen=True)
 class InstantaneousMode:
-    """One eigen-solution psi(x) = a c(x) + b s(x) on [x_minus, x_plus]."""
+    """One eigen-solution psi(x) = a c(z) + b s(z) on [x_minus, x_plus].
+
+    z = x - (x_minus + x_plus)/2 is measured from the cavity centre, so
+    a = psi and b = psi' there.
+    """
 
     omega: float
     lam: float  # omega^2 - (m^2 + F): positive oscillatory, negative evanescent
@@ -290,12 +282,16 @@ class InstantaneousMode:
     def evanescent(self) -> bool:
         return self.lam < 0
 
+    def _cs_at(self, x):
+        centre = 0.5 * (self.x_minus + self.x_plus)
+        return _cs(np.asarray(x, dtype=float) - centre, self.lam)
+
     def eval(self, x):
-        c, s = _cs(x, self.lam)
+        c, s = self._cs_at(x)
         return self.a * c + self.b * s
 
     def eval_deriv(self, x):
-        c, s = _cs(x, self.lam)
+        c, s = self._cs_at(x)
         return -self.a * self.lam * s + self.b * c
 
 
@@ -303,10 +299,12 @@ class InstantaneousMode:
 class InstantaneousBasis:
     """Signed eigenpairs of the cavity at one time, both frequency branches.
 
-    Mode i is psi_i = a[i] c(x; lam[i]) + b[i] s(x; lam[i]) with signed
-    frequency omega[i]; the four read-only arrays have shape (2N,), the
-    positive branch first.  ``modes``, ``plus`` and ``minus`` present the
-    same numbers as ``InstantaneousMode`` objects, built on first access.
+    Mode i is psi_i = a[i] c(z; lam[i]) + b[i] s(z; lam[i]) with signed
+    frequency omega[i], where z = x - (x_minus + x_plus)/2 is measured
+    from the cavity centre: a and b are the value and slope of each mode
+    there.  The four read-only arrays have shape (2N,), the positive
+    branch first.  ``modes``, ``plus`` and ``minus`` present the same
+    numbers as ``InstantaneousMode`` objects, built on first access.
     Bases compare and hash by identity.
     """
 
@@ -332,7 +330,10 @@ class InstantaneousBasis:
 
     def values(self, x):
         """Values and x-derivatives of every mode, each (2N, len(x))."""
-        return _mode_values(self.lam, self.a, self.b, x)
+        centre = 0.5 * (self.x_minus + self.x_plus)
+        return _mode_values(
+            self.lam, self.a, self.b, np.asarray(x, dtype=float) - centre
+        )
 
     @functools.cached_property
     def modes(self) -> Tuple[InstantaneousMode, ...]:
@@ -477,7 +478,8 @@ def _polish_roots(f, a, b, fa, fb, max_iter=100, labels=None):
     """Vectorised safeguarded Newton iteration on sign-change brackets.
 
     ``f`` returns the function and its slope at an array of points.  Each
-    bracket (a, b), in either order, starts at its regula-falsi point.
+    bracket (a, b), in either order, starts at the regula-falsi point of
+    ``fa`` and ``fb``, values at its ends with the signs of f there.
     Every iterate replaces the end whose value has its sign, and an exact
     zero closes the bracket onto itself.  A Newton step that leaves the
     closed bracket bisects it instead, so no root leaves its bracket.  No
@@ -551,11 +553,16 @@ def _find_roots(times, walls, speeds, params, bc, bands):
     the wall velocities and sees the walls only through the cavity
     length, so the roots do not depend on where the cavity sits.  They
     are bracketed by a sign scan (``BRACKET_DENSITY`` nodes per half mode
-    spacing) and polished by safeguarded Newton iteration on the
-    closed-form slope.  Both branches of every time are scanned at once
-    on the signed grids ``[grid, -grid]``; an event is an exact zero at a
-    node or a sign change to the next node.  All brackets share one
-    polish, and each root stays in its bracket.
+    spacing) and polished by safeguarded Newton iteration on D/|omega|
+    and its closed-form slope: below the first band D can be nearly
+    quadratic in omega above a sub-band root, where Newton on D only
+    halves the distance each round, and D/|omega| is nearly linear.  It
+    starts at the regula-falsi point of the scan values of D: divided by
+    their nodes, the value at a bracket's 1e-9 m floor would outweigh
+    the other end and start the polish there.  Both branches of every
+    time are scanned at once on the signed grids ``[grid, -grid]``; an
+    event is an exact zero at a node or a sign change to the next node.
+    All brackets share one polish, and each root stays in its bracket.
     """
     if bands < 1:
         raise ValueError(f"bands must be >= 1, got {bands}")
@@ -595,72 +602,20 @@ def _find_roots(times, walls, speeds, params, bc, bands):
         lo = picked[bracket]
         t = lo // (2 * grid.shape[1])
         bracket_length, bracket_speeds = length[t], speeds[:, t]
-        roots[bracket] = _polish_roots(
-            lambda w: _char_det(
+
+        def scaled(w):
+            # D/|omega| has the signs of D and the Newton steps of D/omega
+            det, slope = _char_det(
                 w, bracket_length, *bracket_speeds, mass2f, bc, slope=True
-            ),
-            nodes[lo], nodes[lo + 1], values[lo], values[lo + 1],
+            )
+            size = np.abs(w)
+            return det / size, (slope - det / w) / size
+
+        roots[bracket] = _polish_roots(
+            scaled, nodes[lo], nodes[lo + 1], values[lo], values[lo + 1],
             labels=times[t],
         )
     return roots.reshape(len(times), 2 * bands)
-
-
-def _normalised_modes(times, omega, lam, c, s, speeds, mass2f, bc, weights,
-                      out=None, scratch=None):
-    """Normalised, signed modes of the roots ``omega`` (T, 2N).
-
-    ``c`` and ``s`` are (T, 2N, P) on each time's points: the Q
-    quadrature nodes (``weights``, (T, Q)), the cavity midpoint, then the
-    left and right walls; ``speeds`` is (2, T).  Returns ``a`` and ``b``,
-    (T, 2N), the modes' values and x-derivatives on the points,
-    (T, 2N, P), written into ``out`` when given (as in ``_combine``), and
-    int psi^2 of each normalised mode, (T, 2N).  Errors name the first
-    offending time.
-    """
-    r0, r1 = _boundary_rows(
-        omega, lam, c[..., -2:].transpose(2, 0, 1),
-        s[..., -2:].transpose(2, 0, 1), speeds[:, :, None], bc,
-    )
-    # coefficient vector = null direction of the 2x2 boundary system,
-    # taken from the better-conditioned row (left wall on a tie)
-    left = r0[0] ** 2 + r1[0] ** 2 >= r0[1] ** 2 + r1[1] ** 2
-    p = np.where(left, r0[0], r0[1])
-    q = np.where(left, r1[0], r1[1])
-    norm = np.hypot(p, q)
-    if np.any(norm == 0):
-        i = np.argmax(np.any(norm == 0, axis=1))
-        raise SolverError(
-            f"degenerate boundary rows at t={times[i]}, "
-            f"omega={omega[i][norm[i] == 0]}"
-        )
-    a, b = q / norm, -p / norm
-    # normalisation: (m^2 + F + omega^2) int psi^2 + int psi'^2 = |omega|
-    vals, dvals = _combine(lam, a, b, c, s, out, scratch)
-    inner = weights.shape[-1]
-    psi, dpsi = vals[..., :inner], dvals[..., :inner]
-    w = weights[..., None]
-    square = None if scratch is None else scratch[..., :inner]
-    norm_sq = (np.multiply(psi, psi, out=square) @ w)[..., 0]
-    quad = (mass2f + omega**2) * norm_sq + (
-        np.multiply(dpsi, dpsi, out=square) @ w
-    )[..., 0]
-    if np.any(quad <= 0):
-        i = np.argmax(np.any(quad <= 0, axis=1))
-        raise SolverError(
-            f"non-positive norm form at t={times[i]}, omega={omega[i]}"
-        )
-    scale = np.sqrt(quad / np.abs(omega))
-    # deterministic sign: positive value at the cavity midpoint, positive
-    # derivative when the midpoint is a node.  The two are compared on a
-    # common scale and the dominant one decides, so that a node shifted
-    # by a small boundary displacement cannot flip the convention.
-    val_c = np.abs(omega) * vals[..., inner]
-    dval_c = dvals[..., inner]
-    decider = np.where(np.abs(val_c) >= np.abs(dval_c), val_c, dval_c)
-    factor = np.where(decider < 0, -1.0, 1.0) / scale
-    vals *= factor[..., None]
-    dvals *= factor[..., None]
-    return a * factor, b * factor, vals, dvals, norm_sq * factor**2
 
 
 def _quad_count(bands, quad_points):
@@ -699,35 +654,116 @@ def _walls(traj, times, accelerations=False):
     return table.reshape(len(times), kinds, 2).transpose(1, 2, 0)
 
 
-def _solve(params, bc, times, walls, speeds, omega, quad_points, out=None,
-           scratch=None):
-    """Normalised modes of the roots ``omega`` (T, 2N) at ``times`` (T,).
+_WALL_SIDES = np.array([-1.0, 1.0])[:, None, None]  # z = -L/2, L/2 axis
+
+
+@functools.lru_cache(maxsize=8)
+def _fold_rule(quad_count):
+    """Half-grid points and folded weights of a ``quad_count``-point rule.
+
+    On [-1, 1]: the Gauss-Legendre nodes at or above 0 (their mirror
+    images are the nodes below; ``leggauss`` nodes are exactly
+    antisymmetric), then the wall 1.  Each node off the centre stands for
+    itself and its mirror image, so its weight is doubled; the centre
+    node of an odd rule keeps its weight, and the wall has weight 0.
+    """
+    nodes, weights = gauss_legendre(-1.0, 1.0, quad_count)
+    upper = quad_count // 2
+    points = np.append(nodes[upper:], 1.0)
+    folded = np.append(2.0 * weights[upper:], 0.0)
+    if quad_count % 2:
+        folded[0] = weights[upper]
+    for array in (points, folded):
+        array.flags.writeable = False
+    return points, folded
+
+
+def _moments(f, g, weights, scratch=None):
+    """int f g of each mode's even and odd slots, (T, 2N, 2).
+
+    ``f`` and ``g`` are folded (T, 2N, 2, P) arrays and ``weights`` (T, P)
+    the folded rule; ``scratch``, shaped like ``f``, takes the products.
+    """
+    size = f.shape
+    product = np.multiply(f, g, out=scratch).reshape(size[0], -1, size[-1])
+    return (product @ weights[:, :, None]).reshape(size[:-1])
+
+
+def _folded_modes(params, bc, times, walls, speeds, omega, quad_points,
+                  out=None, scratch=None):
+    """Normalised, signed modes of the roots ``omega`` (T, 2N) at ``times``.
 
     The roots come from ``_find_roots`` at the same walls and speeds,
     (2, T), which a caller may have taken in batches of another layout.
-    c and s are evaluated once, on each time's quadrature nodes, midpoint
-    and walls, for the normalisation.  Returns the points (T, P) and
-    weights (T, Q) as in ``_normalised_modes``; ``lam``, ``a`` and ``b``,
-    (T, 2N); c, s and the modes' values and x-derivatives on the points,
-    (T, 2N, P); and int psi^2 of each mode, (T, 2N).  ``out`` holds four
-    (T, 2N, P) arrays that receive c, s and the values, and ``scratch``
-    one more for the products; each is allocated when omitted.
+    Each mode is psi = a c(z) + b s(z) in z = x - (x_- + x_+)/2, measured
+    from the cavity centre, and is held in the folded layout: the
+    Gauss-Legendre rule is symmetric about z = 0, where c is even and s
+    odd, so c and s are evaluated only on the P = ceil(Q/2) + 1 half-grid
+    points z >= 0 of ``_fold_rule`` (the last is the wall z = L/2), and
+    the left wall follows by parity.  The folded (T, 2N, 2, P) array
+    holds c in its even slot (index 0 of the third axis) and s in its odd
+    slot; on the folded weights, zero at the wall, every integral
+    int f g over the cavity is sum W f g over both slots, as even x odd
+    terms cancel on the symmetric rule.  The norms come from the moments
+    int c^2 and int s^2 before any value is formed:
+    int psi^2 = a^2 int c^2 + b^2 int s^2 and
+    int psi'^2 = b^2 int c^2 + a^2 lam^2 int s^2.  The sign rule reads
+    psi(0) = a and psi'(0) = b.
+
+    Returns the half-grid points z (T, P) and folded weights (T, P);
+    ``lam``, ``a`` and ``b``, (T, 2N); c and s, folded, written into
+    ``out`` when given; and the moments int c^2 and int s^2 of each mode,
+    (T, 2N, 2), as from ``_moments``.  ``scratch``, shaped like ``out``,
+    takes the products.  Errors name the first offending time.
     """
     mass2f = params.mass_term + positivity_shift(params)
-    nodes, weights = gauss_legendre(
-        walls[0][:, None], walls[1][:, None],
-        _quad_count(omega.shape[1] // 2, quad_points),
+    points, folded = _fold_rule(
+        _quad_count(omega.shape[1] // 2, quad_points)
     )
-    middle = 0.5 * (walls[0] + walls[1])
-    points = np.concatenate([nodes, middle[:, None], walls.T], axis=1)
+    half = (0.5 * (walls[1] - walls[0]))[:, None]
+    z, weights = half * points, half * folded
     lam = omega * omega - mass2f
-    cs_out, vals_out = (None, None) if out is None else (out[:2], out[2:])
-    c, s = _cs(points[:, None, :], lam[..., None], cs_out)
-    a, b, vals, dvals, norm_sq = _normalised_modes(
-        times, omega, lam, c, s, speeds, mass2f, bc, weights, vals_out,
-        scratch,
+    if out is None:
+        out = np.empty(omega.shape + (2, len(points)))
+    c, s = _cs(z[:, None, :], lam[..., None], (out[..., 0, :], out[..., 1, :]))
+    # int c s vanishes on the symmetric rule
+    squares = _moments(out, out, weights, scratch)
+    c_sq, s_sq = squares[..., 0], squares[..., 1]
+    # boundary rows at z = -L/2 (c even, s odd) and z = L/2
+    r0, r1 = _boundary_rows(
+        omega, lam, c[..., -1], _WALL_SIDES * s[..., -1], speeds[:, :, None],
+        bc,
     )
-    return points, weights, lam, a, b, c, s, vals, dvals, norm_sq
+    # coefficient vector = null direction of the 2x2 boundary system,
+    # taken from the better-conditioned row (left wall on a tie)
+    left = r0[0] ** 2 + r1[0] ** 2 >= r0[1] ** 2 + r1[1] ** 2
+    p = np.where(left, r0[0], r0[1])
+    q = np.where(left, r1[0], r1[1])
+    norm = np.hypot(p, q)
+    if np.any(norm == 0):
+        i = np.argmax(np.any(norm == 0, axis=1))
+        raise SolverError(
+            f"degenerate boundary rows at t={times[i]}, "
+            f"omega={omega[i][norm[i] == 0]}"
+        )
+    a, b = q / norm, -p / norm
+    # normalisation: (m^2 + F + omega^2) int psi^2 + int psi'^2 = |omega|
+    a_sq, b_sq = a * a, b * b
+    norm_sq = a_sq * c_sq + b_sq * s_sq
+    quad = (mass2f + omega**2) * norm_sq + b_sq * c_sq + lam**2 * a_sq * s_sq
+    if np.any(quad <= 0):
+        i = np.argmax(np.any(quad <= 0, axis=1))
+        raise SolverError(
+            f"non-positive norm form at t={times[i]}, omega={omega[i]}"
+        )
+    # deterministic sign: positive value at the cavity centre, positive
+    # derivative when the centre is a node.  The two are compared on a
+    # common scale and the dominant one decides, so that a node shifted
+    # by a small boundary displacement cannot flip the convention.
+    value = np.abs(omega) * a
+    decider = np.where(np.abs(value) >= np.abs(b), value, b)
+    factor = np.where(decider < 0, -1.0, 1.0) / np.sqrt(quad / np.abs(omega))
+    return z, weights, lam, a * factor, b * factor, out, squares
 
 
 def solve_instantaneous_bases(
@@ -742,7 +778,7 @@ def solve_instantaneous_bases(
 
     Roots are bracketed by a sign scan and polished by safeguarded Newton
     iteration, each inside its bracket; eigenfunctions are normalised in
-    the velocity-compatible quadratic form and signed by the midpoint
+    the velocity-compatible quadratic form and signed by the cavity-centre
     convention.  All times share one scan on a (time x branch x node)
     array, one polish over every bracket and one normalisation pass, so a
     batch costs few numpy calls more than a single time.  No time
@@ -752,7 +788,7 @@ def solve_instantaneous_bases(
     times = np.asarray(times, dtype=float).reshape(-1)
     walls, speeds = _walls(traj, times.tolist())
     omega = _find_roots(times, walls, speeds, params, bc, bands)
-    lam, a, b = _solve(
+    lam, a, b = _folded_modes(
         params, bc, times, walls, speeds, omega, quad_points
     )[2:5]
     for array in (omega, lam, a, b):
@@ -806,33 +842,47 @@ def mode_transform_matrix(bands: int) -> np.ndarray:
     )
 
 
-def _mode_rates(times, omega, lam, a, b, points, c, s, vals, dvals, norm_sq,
-                weights, speeds, accels, mass2f, bc, out=None, scratch=None):
-    """d omega/dt, (C, 2N), and d psi/dt at fixed x on the points.
+def _folded_rates(times, omega, lam, a, b, z, weights, cs, squares, speeds,
+                  accels, mass2f, bc, out=None, scratch=None):
+    """d omega/dt, (C, 2N), and d psi/dt at fixed x, folded (C, 2N, 2, P).
 
-    Arrays are those of ``_solve`` and ``accels`` the wall accelerations,
-    (2, C).  The roots move as d omega/dt = -(dD/dt)/(dD/domega) on the
-    characteristic determinant D = p_L q_R - p_R q_L of the wall rows.
-    The coefficient vector (a, b) moves across itself at the rate that
-    keeps it null for both rows (a least-squares blend of the two walls,
-    which agree), and along itself as the norm form
+    Arrays are those of ``_folded_modes`` and ``accels`` the wall
+    accelerations, (2, C).  The roots move as d omega/dt =
+    -(dD/dt)/(dD/domega) on the characteristic determinant D = p_L q_R -
+    p_R q_L of the wall rows.  The modes live in z, whose origin moves at
+    the mean wall speed v_c, so the walls move at v_e - v_c in z.  The
+    coefficient vector (a, b) moves across itself at the rate that keeps
+    it null for both rows (a least-squares blend of the two walls, which
+    agree), and along itself as the norm form
     Q = (m^2 + F + omega^2) int psi^2 + int psi'^2 = |omega| requires,
-    with the walls' Leibniz terms.  ``norm_sq`` is int psi^2 of each mode.
-    ``c`` and ``s`` are overwritten; ``out`` is a pair of arrays shaped
-    like them that receive the lam-derivatives of c and s, and
-    ``scratch`` one more for the products, each allocated when omitted.
+    with the walls' Leibniz terms; int psi psi_t comes from the moments
+    int c dc and int s ds.  At fixed x, psi_t gains -v_c psi'.  It is
+    formed once from per-mode coefficients on c, s and their
+    lam-derivatives dc, ds (``_cs_rates``), in ``out``, shaped like
+    ``cs``, when given; ``scratch`` takes the products.
     """
-    dc, ds = _cs_rates(points[:, None, :], lam[..., None], c, s, out)
-    at_walls = [
-        array[..., -2:].transpose(2, 0, 1) for array in (c, s, dc, ds)
-    ]
-    x_w = points[:, None, -2:].transpose(2, 0, 1)
-    v_w, a_w = speeds[:, :, None], accels[:, :, None]
-    p, q = _boundary_rows(omega, lam, at_walls[0], at_walls[1], v_w, bc)
-    by_x, by_v, by_omega = _boundary_rates(
-        omega, lam, x_w, *at_walls, v_w, bc
+    if out is None:
+        out = np.empty_like(cs)
+    c, s = cs[..., 0, :], cs[..., 1, :]
+    dc, ds = _cs_rates(
+        z[:, None, :], lam[..., None], c, s, (out[..., 0, :], out[..., 1, :])
     )
-    p_t, q_t = (by_x[k] * v_w + by_v[k] * a_w for k in range(2))
+    rates = _moments(cs, out, weights, scratch)
+    c_dc, s_ds, c_sq, s_sq = (
+        rates[..., 0], rates[..., 1], squares[..., 0], squares[..., 1]
+    )
+    # the walls z = -L/2 and L/2: c and dc even, s and ds odd
+    c_w, s_w, dc_w, ds_w = c[..., -1], s[..., -1], dc[..., -1], ds[..., -1]
+    side = _WALL_SIDES
+    z_w = side * z[:, -1:]
+    v_w, a_w = speeds[:, :, None], accels[:, :, None]
+    p, q = _boundary_rows(omega, lam, c_w, side * s_w, v_w, bc)
+    by_x, by_v, by_omega = _boundary_rates(
+        omega, lam, z_w, c_w, side * s_w, dc_w, side * ds_w, v_w, bc
+    )
+    centre_speed = 0.5 * (speeds[0] + speeds[1])[:, None]
+    shift = v_w - centre_speed  # wall speeds in z
+    p_t, q_t = (by_x[k] * shift + by_v[k] * a_w for k in range(2))
 
     def det_rate(dp, dq):
         return dp[0] * q[1] + p[0] * dq[1] - dp[1] * q[0] - p[1] * dq[0]
@@ -849,76 +899,75 @@ def _mode_rates(times, omega, lam, a, b, points, c, s, vals, dvals, norm_sq,
     along = p_t * a + q_t * b
     across = q * a - p * b
     tau = -np.sum(along * across, axis=0) / np.sum(across * across, axis=0)
-    # psi_t at fixed x, norm held: tau (a s - b c) + lam_t (a dc + b ds)
+    # psi_t at fixed z, norm held: tau (a s - b c) + lam_t (a dc + b ds),
+    # coefficients of c, dc (even) and s, ds (odd)
     lam_t = 2.0 * omega * domega
-    rate = c  # c and s are reused in place
-    rate *= (-tau * b)[..., None]
-    s *= (tau * a)[..., None]
-    rate += s
-    dc *= (lam_t * a)[..., None]
-    ds *= (lam_t * b)[..., None]
-    rate += dc
-    rate += ds
+    on_c, on_dc, on_s, on_ds = -tau * b, lam_t * a, tau * a, lam_t * b
+    cross = a * (on_c * c_sq + on_dc * c_dc) + b * (on_s * s_sq + on_ds * s_ds)
     # Q_t = 2 omega omega_t int psi^2 + 4 omega^2 int psi psi_t
-    #       + 2 [psi' psi_t] + sum_e n_e v_e [(mu + omega^2) psi^2 + psi'^2]
-    inner = weights.shape[-1]
-    w = weights[..., None]
-    product = None if scratch is None else scratch[..., :inner]
-    cross = (
-        np.multiply(vals[..., :inner], rate[..., :inner], out=product) @ w
-    )[..., 0]
-    outward = np.array([-1.0, 1.0])
-    psi_w, dpsi_w = vals[..., -2:], dvals[..., -2:]
-    boundary = (dpsi_w * rate[..., -2:]) @ outward
-    boundary *= 2.0
-    density = (mass2f + omega**2)[..., None] * psi_w**2 + dpsi_w**2
-    boundary += (density * (outward * speeds.T)[:, None, :]).sum(axis=-1)
+    #       + 2 [psi' psi_t] + sum_e n_e (v_e - v_c) [(mu + omega^2) psi^2
+    #       + psi'^2]; at z = +-L/2 each is its even part +- its odd part
+    even, odd = a * c_w, b * s_w
+    d_even, d_odd = b * c_w, -lam * a * s_w
+    t_even, t_odd = on_c * c_w + on_dc * dc_w, on_s * s_w + on_ds * ds_w
+    boundary = 4.0 * (d_even * t_odd + d_odd * t_even) + (
+        (speeds[1] - speeds[0])[:, None] * (
+            (mass2f + omega**2) * (even**2 + odd**2) + d_even**2 + d_odd**2
+        )
+    )
+    norm_sq = a * a * c_sq + b * b * s_sq
     q_rate = 2.0 * omega * domega * norm_sq + 4.0 * omega**2 * cross + boundary
     kappa = domega / (2.0 * omega) - q_rate / (2.0 * np.abs(omega))
-    rate += np.multiply(kappa[..., None], vals, out=scratch)
-    return domega, rate
+    # at fixed x, psi_t - v_c psi' with psi' = b c (even) - lam a s (odd)
+    on_cs = np.stack([
+        on_c + kappa * a - centre_speed * b,
+        on_s + kappa * b + centre_speed * lam * a,
+    ], axis=-1)
+    out *= np.stack([on_dc, on_ds], axis=-1)[..., None]
+    out += np.multiply(cs, on_cs[..., None], out=scratch)
+    return domega, out
 
 
-def _vhat(omegas, domega, vals, dvals, dvals_dt, weights, speeds, f_term, bc,
-          scratch=None):
+def _folded_vhat(omegas, domega, lam, a, b, cs, rate, weights, speeds, f_term,
+                 bc, scratch=None):
     """Real 2N x 2N generator blocks of C nodes, (C, 2N, 2N).
 
     ``omegas`` and ``domega`` (C, 2N) are the frequencies at the nodes
-    and their time derivatives.  ``vals`` and ``dvals`` are the modes'
-    values and x-derivatives and ``dvals_dt`` their time derivatives at
-    fixed x, each (C, 2N, P) on the Q quadrature nodes (``weights``,
-    (C, Q)), the midpoint and then the left and right walls; ``speeds``
-    (C, 2) are the wall velocities.  ``scratch``, shaped like ``vals``,
-    takes the weighted integrands; it is allocated when omitted.
+    and their time derivatives, ``lam``, ``a`` and ``b`` (C, 2N) the
+    modes, ``cs`` their folded c and s and ``rate`` their folded time
+    derivatives at fixed x, each (C, 2N, 2, P) on the folded rule
+    ``weights`` (C, P) (``_folded_modes``, ``_folded_rates``); ``speeds``
+    (2, C) are the wall velocities.  ``cs`` is overwritten with the
+    modes' folded values, and ``scratch``, shaped like it, takes the
+    weighted values; it is allocated when omitted.
     """
-    inner = weights.shape[-1]
-    psi = vals[..., :inner]
-    dpsi_dt = dvals_dt[..., :inner]
-    psi_t = np.swapaxes(psi, -1, -2)
-    w = weights[..., None, :]
-    product = None if scratch is None else scratch[..., :inner]
+    # wall values, (C, 2N, 2) left wall first: even part -+ odd part
+    side = np.array([-1.0, 1.0])
+    c_w, s_w = cs[..., 0, -1:], cs[..., 1, -1:]
+    psi_end = a[..., None] * c_w + side * (b[..., None] * s_w)
+    dpsi_end = b[..., None] * c_w - side * ((lam * a)[..., None] * s_w)
+    dpsidt_end = rate[..., 0, -1:] + side * rate[..., 1, -1:]
+    vals = cs
+    vals *= np.stack([a, b], axis=-1)[..., None]
+    weighted = np.multiply(vals, weights[:, None, None, :], out=scratch)
+    size = omegas.shape[-1]
+    flat = (len(omegas), size, -1)
+    weighted = np.swapaxes(weighted.reshape(flat), -1, -2)
 
     # volume integrals, all pairs at once
-    overlap = np.multiply(psi, w, out=product) @ psi_t  # int psi_n psi_m
-    # int (d psi_n/dt) psi_m
-    dt_overlap = np.multiply(dpsi_dt, w, out=product) @ psi_t
-
-    # wall values: left wall, right wall
-    psi_end, dpsi_end = vals[..., -2:], dvals[..., -2:]
-    dpsidt_end = dvals_dt[..., -2:]
+    overlap = vals.reshape(flat) @ weighted  # int psi_n psi_m
+    dt_overlap = rate.reshape(flat) @ weighted  # int (d psi_n/dt) psi_m
 
     total = (omegas[..., :, None] + omegas[..., None, :]) * dt_overlap
     total += (2.0 * omegas**2 + domega - f_term)[..., :, None] * overlap
-    outward = np.array([-1.0, 1.0])  # outward normal (left, right)
     if bc is BoundaryCondition.NEUMANN:
-        vb = (speeds * outward)[..., None, :]  # outward-normal wall speeds
+        vb = (speeds.T * side)[..., None, :]  # outward-normal wall speeds
         total -= (dpsidt_end * vb) @ np.swapaxes(psi_end, -1, -2)
     else:
-        normal_grad = dpsi_end * outward
+        normal_grad = dpsi_end * side
         total += (dpsidt_end @ np.swapaxes(normal_grad, -1, -2)) / omegas[
             ..., None, :
         ]
-    size = omegas.shape[-1]
     hat_sign = np.where(np.arange(size) < size // 2, 1.0, -1.0)
     vhat = hat_sign * total
     diag = np.arange(size)
@@ -927,10 +976,12 @@ def _vhat(omegas, domega, vals, dvals, dvals_dt, weights, speeds, f_term, bc,
 
 
 def _workspace(nodes, bands, quad_points):
-    """Seven float (node x 2N x point) arrays for ``_chunk_vhats``, as one."""
-    return np.empty(
-        (7, nodes, 2 * bands, _quad_count(bands, quad_points) + 3)
-    )
+    """Three folded float arrays for ``_chunk_vhats``, as one.
+
+    Each is (node x 2N x 2 x P), P = ceil(Q/2) + 1 (``_fold_rule``).
+    """
+    points = len(_fold_rule(_quad_count(bands, quad_points))[0])
+    return np.empty((3, nodes, 2 * bands, 2, points))
 
 
 def _chunk_vhats(params, bc, times, walls, speeds, accels, omega,
@@ -940,27 +991,27 @@ def _chunk_vhats(params, bc, times, walls, speeds, accels, omega,
     ``walls``, ``speeds`` and ``accels`` (2, C) are the trajectory at the
     times (``_walls``) and ``omega`` (C, 2N) their roots
     (``_find_roots``).  The chunk's modes are normalised in one batched
-    ``_solve``; their time derivatives come in closed form from the wall
-    velocities and accelerations (``_mode_rates``).  Every (C, 2N, P)
-    array of the pass is a leading slice of ``work``, a ``_workspace``
-    for at least C nodes (one is allocated when omitted), so a caller
-    that passes the same workspace to each chunk allocates none of them
-    again.  The blocks share no memory with ``work``.
+    ``_folded_modes``; their time derivatives come in closed form from
+    the wall velocities and accelerations (``_folded_rates``).  Every
+    folded (C, 2N, 2, P) array of the pass is a leading slice of
+    ``work``, a ``_workspace`` for at least C nodes (one is allocated
+    when omitted), so a caller that passes the same workspace to each
+    chunk allocates none of them again.  The blocks share no memory with
+    ``work``.
     """
     if work is None:
         work = _workspace(len(times), omega.shape[1] // 2, quad_points)
-    c, s, vals, dvals, dc, ds, scratch = work[:, : len(times)]
-    points, weights, lam, a, b, c, s, vals, dvals, norm_sq = _solve(
-        params, bc, times, walls, speeds, omega, quad_points,
-        (c, s, vals, dvals), scratch,
+    cs, rate, scratch = work[:, : len(times)]
+    z, weights, lam, a, b, cs, squares = _folded_modes(
+        params, bc, times, walls, speeds, omega, quad_points, cs, scratch
     )
     f_term = positivity_shift(params)
-    domega, dvals_dt = _mode_rates(
-        times, omega, lam, a, b, points, c, s, vals, dvals, norm_sq, weights,
-        speeds, accels, params.mass_term + f_term, bc, (dc, ds), scratch,
+    domega, rate = _folded_rates(
+        times, omega, lam, a, b, z, weights, cs, squares, speeds, accels,
+        params.mass_term + f_term, bc, rate, scratch,
     )
-    return _vhat(
-        omega, domega, vals, dvals, dvals_dt, weights, speeds.T, f_term, bc,
+    return _folded_vhat(
+        omega, domega, lam, a, b, cs, rate, weights, speeds, f_term, bc,
         scratch,
     )
 
@@ -1073,10 +1124,13 @@ def evolve_transformation(
     each one ``_find_roots`` call (one sign scan and one polish over all its
     brackets) whose (node x branch x scan node) grid stays within
     ``CHUNK_BYTES``; the modes and generators come in point chunks, each of
-    which keeps one (node x 2N x point) array within ``CHUNK_BYTES``.  Every
-    basis has the same ``_quad_count`` points and every scan grid as many
-    nodes as t0's, so both layouts depend on N, the field and
-    ``quad_points`` alone.  A root batch is taken just before the first
+    which keeps one folded (node x 2N x 2 x point) array within
+    ``CHUNK_BYTES``: the modes are held on the ceil(Q/2) + 1 half-grid
+    points of the Gauss-Legendre rule about the cavity centre, c in the
+    even slot and s in the odd one (``_folded_modes``).  Every basis has
+    the same ``_quad_count`` points and every scan grid as many nodes as
+    t0's, so both layouts depend on N, the field and ``quad_points``
+    alone.  A root batch is taken just before the first
     chunk that needs its roots, so the roots held never exceed one batch and
     one chunk, however long the window.  Each chunk takes its nodes'
     trajectory rows and roots by slice, normalises their modes in one batch
@@ -1125,15 +1179,16 @@ def evolve_transformation(
     node_times[0] = t0
     node_times[1::2] = starts + dt / 2.0
     node_times[2::2] = starts + dt
-    # a root batch's (node x branch x scan node) grid and a chunk's
-    # (node x 2N x point) arrays each stay within CHUNK_BYTES; every node's
-    # scan grid is as wide as t0's
+    # a root batch's (node x branch x scan node) grid and a chunk's folded
+    # (node x 2N x 2 x point) arrays each stay within CHUNK_BYTES; every
+    # node's scan grid is as wide as t0's
     mass2f, skip_low = _scan_terms(params, bc)
     scan_width = _scan_grid(
         kinematics[0, 1] - kinematics[0, 0], mass2f, bands, skip_low
     )[0].shape[1]
     root_nodes = max(1, CHUNK_BYTES // (2 * scan_width * 8))
-    chunk_nodes = max(1, CHUNK_BYTES // (size * (quad_count + 3) * 8))
+    folded = 2 * len(_fold_rule(quad_count)[0])
+    chunk_nodes = max(1, CHUNK_BYTES // (size * folded * 8))
     _log.info(
         "integrating %d steps of dt=%.6g (guidance dt <= %.6g); "
         "%d nodes in %d chunks of up to %d; %d quadrature points; "

@@ -308,6 +308,11 @@ def test_newton_step_leaving_its_bracket_bisects():
 # L = 1) or 1.57 (at L = 0.5, where the slope at its low end is 0)
 @example(length=1.0, v_minus=0.0, v_plus=1e-30, mass=1e-30, bc=N)
 @example(length=0.5, v_minus=0.0, v_plus=1e-30, mass=1e-30, bc=N)
+# D is nearly quadratic above these sub-band roots, so Newton on D only
+# halved the distance each round and ran out of iterations
+@example(length=1.0, v_minus=0.0, v_plus=1e-59, mass=1e-60, bc=N)
+@example(length=1.0, v_minus=0.0, v_plus=1e-81, mass=1e-90, bc=N)
+@example(length=1.0, v_minus=0.0, v_plus=1e-111, mass=1e-120, bc=N)
 @settings(max_examples=30, deadline=None)
 def test_polished_roots_stay_in_their_scan_brackets(length, v_minus, v_plus,
                                                      mass, bc):
@@ -347,25 +352,56 @@ def test_polished_roots_stay_in_their_scan_brackets(length, v_minus, v_plus,
     assert np.all(np.diff(omega[:4]) > 0) and np.all(np.diff(omega[4:]) < 0)
 
 
+def _rounded_length(t):
+    """pi + 0.05 sin t as a multiple of 2^-32: exact at every offset below."""
+    return np.round((math.pi + 0.05 * np.sin(t)) * 2.0**32) / 2.0**32
+
+
 def test_roots_do_not_depend_on_the_cavity_position():
     # a massive Neumann cavity scanned through its evanescent window: cosh
-    # and sinh at the walls themselves overflowed far from x = 0.  Lengths
-    # are multiples of 2^-32, so every offset below keeps them exact.
+    # and sinh at the walls themselves overflowed far from x = 0, and so
+    # did the modes, which came out NaN at 1e4.  Lengths are multiples of
+    # 2^-32, so every offset below keeps them and the cavity centre exact.
     times = np.linspace(0.0, 2.0, 5)
-    length = np.round((math.pi + 0.05 * np.sin(times)) * 2.0**32) / 2.0**32
+    length = _rounded_length(times)
     speeds = np.array([np.zeros_like(times), 0.05 * np.cos(times)])
-    roots = []
+    params = FieldParams(mass=1.3)
+    relative = np.arange(13) / 4.0  # points from the left wall, exact
+    roots, bases, vhats = [], [], []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for offset in (0.0, 400.0, 1e3, 1e6):
+        for offset in (0.0, 400.0, 1e3, 1e4, 1e6):
             walls = np.array([offset + 0.0 * length, offset + length])
             assert np.array_equal(walls[1] - walls[0], length)
             roots.append(exact1d._find_roots(
-                times, walls, speeds, FieldParams(mass=1.3), N, 6
+                times, walls, speeds, params, N, 6
             ))
+            traj = BoundaryTrajectory(
+                lambda t, x=offset: x,
+                lambda t, x=offset: x + _rounded_length(t),
+                v_minus=lambda t: 0.0, v_plus=lambda t: 0.05 * math.cos(t),
+                a_minus=lambda t: 0.0, a_plus=lambda t: -0.05 * math.sin(t),
+            )
+            basis = solve_instantaneous_basis(traj, params, N, 0.5, 6)
+            points = offset + np.append(relative, basis.x_plus - offset)
+            bases.append((basis, basis.values(points)))
+            vhats.append(assemble_vhat(traj, params, N, 0.5, 6))
     assert np.any(roots[0] ** 2 < 1.3**2)  # an evanescent root
     for moved in roots[1:]:
         assert np.all(np.abs(moved - roots[0]) <= 1e-14 * np.abs(roots[0]))
+    (basis, values), vhat = bases[0], vhats[0]
+    assert basis.minus[0].evanescent  # the mode that came out NaN
+    size = np.hypot(basis.a, basis.b)
+    for (moved, moved_values), moved_vhat in zip(bases[1:], vhats[1:]):
+        for name in ("a", "b"):
+            gap = np.abs(getattr(moved, name) - getattr(basis, name))
+            assert np.all(gap <= 1e-12 * size), name
+        for got, want in zip(moved_values, values):
+            scale = np.max(np.abs(want), axis=1, keepdims=True)
+            assert np.all(np.abs(got - want) <= 1e-12 * scale)
+        assert np.max(np.abs(moved_vhat - vhat)) <= 1e-12 * np.max(
+            np.abs(vhat)
+        )
 
 
 def _polish_rounds(monkeypatch):
@@ -399,6 +435,26 @@ def test_exact_resonant_window_polishes_in_few_rounds(monkeypatch):
     assert max(rounds) <= 5
 
 
+def test_exact_resonant_window_folds_its_modes(monkeypatch):
+    # the same window evaluates c and s of each mode once per node, at the
+    # ceil(Q/2) half-grid nodes and one wall of the folded rule
+    cs, shapes = exact1d._cs, []
+
+    def counting(x, lam, out=None):
+        c, s = cs(x, lam, out)
+        if c.ndim == 3 and c.shape[1] == 24:  # every mode of 12 bands
+            shapes.append(c.shape)
+        return c, s
+
+    monkeypatch.setattr(exact1d, "_cs", counting)
+    state = evolve_transformation(
+        dce_trajectory(), FieldParams(), D, 0.0, 2.0 * math.pi / 3.0, 12
+    )
+    quad_count = exact1d._quad_count(12, None)
+    assert {shape[2] for shape in shapes} == {-(-quad_count // 2) + 1}
+    assert sum(shape[0] for shape in shapes) == 2 * state.step_count + 1
+
+
 def test_cold_bases_polish_in_few_rounds(monkeypatch):
     # moving and static walls, both conditions, massive Neumann fields
     # scanned through their evanescent window
@@ -413,7 +469,15 @@ def test_cold_bases_polish_in_few_rounds(monkeypatch):
             np.array(speeds, dtype=float)[:, None], FieldParams(mass=mass),
             bc, 6,
         )
-    assert len(rounds) == 48
+    # a sub-band root at 0.57 of its bracket, whose low end is the scan
+    # floor 1e-9 m: started at the regula-falsi point of D/omega, which
+    # the floor outweighs, the polish began at the far end and took 16
+    exact1d._find_roots(
+        np.zeros(1), np.array([[-0.9146527593376951], [0.834330334120433]]),
+        np.array([[0.23289922414840009], [-0.18421610800900853]]),
+        FieldParams(mass=0.0011715469425472858), N, 6,
+    )
+    assert len(rounds) == 49
     assert max(rounds) <= 10
 
 
@@ -625,7 +689,12 @@ GENERATOR_CASES = {
 
 
 def _fd_generator(traj, params, bc, t, bands, h):
-    """The generator with centred differences of sign-aligned bases."""
+    """The generator with centred differences of sign-aligned bases.
+
+    Every integral is a full-grid Gauss-Legendre sum over the cavity of
+    ``InstantaneousBasis.values``, written out here: it shares neither the
+    folded rule nor the assembly with the engine.
+    """
     now, before, after = solve_instantaneous_bases(
         traj, params, bc, [t, t - h, t + h], bands
     )
@@ -633,7 +702,7 @@ def _fd_generator(traj, params, bc, t, bands, h):
     nodes, weights = gauss_legendre(
         xm, xp, exact1d._quad_count(bands, None)
     )
-    points = np.concatenate([nodes, [0.5 * (xm + xp), xm, xp]])
+    points = np.concatenate([nodes, [xm, xp]])
     vals, dvals = now.values(points)
     inner = len(nodes)
     sides = []
@@ -642,12 +711,22 @@ def _fd_generator(traj, params, bc, t, bands, h):
         overlap = (side_vals[:, :inner] * vals[:, :inner]) @ weights
         sides.append(side_vals * np.where(overlap < 0, -1.0, 1.0)[:, None])
     domega = (after.omega - before.omega) / (2 * h)
-    vhat = exact1d._vhat(
-        now.omega[None], domega[None], vals[None], dvals[None],
-        ((sides[1] - sides[0]) / (2 * h))[None], weights[None],
-        np.array([traj.velocities(t)]), now.f_term, bc,
+    vals_dt = (sides[1] - sides[0]) / (2 * h)  # d psi/dt at fixed x
+    omega = now.omega
+    psi, psi_t = vals[:, :inner], vals_dt[:, :inner]
+    total = (omega[:, None] + omega[None, :]) * ((psi_t * weights) @ psi.T)
+    total += (2.0 * omega**2 + domega - now.f_term)[:, None] * (
+        (psi * weights) @ psi.T
     )
-    return vhat[0], domega
+    outward = np.array([-1.0, 1.0])  # left wall, right wall
+    psi_t_end = vals_dt[:, inner:]
+    if bc is N:
+        speeds = np.array(traj.velocities(t))
+        total -= (psi_t_end * outward * speeds) @ vals[:, inner:].T
+    else:
+        total += (psi_t_end @ (dvals[:, inner:] * outward).T) / omega[None, :]
+    hat_sign = np.where(np.arange(2 * bands) < bands, 1.0, -1.0)
+    return hat_sign * total - np.diag(omega), domega
 
 
 @pytest.mark.parametrize("case", list(GENERATOR_CASES))
@@ -659,14 +738,13 @@ def test_analytic_generator_matches_finite_differences(case):
     times = np.array([t])
     walls, speeds, accels = exact1d._walls(traj, [t], accelerations=True)
     omega = exact1d._find_roots(times, walls, speeds, params, bc, bands)
-    points, weights, lam, a, b, c, s, vals, dvals, norm_sq = exact1d._solve(
+    z, weights, lam, a, b, cs, squares = exact1d._folded_modes(
         params, bc, times, walls, speeds, omega, None
     )
     if case.endswith("evanescent"):
         assert np.count_nonzero(lam < 0) == 1
-    domega = exact1d._mode_rates(
-        np.array([t]), omega, lam, a, b, points, c, s, vals, dvals, norm_sq,
-        weights, speeds, accels,
+    domega = exact1d._folded_rates(
+        times, omega, lam, a, b, z, weights, cs, squares, speeds, accels,
         params.mass_term + exact1d.positivity_shift(params), bc,
     )[0][0]
     gaps = []
@@ -707,6 +785,12 @@ def test_quadrature_rule_stays_at_round_off(bc, mass):
             earlier = np.max(np.abs(vhats(max(64, 8 * bands)) - reference))
             assert exact1d._quad_count(bands, None) == 4 * bands + 16
             assert rule <= max(2.0 * earlier, 1e-12 * scale)
+            # an odd rule folds onto a centre node of undoubled weight
+            odd = np.max(np.abs(vhats(4 * bands + 17) - reference))
+            assert odd <= max(2.0 * earlier, 1e-12 * scale)
+    points, folded = exact1d._fold_rule(17)
+    centre = gauss_legendre(-1.0, 1.0, 17)[1][8]
+    assert (points[0], folded[0], folded[-1]) == (0.0, centre, 0.0)
 
 
 def test_degenerate_root_rate_raises(monkeypatch):
@@ -862,10 +946,11 @@ def _root_layout(caplog):
     return tuple(int(n) for n in layout.groups())
 
 
-# bytes a node takes in DCE_II's point chunks ((node x 2N x point) array)
-# and in its root batches ((node x branch x scan node) grid, whose massive
-# Neumann scan covers the evanescent window too)
-BASIS_BYTES = 8 * (exact1d._quad_count(4, None) + 3) * 8
+# bytes a node takes in DCE_II's point chunks (folded (node x 2N x 2 x
+# point) array on ceil(Q/2) + 1 points) and in its root batches ((node x
+# branch x scan node) grid, whose massive Neumann scan covers the
+# evanescent window too)
+BASIS_BYTES = 8 * 2 * (-(-exact1d._quad_count(4, None) // 2) + 1) * 8
 SCAN_BYTES = 2 * exact1d._scan_grid(
     np.array([math.pi]), 1.5**2, 4, False
 )[0].shape[1] * 8
@@ -947,7 +1032,7 @@ def test_real_basis_evolution_matches_complex_generator_steps(case, bands):
 def test_each_node_is_solved_once(monkeypatch):
     # t0's roots give the default step; every node's roots are found once
     # and its modes normalised once, whatever the layout
-    find_roots, solve = exact1d._find_roots, exact1d._solve
+    find_roots, solve = exact1d._find_roots, exact1d._folded_modes
     found, solved = [], []
 
     def counting_roots(times, *args):
@@ -959,7 +1044,7 @@ def test_each_node_is_solved_once(monkeypatch):
         return solve(params, bc, times, *args)
 
     monkeypatch.setattr(exact1d, "_find_roots", counting_roots)
-    monkeypatch.setattr(exact1d, "_solve", counting_solve)
+    monkeypatch.setattr(exact1d, "_folded_modes", counting_solve)
     for chunk_bytes in (
         exact1d.CHUNK_BYTES, 3 * BASIS_BYTES, 5 * SCAN_BYTES, 1
     ):
