@@ -101,49 +101,59 @@ def require_finite(name: str, value: complex) -> None:
         raise ValueError(f"{name} must be finite, got {value}")
 
 
-# Pade-13 numerator coefficients, scaled so that the constant term is 1
-# (then expm(0) is exactly the identity), and the 1-norm up to which the
-# approximant is accurate to double precision (Higham 2005, table 2.3)
-_PADE13 = tuple(b / 64764752532480000.0 for b in (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-    1187353796428800.0, 129060195264000.0, 10559470521600.0,
-    670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
-    16380.0, 182.0, 1.0,
-))
-_THETA13 = 5.371920351148152
+# 1/k! for k = 0 .. 16, and the 1-norm theta_16 up to which the degree-16
+# Taylor polynomial is accurate to double precision: the largest theta
+# whose remainder bound sum_{k > 16} theta^k/k! is at most 2^-53
+_TAYLOR16 = tuple(1.0 / math.factorial(k) for k in range(17))
+_THETA16 = 0.8246031916386087
 
 
 def expm(a: np.ndarray) -> np.ndarray:
     """Exponential of the square matrix ``a``, or of each of a stack of them.
 
-    Scaling and squaring with the [13/13] Pade approximant (Higham, SIAM
-    J. Matrix Anal. Appl. 26, 1179 (2005)): each matrix of ``a``, shape
-    (..., n, n), is scaled by 2^-s so that its 1-norm is at most
-    theta_13, the approximant is solved from its odd and even parts, and
-    the result is squared s times.  s is chosen per matrix, so a matrix
-    gives the same bits alone as in a stack.  Unlike an
-    eigendecomposition it is exact on defective matrices.
+    Scaling and squaring on the degree-16 Taylor polynomial (Al-Mohy &
+    Higham, SIAM J. Sci. Comput. 33, 488 (2011)): each matrix of ``a``,
+    shape (..., n, n), is scaled by 2^-s so that its 1-norm is at most
+    theta_16, where the truncation error is below 2^-53.  The polynomial
+    is evaluated by Paterson-Stockmeyer, as
+    B0 + A^4 (B1 + A^4 (B2 + A^4 (B3 + A^4/16!))) with each Bj cubic in
+    A: A^2, A^3, A^4 and three Horner products, and no linear solve.  The
+    result is squared s times.  s is chosen per matrix, so a matrix gives
+    the same bits alone as in a stack.  Unlike an eigendecomposition it
+    is exact on defective matrices.  Raises ``ValueError`` naming the
+    stack index of the first matrix with a non-finite 1-norm.
     """
     a = np.asarray(a)
     shape = a.shape
     a = a.reshape(-1, *shape[-2:])
     norm = np.abs(a).sum(axis=-2).max(axis=-1)
-    squarings = np.ceil(np.log2(np.maximum(norm, _THETA13) / _THETA13))
-    a = a / (2.0**squarings)[:, None, None]
-    b = _PADE13
-    eye = np.eye(shape[-1], dtype=a.dtype)
+    finite = np.isfinite(norm)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        index = tuple(int(i) for i in np.unravel_index(first, shape[:-2]))
+        where = f" at stack index {index}" if index else ""
+        raise ValueError(
+            f"expm of a non-finite matrix{where}: 1-norm {norm[first]}"
+        )
+    squarings = np.ceil(np.log2(np.maximum(norm, _THETA16) / _THETA16))
+    if squarings.any():
+        a = a / (2.0**squarings)[:, None, None]
+    b = _TAYLOR16
+    diag = np.arange(shape[-1])
     a2 = a @ a
+    a3 = a2 @ a
     a4 = a2 @ a2
-    a6 = a4 @ a2
-    odd = a @ (
-        a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-        + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye
-    )
-    even = (
-        a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-        + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
-    )
-    result = np.linalg.solve(even - odd, even + odd)
+
+    def cubic(j):
+        """Bj = sum of A^i / (4j + i)! over i = 0 .. 3."""
+        block = b[4 * j + 1] * a + b[4 * j + 2] * a2 + b[4 * j + 3] * a3
+        block[:, diag, diag] += b[4 * j]
+        return block
+
+    result = b[16] * a4 + cubic(3)
+    for j in (2, 1, 0):
+        result = a4 @ result
+        result += cubic(j)
     for i in range(int(squarings.max(initial=0))):
         more = squarings > i
         result[more] = result[more] @ result[more]

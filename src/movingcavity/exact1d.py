@@ -12,7 +12,9 @@ the boundary rows and from their norm.  Every mode is evaluated in
 z = x - (x_- + x_+)/2, centred on the cavity, so no result depends on
 where the cavity sits.  The Gauss-Legendre rule is symmetric about
 z = 0, where c is even and s odd, so the modes are held folded: c and s
-on the half grid z >= 0 alone, and the norms from per-mode moments.
+on the half grid z >= 0 alone, each in its own contiguous slot of a
+slot-major array, and the norms from per-mode moments.  c and s come
+from one vectorised tangent of half the phase (``_cs``).
 The generator depends on t alone, so every node's eigenproblem is
 solved ahead of the step loop in two layouts: the roots in large root
 batches, one sign scan and one polish each, and the modes and generator
@@ -191,34 +193,43 @@ class BoundaryTrajectory:
 def _cs(x, lam, out=None):
     """c and s at points ``x`` for spectral parameters ``lam``, broadcast.
 
+    c and s come from one t = tan(kx/2), k = sqrt(|lam|), as
+    c = 2/(1 + t^2) - 1 and s = t (2/(1 + t^2))/k: numpy's float64 tan
+    is a SIMD loop where its sin and cos are scalar on x86-64 builds, and
+    it gives an entry the same bits in any array, so c and s of an entry
+    do not depend on the other entries of its call.  Evanescent entries
+    then take cosh and sinh of kx instead, and lam == 0 keeps c = 1 and
+    takes s = x.
     ``out`` is a pair of float arrays of the broadcast shape that receive
     c and s; both are allocated when it is omitted.
     """
     x = np.asarray(x, dtype=float)
     lam = np.asarray(lam, dtype=float)
     c_out, s_out = (None, None) if out is None else out
-    if lam.size and lam.min() > 0:  # all oscillatory: no mask work
-        k = np.sqrt(lam)
-        # s is computed in place, in an array even for 0-d arguments
-        kx = s = np.asarray(np.multiply(k, x, out=s_out))
-        c = np.cos(kx, out=c_out)
-        np.sin(kx, out=s)
+    oscillatory = lam.size and lam.min() > 0  # all oscillatory: no masks
+    k = np.sqrt(lam if oscillatory else np.abs(lam))
+    # kx/2, then t, is formed in s, in an array even for 0-d arguments,
+    # and 2/(1 + t^2) in c
+    t = s = np.asarray(np.multiply(0.5 * k, x, out=s_out))
+    if not oscillatory:
+        # kx, doubled exactly from kx/2; cosh and sinh take only the
+        # evanescent entries, so cosh cannot overflow on an oscillatory one
+        evan = lam < 0
+        kx = t + t
+    c = np.empty_like(s) if c_out is None else c_out
+    np.tan(t, out=t)
+    np.multiply(t, t, out=c)
+    c += 1.0
+    np.divide(2.0, c, out=c)
+    s *= c
+    c -= 1.0
+    if oscillatory:
         s /= k
         return c, s
-    # mixed regimes: each entry takes its own branch and no other, so that
-    # cosh cannot overflow on an oscillatory entry
-    k = np.sqrt(np.abs(lam))
-    osc, evan = lam > 0, lam < 0
-    kx = s = np.asarray(np.multiply(k, x, out=s_out))
-    c = np.empty_like(s) if c_out is None else c_out
-    np.cos(kx, out=c, where=osc)
     np.cosh(kx, out=c, where=evan)
-    np.sin(kx, out=s, where=osc)
     np.sinh(kx, out=s, where=evan)
-    np.divide(s, k, out=s, where=osc | evan)
-    rest = ~(osc | evan)  # lam == 0: c = 1, s = x
-    np.copyto(c, 1.0, where=rest)
-    np.copyto(s, x, where=rest)
+    np.divide(s, k, out=s, where=k > 0)
+    np.copyto(s, x, where=k == 0)  # lam == 0, where t = 0 gave c = 1
     return c, s
 
 
@@ -679,14 +690,13 @@ def _fold_rule(quad_count):
 
 
 def _moments(f, g, weights, scratch=None):
-    """int f g of each mode's even and odd slots, (T, 2N, 2).
+    """int f g of each mode's even and odd slots, (2, T, 2N).
 
-    ``f`` and ``g`` are folded (T, 2N, 2, P) arrays and ``weights`` (T, P)
+    ``f`` and ``g`` are folded (2, T, 2N, P) arrays and ``weights`` (T, P)
     the folded rule; ``scratch``, shaped like ``f``, takes the products.
     """
-    size = f.shape
-    product = np.multiply(f, g, out=scratch).reshape(size[0], -1, size[-1])
-    return (product @ weights[:, :, None]).reshape(size[:-1])
+    product = np.multiply(f, g, out=scratch)
+    return (product @ weights[:, :, None])[..., 0]
 
 
 def _folded_modes(params, bc, times, walls, speeds, omega, quad_points,
@@ -700,9 +710,10 @@ def _folded_modes(params, bc, times, walls, speeds, omega, quad_points,
     Gauss-Legendre rule is symmetric about z = 0, where c is even and s
     odd, so c and s are evaluated only on the P = ceil(Q/2) + 1 half-grid
     points z >= 0 of ``_fold_rule`` (the last is the wall z = L/2), and
-    the left wall follows by parity.  The folded (T, 2N, 2, P) array
-    holds c in its even slot (index 0 of the third axis) and s in its odd
-    slot; on the folded weights, zero at the wall, every integral
+    the left wall follows by parity.  The folded (2, T, 2N, P) array is
+    slot-major: c in its even slot (index 0 of the first axis) and s in
+    its odd slot, each one contiguous (T, 2N, P) block.  On the folded
+    weights, zero at the wall, every integral
     int f g over the cavity is sum W f g over both slots, as even x odd
     terms cancel on the symmetric rule.  The norms come from the moments
     int c^2 and int s^2 before any value is formed:
@@ -713,7 +724,7 @@ def _folded_modes(params, bc, times, walls, speeds, omega, quad_points,
     Returns the half-grid points z (T, P) and folded weights (T, P);
     ``lam``, ``a`` and ``b``, (T, 2N); c and s, folded, written into
     ``out`` when given; and the moments int c^2 and int s^2 of each mode,
-    (T, 2N, 2), as from ``_moments``.  ``scratch``, shaped like ``out``,
+    (2, T, 2N), as from ``_moments``.  ``scratch``, shaped like ``out``,
     takes the products.  Errors name the first offending time.
     """
     mass2f = params.mass_term + positivity_shift(params)
@@ -724,11 +735,11 @@ def _folded_modes(params, bc, times, walls, speeds, omega, quad_points,
     z, weights = half * points, half * folded
     lam = omega * omega - mass2f
     if out is None:
-        out = np.empty(omega.shape + (2, len(points)))
-    c, s = _cs(z[:, None, :], lam[..., None], (out[..., 0, :], out[..., 1, :]))
+        out = np.empty((2,) + omega.shape + (len(points),))
+    c, s = _cs(z[:, None, :], lam[..., None], out)
     # int c s vanishes on the symmetric rule
     squares = _moments(out, out, weights, scratch)
-    c_sq, s_sq = squares[..., 0], squares[..., 1]
+    c_sq, s_sq = squares
     # boundary rows at z = -L/2 (c even, s odd) and z = L/2
     r0, r1 = _boundary_rows(
         omega, lam, c[..., -1], _WALL_SIDES * s[..., -1], speeds[:, :, None],
@@ -844,7 +855,7 @@ def mode_transform_matrix(bands: int) -> np.ndarray:
 
 def _folded_rates(times, omega, lam, a, b, z, weights, cs, squares, speeds,
                   accels, mass2f, bc, out=None, scratch=None):
-    """d omega/dt, (C, 2N), and d psi/dt at fixed x, folded (C, 2N, 2, P).
+    """d omega/dt, (C, 2N), and d psi/dt at fixed x, folded (2, C, 2N, P).
 
     Arrays are those of ``_folded_modes`` and ``accels`` the wall
     accelerations, (2, C).  The roots move as d omega/dt =
@@ -863,14 +874,9 @@ def _folded_rates(times, omega, lam, a, b, z, weights, cs, squares, speeds,
     """
     if out is None:
         out = np.empty_like(cs)
-    c, s = cs[..., 0, :], cs[..., 1, :]
-    dc, ds = _cs_rates(
-        z[:, None, :], lam[..., None], c, s, (out[..., 0, :], out[..., 1, :])
-    )
-    rates = _moments(cs, out, weights, scratch)
-    c_dc, s_ds, c_sq, s_sq = (
-        rates[..., 0], rates[..., 1], squares[..., 0], squares[..., 1]
-    )
+    c, s = cs
+    dc, ds = _cs_rates(z[:, None, :], lam[..., None], c, s, out)
+    (c_dc, s_ds), (c_sq, s_sq) = _moments(cs, out, weights, scratch), squares
     # the walls z = -L/2 and L/2: c and dc even, s and ds odd
     c_w, s_w, dc_w, ds_w = c[..., -1], s[..., -1], dc[..., -1], ds[..., -1]
     side = _WALL_SIDES
@@ -922,8 +928,8 @@ def _folded_rates(times, omega, lam, a, b, z, weights, cs, squares, speeds,
     on_cs = np.stack([
         on_c + kappa * a - centre_speed * b,
         on_s + kappa * b + centre_speed * lam * a,
-    ], axis=-1)
-    out *= np.stack([on_dc, on_ds], axis=-1)[..., None]
+    ])
+    out *= np.stack([on_dc, on_ds])[..., None]
     out += np.multiply(cs, on_cs[..., None], out=scratch)
     return domega, out
 
@@ -935,28 +941,30 @@ def _folded_vhat(omegas, domega, lam, a, b, cs, rate, weights, speeds, f_term,
     ``omegas`` and ``domega`` (C, 2N) are the frequencies at the nodes
     and their time derivatives, ``lam``, ``a`` and ``b`` (C, 2N) the
     modes, ``cs`` their folded c and s and ``rate`` their folded time
-    derivatives at fixed x, each (C, 2N, 2, P) on the folded rule
+    derivatives at fixed x, each (2, C, 2N, P) on the folded rule
     ``weights`` (C, P) (``_folded_modes``, ``_folded_rates``); ``speeds``
     (2, C) are the wall velocities.  ``cs`` is overwritten with the
     modes' folded values, and ``scratch``, shaped like it, takes the
-    weighted values; it is allocated when omitted.
+    weighted values; it is allocated when omitted.  Each overlap is the
+    sum of an even-slot and an odd-slot batched product.
     """
     # wall values, (C, 2N, 2) left wall first: even part -+ odd part
     side = np.array([-1.0, 1.0])
-    c_w, s_w = cs[..., 0, -1:], cs[..., 1, -1:]
+    c_w, s_w = cs[0, ..., -1:], cs[1, ..., -1:]
     psi_end = a[..., None] * c_w + side * (b[..., None] * s_w)
     dpsi_end = b[..., None] * c_w - side * ((lam * a)[..., None] * s_w)
-    dpsidt_end = rate[..., 0, -1:] + side * rate[..., 1, -1:]
+    dpsidt_end = rate[0, ..., -1:] + side * rate[1, ..., -1:]
     vals = cs
-    vals *= np.stack([a, b], axis=-1)[..., None]
-    weighted = np.multiply(vals, weights[:, None, None, :], out=scratch)
-    size = omegas.shape[-1]
-    flat = (len(omegas), size, -1)
-    weighted = np.swapaxes(weighted.reshape(flat), -1, -2)
+    vals *= np.stack([a, b])[..., None]
+    weighted = np.swapaxes(
+        np.multiply(vals, weights[:, None, :], out=scratch), -1, -2
+    )
 
-    # volume integrals, all pairs at once
-    overlap = vals.reshape(flat) @ weighted  # int psi_n psi_m
-    dt_overlap = rate.reshape(flat) @ weighted  # int (d psi_n/dt) psi_m
+    # volume integrals, all pairs at once, even slot plus odd slot
+    overlap = vals[0] @ weighted[0] + vals[1] @ weighted[1]  # int psi_n psi_m
+    # int (d psi_n/dt) psi_m
+    dt_overlap = rate[0] @ weighted[0] + rate[1] @ weighted[1]
+    size = omegas.shape[-1]
 
     total = (omegas[..., :, None] + omegas[..., None, :]) * dt_overlap
     total += (2.0 * omegas**2 + domega - f_term)[..., :, None] * overlap
@@ -978,10 +986,12 @@ def _folded_vhat(omegas, domega, lam, a, b, cs, rate, weights, speeds, f_term,
 def _workspace(nodes, bands, quad_points):
     """Three folded float arrays for ``_chunk_vhats``, as one.
 
-    Each is (node x 2N x 2 x P), P = ceil(Q/2) + 1 (``_fold_rule``).
+    Each is slot-major (2 x node x 2N x P), P = ceil(Q/2) + 1
+    (``_fold_rule``), so a chunk's leading nodes of each slot are one
+    contiguous block.
     """
     points = len(_fold_rule(_quad_count(bands, quad_points))[0])
-    return np.empty((3, nodes, 2 * bands, 2, points))
+    return np.empty((3, 2, nodes, 2 * bands, points))
 
 
 def _chunk_vhats(params, bc, times, walls, speeds, accels, omega,
@@ -993,7 +1003,7 @@ def _chunk_vhats(params, bc, times, walls, speeds, accels, omega,
     (``_find_roots``).  The chunk's modes are normalised in one batched
     ``_folded_modes``; their time derivatives come in closed form from
     the wall velocities and accelerations (``_folded_rates``).  Every
-    folded (C, 2N, 2, P) array of the pass is a leading slice of
+    folded (2, C, 2N, P) array of the pass takes the leading C nodes of
     ``work``, a ``_workspace`` for at least C nodes (one is allocated
     when omitted), so a caller that passes the same workspace to each
     chunk allocates none of them again.  The blocks share no memory with
@@ -1001,7 +1011,7 @@ def _chunk_vhats(params, bc, times, walls, speeds, accels, omega,
     """
     if work is None:
         work = _workspace(len(times), omega.shape[1] // 2, quad_points)
-    cs, rate, scratch = work[:, : len(times)]
+    cs, rate, scratch = work[:, :, : len(times)]
     z, weights, lam, a, b, cs, squares = _folded_modes(
         params, bc, times, walls, speeds, omega, quad_points, cs, scratch
     )
@@ -1124,10 +1134,11 @@ def evolve_transformation(
     each one ``_find_roots`` call (one sign scan and one polish over all its
     brackets) whose (node x branch x scan node) grid stays within
     ``CHUNK_BYTES``; the modes and generators come in point chunks, each of
-    which keeps one folded (node x 2N x 2 x point) array within
+    which keeps one folded (2 x node x 2N x point) array within
     ``CHUNK_BYTES``: the modes are held on the ceil(Q/2) + 1 half-grid
     points of the Gauss-Legendre rule about the cavity centre, c in the
-    even slot and s in the odd one (``_folded_modes``).  Every basis has
+    even slot and s in the odd one, each slot contiguous
+    (``_folded_modes``).  Every basis has
     the same ``_quad_count`` points and every scan grid as many nodes as
     t0's, so both layouts depend on N, the field and ``quad_points``
     alone.  A root batch is taken just before the first
@@ -1180,7 +1191,7 @@ def evolve_transformation(
     node_times[1::2] = starts + dt / 2.0
     node_times[2::2] = starts + dt
     # a root batch's (node x branch x scan node) grid and a chunk's folded
-    # (node x 2N x 2 x point) arrays each stay within CHUNK_BYTES; every
+    # (2 x node x 2N x point) arrays each stay within CHUNK_BYTES; every
     # node's scan grid is as wide as t0's
     mass2f, skip_low = _scan_terms(params, bc)
     scan_width = _scan_grid(

@@ -135,16 +135,48 @@ def test_non_finite_trajectory_rejected(field, value, method):
 
 
 def test_cs_mixed_regimes_match_elementwise_evaluation():
-    # one call over oscillatory, evanescent and lam == 0 entries
-    lam = np.array([2.0, -1.5, 0.0, 0.3, -4.0, 0.0])[:, None]
+    # one call over oscillatory, evanescent and lam == 0 entries: an entry's
+    # c and s do not depend on the other entries of its call, so each is
+    # the 0-d evaluation to the last bit
+    lam = np.array([2.0, -1.5, 0.0, 0.3, -4.0, 0.0, 900.0])[:, None]
     x = np.linspace(-1.2, 0.9, 7)[None, :]
     c, s = _cs(x, lam)
     for i in range(lam.shape[0]):
         for j in range(x.shape[1]):
             ci, si = _cs(x[0, j], lam[i, 0])
-            assert c[i, j] == pytest.approx(float(ci), rel=1e-15, abs=0)
-            assert s[i, j] == pytest.approx(float(si), rel=1e-15, abs=0)
+            assert c[i, j] == ci and s[i, j] == si
     assert np.all(c[2] == 1.0) and np.all(s[2] == x[0])
+    # so are the oscillatory rows of an all-oscillatory call
+    osc = lam[:, 0] > 0
+    c_osc, s_osc = _cs(x, lam[osc])
+    assert np.array_equal(c_osc, c[osc]) and np.array_equal(s_osc, s[osc])
+
+
+def _cs_ulps(got, want):
+    """|got - want| in units in the last place of ``want``."""
+    return np.abs(got - want) / np.spacing(np.abs(want))
+
+
+def test_cs_matches_math_sin_and_cos_up_to_1200():
+    # kx from 1e-300 up to 1200, on random points and wavenumbers and
+    # within one ulp of every odd multiple of pi below 1200, where the
+    # half-angle tangent has its poles, and of every even one
+    rng = np.random.default_rng(25)
+    k = 10.0 ** rng.uniform(-3.0, 3.0, 4000)
+    kx = 10.0 ** rng.uniform(-300.0, math.log10(1200.0), 4000)
+    multiples = np.arange(1, 382) * math.pi
+    near = np.concatenate(
+        [np.nextafter(multiples, 0.0), multiples, np.nextafter(multiples, 2e3)]
+    )
+    lam = np.concatenate([k * k, np.ones_like(near)])
+    x = np.concatenate([kx / k, near])
+    c, s = _cs(x, lam)
+    root = np.sqrt(lam)
+    phase = root * x  # the kx that c and s see
+    want_c = np.array([math.cos(v) for v in phase])
+    want_s = np.array([math.sin(v) for v in phase]) / root
+    assert np.max(np.abs(c - want_c)) <= 2.0**-50  # 4 ulp of 1
+    assert np.max(_cs_ulps(s, want_s)) <= 4.0
 
 
 @pytest.mark.parametrize("lams", [
@@ -453,6 +485,45 @@ def test_exact_resonant_window_folds_its_modes(monkeypatch):
     quad_count = exact1d._quad_count(12, None)
     assert {shape[2] for shape in shapes} == {-(-quad_count // 2) + 1}
     assert sum(shape[0] for shape in shapes) == 2 * state.step_count + 1
+
+
+def test_exact_resonant_window_needs_no_sin_cos_or_solve(monkeypatch):
+    # the same window takes c and s from tangents of half the phase,
+    # exponentiates its Magnus steps without a linear solve, and fills c, s
+    # and their lam-derivatives of each point chunk as C-contiguous slots
+    calls = {"sin": 0, "cos": 0, "solve": 0}
+
+    def count(module, name):
+        function = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    count(np, "sin")
+    count(np, "cos")
+    count(np.linalg, "solve")
+    slots = []
+
+    def recording(function):
+        def wrapper(*args, **kwargs):
+            result = function(*args, **kwargs)
+            slots.extend(a for a in result if a.ndim == 3 and a.shape[1] == 24)
+            return result
+
+        return wrapper
+
+    for name in ("_cs", "_cs_rates"):
+        monkeypatch.setattr(exact1d, name, recording(getattr(exact1d, name)))
+    state = evolve_transformation(
+        dce_trajectory(), FieldParams(), D, 0.0, 2.0 * math.pi / 3.0, 12
+    )
+    assert calls == {"sin": 0, "cos": 0, "solve": 0}
+    # c and s, then dc and ds, of every node
+    assert sum(len(slot) for slot in slots) == 4 * (2 * state.step_count + 1)
+    assert all(slot.flags.c_contiguous for slot in slots)
 
 
 def test_cold_bases_polish_in_few_rounds(monkeypatch):
