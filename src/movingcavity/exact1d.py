@@ -3,23 +3,25 @@
 Pipeline: solve the instantaneous eigenproblem with velocity-dependent
 boundary conditions at each time, assemble the generator matrix from the
 eigen-solutions and their time derivatives, and integrate the linear
-transformation between instantaneous bases with a fixed-step 4th-order
-Magnus method, whose matrix exponential follows the fast free phases
-exactly.  The time derivatives are exact: the roots move as
--(dD/dt)/(dD/domega) on the characteristic determinant D, which brings
-in the wall accelerations, and the modes follow from the null vector of
-the boundary rows and from their norm.  Every mode is evaluated in
-z = x - (x_- + x_+)/2, centred on the cavity, so no result depends on
-where the cavity sits.  The Gauss-Legendre rule is symmetric about
-z = 0, where c is even and s odd, so the modes are held folded: c and s
-on the half grid z >= 0 alone, each in its own contiguous slot of a
-slot-major array, and the norms from per-mode moments.  c and s come
-from one vectorised tangent of half the phase (``_cs``).
+transformation between instantaneous bases with a fixed-step 6th-order
+Magnus method on three Gauss-Legendre nodes per step, whose matrix
+exponential follows the fast free phases exactly.  The time derivatives
+are exact: the roots move as -(dD/dt)/(dD/domega) on the characteristic
+determinant D, which brings in the wall accelerations, and the modes
+follow from the null vector of the boundary rows and from their norm.
+Every mode is evaluated in z = x - (x_- + x_+)/2, centred on the cavity,
+so no result depends on where the cavity sits.  The Gauss-Legendre rule
+is symmetric about z = 0, where c is even and s odd, so the modes are
+held folded: c and s on the half grid z >= 0 alone, each in its own
+contiguous slot of a slot-major array, and the norms from per-mode
+moments.  c and s come from one vectorised tangent of half the phase
+(``_cs``).
 The generator depends on t alone, so every node's eigenproblem is
 solved ahead of the step loop in two layouts: the roots in large root
 batches, one sign scan and one polish each, and the modes and generator
-blocks in smaller point chunks, in one workspace per evolution, where
-the exponentials of each chunk's Magnus steps are taken as one stack.
+blocks in smaller point chunks of whole steps, in one workspace per
+evolution, where the exponentials of each chunk's Magnus steps are taken
+as one stack.
 The steps run on the real generator blocks; the unitary change to the
 frequency modes is applied to the product only.  Blocks are ordered
 positive branch first, then negative branch; with static start and end
@@ -33,6 +35,7 @@ import functools
 import itertools
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -574,7 +577,12 @@ def _find_roots(times, walls, speeds, params, bc, bands):
     time are scanned at once on the signed grids ``[grid, -grid]``; an
     event is an exact zero at a node or a sign change to the next node.
     All brackets share one polish, and each root stays in its bracket.
+    ``bands`` must be a Python or numpy integer other than a bool, and at
+    least 1; anything else raises ``ValueError``.
     """
+    if isinstance(bands, bool) or not isinstance(bands, numbers.Integral):
+        raise ValueError(f"bands must be an integer, got {bands!r}")
+    bands = int(bands)  # a small numpy integer would wrap in the sizes below
     if bands < 1:
         raise ValueError(f"bands must be >= 1, got {bands}")
     mass2f, skip_low = _scan_terms(params, bc)
@@ -1094,6 +1102,16 @@ def _spectral_radius(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(matrix))))
 
 
+# Gauss-Legendre fractions 1/2 - sqrt(15)/10, 1/2, 1/2 + sqrt(15)/10 of a
+# step, and sqrt(15)/3, of the sixth-order Magnus step
+_GAUSS_NODES = (0.1127016653792583, 0.5, 0.8872983346207417)
+_SQRT15_OVER_3 = 1.2909944487358056
+
+
+def _commutator(x, y):
+    return x @ y - y @ x
+
+
 def evolve_transformation(
     traj: BoundaryTrajectory,
     params: FieldParams,
@@ -1105,16 +1123,22 @@ def evolve_transformation(
     quad_points: Optional[int] = None,
     checkpoint_times: Sequence[float] = (),
 ) -> TransformationState:
-    """Integrate the basis transformation from t0 to tf with 4th-order Magnus.
+    """Integrate the basis transformation from t0 to tf with 6th-order Magnus.
 
-    Each step of length dt takes the generators K1, K2 and K3 at its
-    start, midpoint and end and sets U <- exp(Omega) U with
-    Omega = dt/6 (K1 + 4 K2 + K3) - dt^2/12 [K1, K3] (Iserles & Norsett,
-    Phil. Trans. R. Soc. A 357, 983 (1999); Blanes, Casas, Oteo & Ros,
+    Each step of length dt takes the generators K1, K2 and K3 at the
+    three Gauss-Legendre nodes t + (1/2 - sqrt(15)/10) dt, t + dt/2 and
+    t + (1/2 + sqrt(15)/10) dt and sets U <- exp(Omega) U with
+
+        a1 = dt K2, a2 = sqrt(15) dt/3 (K3 - K1),
+        a3 = 10 dt/3 (K3 - 2 K2 + K1),
+        C1 = [a1, a2], C2 = -[a1, 2 a3 + C1]/60,
+        Omega = a1 + a3/12 + [-20 a1 - a3 + C1, a2 + C2]/240
+
+    (Blanes, Casas & Ros, BIT 40, 434 (2000); Blanes, Casas, Oteo & Ros,
     Phys. Rep. 470, 151 (2009)).  The exponential carries the free phases
     exactly, so the step only has to follow the drive; the default step
-    targets 0.3 / omega_max.  dt times the generator's spectral radius
-    above 1.5, checked at the first step and every 50th, raises
+    targets 0.6 / omega_max.  dt times the spectral radius of K2 above
+    1.5, checked at the first step and every 50th, raises
     ``StabilityError``; the bound also keeps Omega inside the Magnus
     convergence radius pi.  ``checkpoint_times`` must lie in [t0, tf];
     each is recorded at the nearest step end, so at most dt/2 from it.
@@ -1126,41 +1150,40 @@ def evolve_transformation(
     dt V-hat (the spectrum of dt K), and M U M* is formed only for each
     checkpoint and for the result.
 
-    The generator depends on t alone, so its nodes (t0, then the midpoint
-    and end of each step) are known in advance.  t0's roots are found first,
-    alone: they give omega_max for the default step.  Then the wall
-    positions, speeds and accelerations of every later node are evaluated
-    and checked in time order.  The later nodes' roots come in root batches,
-    each one ``_find_roots`` call (one sign scan and one polish over all its
+    The generator depends on t alone, so its nodes (three inside each step;
+    t0 is not one) are known in advance.  t0's roots are found first, alone:
+    they give omega_max for the default step and nothing else.  Then the
+    wall positions, speeds and accelerations of every node are evaluated and
+    checked in time order.  The nodes' roots come in root batches, each one
+    ``_find_roots`` call (one sign scan and one polish over all its
     brackets) whose (node x branch x scan node) grid stays within
-    ``CHUNK_BYTES``; the modes and generators come in point chunks, each of
-    which keeps one folded (2 x node x 2N x point) array within
-    ``CHUNK_BYTES``: the modes are held on the ceil(Q/2) + 1 half-grid
-    points of the Gauss-Legendre rule about the cavity centre, c in the
-    even slot and s in the odd one, each slot contiguous
-    (``_folded_modes``).  Every basis has
-    the same ``_quad_count`` points and every scan grid as many nodes as
-    t0's, so both layouts depend on N, the field and ``quad_points``
-    alone.  A root batch is taken just before the first
-    chunk that needs its roots, so the roots held never exceed one batch and
-    one chunk, however long the window.  Each chunk takes its nodes'
-    trajectory rows and roots by slice, normalises their modes in one batch
-    and assembles its generator blocks together with the modes' closed-form
-    time derivatives, in one ``_workspace`` that is allocated per call,
-    after the first root batch, and reused by every chunk.  The Omegas of
-    all the steps a chunk completes are then formed and exponentiated as one
-    stack; a step that straddles a chunk boundary carries its nodes over to
-    the next chunk.  Only the products U <- exp(Omega) U are left to the
-    step loop, and the result does not depend on either layout to the last
-    bit: the nodes of a batch or chunk do not interact, each bracket of a
-    polish converges on its own, and so a batch or chunk raises exactly when
-    one of its nodes would raise alone.  Errors therefore come stage by
-    stage: t0's trajectory and roots, the trajectory of every later node,
-    and then each root batch, followed by the chunks whose roots it
-    completes with their modes, generators and stability checks.  Each
-    error keeps its type and names the first offending time of the stage
-    that failed.  The step plan, both layouts and the quadrature count are
-    logged as one INFO line to the ``movingcavity.exact1d`` logger.
+    ``CHUNK_BYTES``; the modes and generators come in point chunks of whole
+    steps, each of which keeps one folded (2 x node x 2N x point) array
+    within ``CHUNK_BYTES`` unless a single step exceeds it: the modes are
+    held on the ceil(Q/2) + 1 half-grid points of the Gauss-Legendre rule
+    about the cavity centre, c in the even slot and s in the odd one, each
+    slot contiguous (``_folded_modes``).  Every basis has the same
+    ``_quad_count`` points and every scan grid as many nodes as t0's, so
+    both layouts depend on N, the field and ``quad_points`` alone.  A root
+    batch is taken just before the first chunk that needs its roots, so the
+    roots held never exceed one batch and one chunk, however long the
+    window.  Each chunk takes its nodes' trajectory rows and roots by slice,
+    normalises their modes in one batch and assembles its generator blocks
+    together with the modes' closed-form time derivatives, in one
+    ``_workspace`` that is allocated per call, after the first root batch,
+    and reused by every chunk.  The Omegas of the chunk's steps are then
+    formed and exponentiated as one stack.  Only the products U <-
+    exp(Omega) U are left to the step loop, and the result does not depend
+    on either layout to the last bit: the nodes of a batch or chunk do not
+    interact, each bracket of a polish converges on its own, and so a batch
+    or chunk raises exactly when one of its nodes would raise alone.  Errors
+    therefore come stage by stage: t0's wall positions, speeds and roots,
+    the trajectory of every node, and then each root batch, followed by the
+    chunks whose roots it completes with their modes, generators and
+    stability checks.  Each error keeps its type and names the first
+    offending time of the stage that failed.  The method, step plan, both
+    layouts and the quadrature count are logged as one INFO line to the
+    ``movingcavity.exact1d`` logger.
     """
     require_finite("t0", t0)
     require_finite("tf", tf)
@@ -1171,66 +1194,65 @@ def evolve_transformation(
     outside = [t for t in checkpoint_times if not t0 <= t <= tf]
     if outside:
         raise ValueError(f"checkpoint_times outside [t0, tf]: {outside}")
+    # t0's roots set the default step
+    walls0, speeds0 = _walls(traj, [float(t0)])
+    omega0 = _find_roots(
+        np.array([float(t0)]), walls0, speeds0, params, bc, bands
+    )
+    bands = omega0.shape[1] // 2  # checked, and a Python int from here on
     size = 2 * bands
     quad_count = _quad_count(bands, quad_points)
-    # t0's roots set the default step
-    kinematics = _walls(traj, [float(t0)], accelerations=True)
-    omega0 = _find_roots(
-        np.array([float(t0)]), *kinematics[:2], params, bc, bands
-    )
     omega_max = float(np.max(np.abs(omega0)))
     if step is None:
-        step = 0.3 / omega_max
+        step = 0.6 / omega_max
     n_steps = max(1, int(math.ceil((tf - t0) / step)))
     dt = (tf - t0) / n_steps
 
-    # t0, then the midpoint and the end of each step
+    # the three Gauss nodes of each step, in time order
     starts = t0 + np.arange(n_steps) * dt
-    node_times = np.empty(2 * n_steps + 1)
-    node_times[0] = t0
-    node_times[1::2] = starts + dt / 2.0
-    node_times[2::2] = starts + dt
+    node_times = (starts[:, None] + dt * np.array(_GAUSS_NODES)).reshape(-1)
     # a root batch's (node x branch x scan node) grid and a chunk's folded
-    # (2 x node x 2N x point) arrays each stay within CHUNK_BYTES; every
-    # node's scan grid is as wide as t0's
+    # (2 x node x 2N x point) arrays each stay within CHUNK_BYTES, a chunk
+    # holding at least one step; every node's scan grid is as wide as t0's
     mass2f, skip_low = _scan_terms(params, bc)
     scan_width = _scan_grid(
-        kinematics[0, 1] - kinematics[0, 0], mass2f, bands, skip_low
+        walls0[1] - walls0[0], mass2f, bands, skip_low
     )[0].shape[1]
     root_nodes = max(1, CHUNK_BYTES // (2 * scan_width * 8))
     folded = 2 * len(_fold_rule(quad_count)[0])
-    chunk_nodes = max(1, CHUNK_BYTES // (size * folded * 8))
+    chunk_nodes = 3 * max(1, CHUNK_BYTES // (3 * size * folded * 8))
     _log.info(
-        "integrating %d steps of dt=%.6g (guidance dt <= %.6g); "
-        "%d nodes in %d chunks of up to %d; %d quadrature points; "
-        "roots in %d batches of up to %d nodes",
-        n_steps, dt, 0.3 / omega_max, len(node_times),
+        "integrating %d sixth-order Magnus steps of dt=%.6g (guidance "
+        "dt <= 0.6/omega_max = %.6g); %d nodes in %d chunks of up to %d; "
+        "%d quadrature points; roots in %d batches of up to %d nodes",
+        n_steps, dt, 0.6 / omega_max, len(node_times),
         -(-len(node_times) // chunk_nodes), chunk_nodes, quad_count,
-        -(-(len(node_times) - 1) // root_nodes), root_nodes,
+        -(-len(node_times) // root_nodes), root_nodes,
     )
 
-    # every later node's trajectory, checked in time order before any scan
-    later = _walls(traj, node_times[1:].tolist(), accelerations=True)
-    walls, speeds, accels = np.concatenate([kinematics, later], axis=2)
+    # every node's trajectory, checked in time order before any scan
+    walls, speeds, accels = _walls(
+        traj, node_times.tolist(), accelerations=True
+    )
 
     def root_batches():
-        """The later nodes' roots, one root batch at a time."""
-        for first in range(1, len(node_times), root_nodes):
+        """The nodes' roots, one root batch at a time."""
+        for first in range(0, len(node_times), root_nodes):
             batch = slice(first, first + root_nodes)
             yield _find_roots(
                 node_times[batch], walls[:, batch], speeds[:, batch], params,
                 bc, bands,
             )
 
-    def check(j, vhat):
-        """The stability bound at the start of step j, V-hat there."""
-        if j < n_steps and (j == 0 or j % 50 == 49):
-            radius = _spectral_radius(dt * vhat)
+    def check(j, k2):
+        """The stability bound of step j, V-hat at its midpoint ``k2``."""
+        if j == 0 or j % 50 == 49:
+            radius = _spectral_radius(dt * k2)
             if radius > 1.5:
                 raise StabilityError(
                     f"dt * generator spectral radius {radius:.3f} > 1.5 "
-                    f"at t={t0 + j * dt:.6g}; reduce the step or the "
-                    f"number of bands"
+                    f"at t={node_times[3 * j + 1]:.6g}; reduce the step or "
+                    f"the number of bands"
                 )
 
     m = mode_transform_matrix(bands)
@@ -1249,11 +1271,10 @@ def evolve_transformation(
     # taken when a chunk needs it, so the held roots stay within one batch
     # and one chunk however long the window
     batches = root_batches()
-    found = np.concatenate([omega0, next(batches)])
+    found = next(batches)
     # allocated after the first root batch: in a one-batch window no scan
     # array is live beside it
     work = _workspace(chunk_nodes, bands, quad_points)
-    carry = np.empty((0, size, size))
     done = 0  # steps taken
     for first in range(0, len(node_times), chunk_nodes):
         chunk = slice(first, first + chunk_nodes)
@@ -1265,18 +1286,16 @@ def evolve_transformation(
             accels[:, chunk], found[: len(times)], quad_points, work,
         )
         found = found[len(times) :]
-        for node in range(first + first % 2, first + len(vhat), 2):
-            check(node // 2, vhat[node - first])
-        vhat = np.concatenate([carry, vhat])
-        steps = (len(vhat) - 1) // 2  # complete steps: start, midpoint, end
-        carry = vhat[2 * steps :]
-        if not steps:
-            continue
-        k1 = vhat[0 : 2 * steps : 2]
-        k2 = vhat[1 : 2 * steps : 2]
-        k3 = vhat[2 : 2 * steps + 1 : 2]
-        exponent = (dt / 6.0) * (k1 + 4.0 * k2 + k3)
-        exponent -= (dt * dt / 12.0) * (k1 @ k3 - k3 @ k1)
+        k1, k2, k3 = vhat[0::3], vhat[1::3], vhat[2::3]
+        for j, midpoint in enumerate(k2, first // 3):
+            check(j, midpoint)
+        a1 = dt * k2
+        a2 = (_SQRT15_OVER_3 * dt) * (k3 - k1)
+        a3 = (10.0 * dt / 3.0) * (k3 - 2.0 * k2 + k1)
+        c1 = _commutator(a1, a2)
+        c2 = _commutator(a1, 2.0 * a3 + c1) / -60.0
+        exponent = a1 + a3 / 12.0
+        exponent += _commutator(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
         for factor in expm(exponent):
             u = factor @ u
             done += 1

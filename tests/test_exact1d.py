@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from movingcavity import exact1d
+from movingcavity import core, exact1d
 from movingcavity.core import BoundaryCondition, FieldParams, expm
 from movingcavity.exact1d import (
     BoundaryTrajectory,
@@ -458,7 +458,7 @@ def _polish_rounds(monkeypatch):
 
 def test_exact_resonant_window_polishes_in_few_rounds(monkeypatch):
     # DCE-I at 12 bands over one period of the omega_1 + omega_2 drive:
-    # t0 alone, then every later node in one root batch
+    # t0 alone, then every node in one root batch
     rounds = _polish_rounds(monkeypatch)
     evolve_transformation(
         dce_trajectory(), FieldParams(), D, 0.0, 2.0 * math.pi / 3.0, 12
@@ -484,7 +484,7 @@ def test_exact_resonant_window_folds_its_modes(monkeypatch):
     )
     quad_count = exact1d._quad_count(12, None)
     assert {shape[2] for shape in shapes} == {-(-quad_count // 2) + 1}
-    assert sum(shape[0] for shape in shapes) == 2 * state.step_count + 1
+    assert sum(shape[0] for shape in shapes) == 3 * state.step_count
 
 
 def test_exact_resonant_window_needs_no_sin_cos_or_solve(monkeypatch):
@@ -522,8 +522,37 @@ def test_exact_resonant_window_needs_no_sin_cos_or_solve(monkeypatch):
     )
     assert calls == {"sin": 0, "cos": 0, "solve": 0}
     # c and s, then dc and ds, of every node
-    assert sum(len(slot) for slot in slots) == 4 * (2 * state.step_count + 1)
+    assert sum(len(slot) for slot in slots) == 4 * 3 * state.step_count
     assert all(slot.flags.c_contiguous for slot in slots)
+
+
+def test_exact_resonant_window_takes_one_expm_stack_per_chunk(
+    monkeypatch, caplog
+):
+    # the same window: 42 sixth-order steps, one expm call on the stack of
+    # each chunk's exponents, none of which needs a squaring
+    stacks = []
+
+    def recording(a):
+        stacks.append(np.array(a))
+        return expm(a)
+
+    monkeypatch.setattr(exact1d, "expm", recording)
+    with caplog.at_level(logging.INFO, logger="movingcavity.exact1d"):
+        state = evolve_transformation(
+            dce_trajectory(), FieldParams(), D, 0.0, 2.0 * math.pi / 3.0, 12
+        )
+    nodes, chunks, per_chunk = _chunk_layout(caplog)
+    assert state.step_count == 42 and nodes == 3 * 42
+    assert per_chunk % 3 == 0 and len(stacks) == chunks > 1
+    assert [len(stack) for stack in stacks] == [
+        len(range(first, min(first + per_chunk, nodes), 3))
+        for first in range(0, nodes, per_chunk)
+    ]
+    norms = np.concatenate(
+        [np.abs(stack).sum(axis=-2).max(axis=-1) for stack in stacks]
+    )
+    assert np.all(norms < core._THETA16)
 
 
 def test_cold_bases_polish_in_few_rounds(monkeypatch):
@@ -919,7 +948,7 @@ def test_default_step_matches_eighth_step_at_12_bands():
     ))
     window = (FieldParams(), D, 0.0, 2.0 * math.pi / 3.0, 12)
     coarse = evolve_transformation(traj, *window)
-    fine = evolve_transformation(traj, *window, step=0.3 / omega_max / 8)
+    fine = evolve_transformation(traj, *window, step=0.6 / omega_max / 8)
     assert fine.step_count == 8 * coarse.step_count
     assert np.max(np.abs(coarse.U - fine.U)) < 1e-6
 
@@ -931,8 +960,9 @@ def test_verbose_logs_the_step_plan_and_keeps_stdout_clean(caplog, capsys):
     [record] = caplog.records
     assert record.name == "movingcavity.exact1d"
     assert re.fullmatch(
-        r"integrating 2 steps of dt=0\.1 \(guidance dt <= [0-9.e-]+\); "
-        r"5 nodes in 1 chunks of up to \d+; 24 quadrature points; "
+        r"integrating 2 sixth-order Magnus steps of dt=0\.1 \(guidance "
+        r"dt <= 0\.6/omega_max = [0-9.e-]+\); "
+        r"6 nodes in 1 chunks of up to \d+; 24 quadrature points; "
         r"roots in 1 batches of up to \d+ nodes",
         record.getMessage(),
     )
@@ -958,20 +988,37 @@ def _step_plan(traj, params, bc, t0, tf, bands):
     omega_max = np.max(np.abs(
         solve_instantaneous_basis(traj, params, bc, t0, bands).frequencies
     ))
-    n_steps = math.ceil((tf - t0) / (0.3 / omega_max))
+    n_steps = math.ceil((tf - t0) / (0.6 / omega_max))
     return (tf - t0) / n_steps, n_steps
 
 
+# the three Gauss-Legendre nodes of a step, as fractions of it
+GAUSS_FRACTIONS = tuple(
+    0.5 + side * math.sqrt(15.0) / 10.0 for side in (-1.0, 0.0, 1.0)
+)
+
+
 def _magnus_steps(generator, t0, dt, n_steps, eye):
-    """The product after each Magnus step, one generator and expm at a time."""
+    """The product after each sixth-order Magnus step on Gauss nodes.
+
+    One generator and one expm at a time (Blanes, Casas & Ros, BIT 40,
+    434 (2000)).
+    """
+
+    def bracket(x, y):
+        return x @ y - y @ x
+
     us = [eye]
-    k1 = generator(t0)
     for start in t0 + np.arange(n_steps) * dt:
-        k2, k3 = generator(start + dt / 2.0), generator(start + dt)
-        exponent = (dt / 6.0) * (k1 + 4.0 * k2 + k3)
-        exponent -= (dt * dt / 12.0) * (k1 @ k3 - k3 @ k1)
+        k1, k2, k3 = (generator(start + dt * c) for c in GAUSS_FRACTIONS)
+        a1 = dt * k2
+        a2 = (math.sqrt(15.0) / 3.0 * dt) * (k3 - k1)
+        a3 = (10.0 * dt / 3.0) * (k3 - 2.0 * k2 + k1)
+        c1 = bracket(a1, a2)
+        c2 = bracket(a1, 2.0 * a3 + c1) / -60.0
+        exponent = a1 + a3 / 12.0
+        exponent += bracket(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
         us.append(expm(exponent) @ us[-1])
-        k1 = k3
     return us
 
 
@@ -1031,30 +1078,32 @@ def test_batched_evolution_matches_per_node_path(monkeypatch, caplog):
     dt, reference = _per_step_reference(*DCE_II)
     runs = []
     with caplog.at_level(logging.INFO, logger="movingcavity.exact1d"):
-        # the default layout takes the whole window as one chunk and the
-        # nodes after t0 as one root batch
+        # the default layout takes the whole window as one chunk and
+        # every node as one root batch
         runs.append(_dce_ii_window())
         nodes, chunks, _ = _chunk_layout(caplog)
-        assert (nodes, chunks) == (2 * len(reference) - 1, 1)
+        assert (nodes, chunks) == (3 * (len(reference) - 1), 1)
         assert _root_layout(caplog)[0] == 1
-        assert nodes > 9
+        # three steps or more: every layout below splits the window
+        assert nodes >= 9
         for chunk_bytes, per_chunk, per_batch in (
-            # steps 1 (nodes 2-4) and 2 (nodes 4-6) straddle chunk
-            # boundaries; two root batches
+            # one step a chunk; the first root batch ends inside the
+            # third step
             (3 * BASIS_BYTES, 3, 7),
+            # two steps a chunk, every root in one batch
+            (7 * BASIS_BYTES, 6, 16),
+            # a chunk smaller than a step still takes one whole step;
             # chunk and root batch boundaries that rarely meet
-            (5 * SCAN_BYTES, 2, 5),
-            # every basis alone
-            (1, 1, 1),
+            (5 * SCAN_BYTES, 3, 5),
+            # every root alone
+            (1, 3, 1),
         ):
             monkeypatch.setattr(exact1d, "CHUNK_BYTES", chunk_bytes)
             runs.append(_dce_ii_window())
             assert _chunk_layout(caplog) == (
                 nodes, -(-nodes // per_chunk), per_chunk
             )
-            assert _root_layout(caplog) == (
-                -(-(nodes - 1) // per_batch), per_batch
-            )
+            assert _root_layout(caplog) == (-(-nodes // per_batch), per_batch)
     for u, checkpoints in runs:
         assert np.array_equal(u, reference[-1])
         steps = [round(t / dt) for t, _ in checkpoints]
@@ -1101,8 +1150,9 @@ def test_real_basis_evolution_matches_complex_generator_steps(case, bands):
 
 
 def test_each_node_is_solved_once(monkeypatch):
-    # t0's roots give the default step; every node's roots are found once
-    # and its modes normalised once, whatever the layout
+    # t0's roots give the default step, and t0 is no node; every node's
+    # roots are found once and its modes normalised once, whatever the
+    # layout
     find_roots, solve = exact1d._find_roots, exact1d._folded_modes
     found, solved = [], []
 
@@ -1123,11 +1173,10 @@ def test_each_node_is_solved_once(monkeypatch):
         found.clear()
         solved.clear()
         state = evolve_transformation(*DCE_II)
-        for times in (found, solved):
-            assert len(times) == 2 * state.step_count + 1
-            assert len(set(times)) == len(times)
-        assert found[0] == solved[0] == DCE_II[3]
-        assert found == sorted(found) and solved == sorted(solved)
+        assert found[0] == DCE_II[3] < solved[0]
+        assert found[1:] == solved
+        assert len(solved) == 3 * state.step_count
+        assert len(set(solved)) == len(solved) and solved == sorted(solved)
 
 
 def test_evolutions_share_no_workspace():
@@ -1159,23 +1208,26 @@ def test_evolutions_share_no_workspace():
 
 
 def test_evolution_names_first_offending_time_inside_a_chunk(caplog):
-    # the right wall turns superluminal at t = 0.3, node 60 of the first chunk
+    # the right wall turns superluminal at t = 0.3: the first node after it
+    # is the first Gauss node of step 30, node 90 of the first chunk
     traj = BoundaryTrajectory(
         lambda t: 0.0, lambda t: math.pi + 2.0 * max(t - 0.3, 0.0),
         v_minus=lambda t: 0.0, v_plus=lambda t: 2.0 if t >= 0.3 else 0.0,
     )
     with caplog.at_level(logging.INFO, logger="movingcavity.exact1d"):
-        with pytest.raises(InvalidTrajectoryError, match=r"t=0\.3\b"):
+        with pytest.raises(
+            InvalidTrajectoryError, match=r"t=0\.3011270166537\d*$"
+        ):
             evolve_transformation(
                 traj, FieldParams(), D, 0.0, 0.5, 3, step=0.01
             )
-    assert _chunk_layout(caplog)[2] > 61
+    assert _chunk_layout(caplog)[2] > 91
 
 
 def test_trajectory_is_checked_before_any_root_scan(monkeypatch, caplog):
     # the right wall's acceleration turns non-finite at t = 0.1 (first seen
-    # at the node t = 0.105), and a root polish fails later in the same
-    # root batch: the trajectory comes first
+    # at the first Gauss node of step 10, t = 0.10113), and a root polish
+    # fails later in the same root batch: the trajectory comes first
     base = dce_trajectory(epsilon=0.05)
     traj = BoundaryTrajectory(
         base.x_minus, base.x_plus, base.v_minus, base.v_plus, base.a_minus,
@@ -1195,7 +1247,8 @@ def test_trajectory_is_checked_before_any_root_scan(monkeypatch, caplog):
         evolve_transformation(base, *window, step=0.01)
     with caplog.at_level(logging.INFO, logger="movingcavity.exact1d"):
         with pytest.raises(
-            InvalidTrajectoryError, match=r"wall acceleration nan at t=0\.105"
+            InvalidTrajectoryError,
+            match=r"wall acceleration nan at t=0\.1011270166537",
         ):
             evolve_transformation(traj, *window, step=0.01)
     assert _root_layout(caplog)[0] == 1
@@ -1207,13 +1260,17 @@ def test_identity_preserved_and_checkpoints_recorded():
     # identities hold to integrator accuracy
     traj = dce_trajectory(epsilon=1e-3, drive=3.0)
     t0, tf = math.pi / 6.0, math.pi / 2.0
+    requested = (0.8, 1.2)
     state = evolve_transformation(
-        traj, FieldParams(), D, t0, tf, 4,
-        checkpoint_times=(0.8, 1.2),
+        traj, FieldParams(), D, t0, tf, 4, checkpoint_times=requested,
     )
     assert bogoliubov_identity_residual(state) < 5e-5
+    # each at the nearest step end, at most half a step away
+    dt = (tf - t0) / state.step_count
     times = [t for t, _ in state.checkpoints]
-    assert times == pytest.approx([0.8, 1.2], abs=0.05)
+    for want, got in zip(requested, times, strict=True):
+        assert abs(got - want) <= 0.5 * dt + 1e-12
+        assert round((got - t0) / dt) == round((want - t0) / dt)
     for _, u in state.checkpoints:
         assert u.shape == (8, 8)
 
@@ -1273,6 +1330,33 @@ def test_bad_integration_argument_rejected(name, value):
         evolve_transformation(
             dce_trajectory(), FieldParams(), D, 0.0, 1.0, **arguments
         )
+
+
+@pytest.mark.parametrize(
+    "bands", [True, False, np.True_, 3.0, np.float64(3.0), 2.5]
+)
+def test_non_integer_bands_rejected(bands):
+    # a bool once gave a 1-band basis, and a float a bare TypeError
+    traj = dce_trajectory()
+    with pytest.raises(ValueError, match="bands must be an integer"):
+        solve_instantaneous_basis(traj, FieldParams(), D, 0.0, bands)
+    with pytest.raises(ValueError, match="bands must be an integer"):
+        evolve_transformation(traj, FieldParams(), D, 0.0, 0.5, bands)
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8])
+def test_numpy_integer_bands_accepted(kind):
+    traj = dce_trajectory()
+    for bands in (3, 130):  # 2 x 130 would wrap in uint8
+        basis = solve_instantaneous_basis(
+            traj, FieldParams(), D, 0.0, kind(bands)
+        )
+        plain = solve_instantaneous_basis(traj, FieldParams(), D, 0.0, bands)
+        assert basis.bands == bands
+        assert np.array_equal(basis.omega, plain.omega)
+    state = evolve_transformation(traj, FieldParams(), D, 0.0, 0.5, kind(3))
+    plain = evolve_transformation(traj, FieldParams(), D, 0.0, 0.5, 3)
+    assert np.array_equal(state.U, plain.U)
 
 
 def test_oversized_step_raises_stability_error():
