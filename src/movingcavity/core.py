@@ -52,6 +52,8 @@ class FieldParams:
         require_finite("coupling_xi", self.coupling_xi)
         if self.mass < 0:
             raise ValueError(f"mass must be nonnegative, got {self.mass}")
+        if not math.isfinite(float(self.mass) * float(self.mass)):
+            raise ValueError(f"mass squared must be finite, got {self.mass}")
 
     @property
     def mass_term(self) -> float:

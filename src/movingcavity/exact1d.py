@@ -559,6 +559,19 @@ def _scan_terms(params, bc):
     return params.mass_term + positivity_shift(params), skip_low
 
 
+def _require_count(name, value, least):
+    """``value`` as a Python int: it must be a Python or numpy integer
+    other than a bool, and at least ``least``; anything else raises
+    ``ValueError`` naming ``name``.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = int(value)  # a small numpy integer would wrap in sizes
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
 def _find_roots(times, walls, speeds, params, bc, bands):
     """First ``bands`` roots of each branch at each time, (T, 2N), + first.
 
@@ -577,14 +590,9 @@ def _find_roots(times, walls, speeds, params, bc, bands):
     time are scanned at once on the signed grids ``[grid, -grid]``; an
     event is an exact zero at a node or a sign change to the next node.
     All brackets share one polish, and each root stays in its bracket.
-    ``bands`` must be a Python or numpy integer other than a bool, and at
-    least 1; anything else raises ``ValueError``.
+    ``bands`` must pass ``_require_count`` with least 1.
     """
-    if isinstance(bands, bool) or not isinstance(bands, numbers.Integral):
-        raise ValueError(f"bands must be an integer, got {bands!r}")
-    bands = int(bands)  # a small numpy integer would wrap in the sizes below
-    if bands < 1:
-        raise ValueError(f"bands must be >= 1, got {bands}")
+    bands = _require_count("bands", bands, 1)
     mass2f, skip_low = _scan_terms(params, bc)
     length = walls[1] - walls[0]
     grid, sub_band = _scan_grid(length, mass2f, bands, skip_low)
@@ -635,22 +643,6 @@ def _find_roots(times, walls, speeds, params, bc, bands):
             labels=times[t],
         )
     return roots.reshape(len(times), 2 * bands)
-
-
-def _quad_count(bands, quad_points):
-    """Gauss-Legendre nodes per basis: ``quad_points``, else 4N + 16.
-
-    The integrands are products of two of the 2N modes, whose wavenumbers
-    reach about (N + 1) pi / L, so the rule is ``band_limited_points(N)``:
-    every generator block stays at the round-off floor of a
-    (16N + 64)-point reference.  The count depends on N alone, so every
-    node of a window uses the same one.
-    """
-    if quad_points is None:
-        return band_limited_points(bands)
-    if quad_points < 1:
-        raise ValueError(f"quad_points must be >= 1, got {quad_points}")
-    return quad_points
 
 
 def _walls(traj, times, accelerations=False):
@@ -707,8 +699,8 @@ def _moments(f, g, weights, scratch=None):
     return (product @ weights[:, :, None])[..., 0]
 
 
-def _folded_modes(params, bc, times, walls, speeds, omega, quad_points,
-                  out=None, scratch=None):
+def _folded_modes(params, bc, times, walls, speeds, omega, out=None,
+                  scratch=None):
     """Normalised, signed modes of the roots ``omega`` (T, 2N) at ``times``.
 
     The roots come from ``_find_roots`` at the same walls and speeds,
@@ -717,7 +709,8 @@ def _folded_modes(params, bc, times, walls, speeds, omega, quad_points,
     from the cavity centre, and is held in the folded layout: the
     Gauss-Legendre rule is symmetric about z = 0, where c is even and s
     odd, so c and s are evaluated only on the P = ceil(Q/2) + 1 half-grid
-    points z >= 0 of ``_fold_rule`` (the last is the wall z = L/2), and
+    points z >= 0 of ``_fold_rule``, Q = ``band_limited_points(N)`` (the
+    last is the wall z = L/2), and
     the left wall follows by parity.  The folded (2, T, 2N, P) array is
     slot-major: c in its even slot (index 0 of the first axis) and s in
     its odd slot, each one contiguous (T, 2N, P) block.  On the folded
@@ -736,9 +729,10 @@ def _folded_modes(params, bc, times, walls, speeds, omega, quad_points,
     takes the products.  Errors name the first offending time.
     """
     mass2f = params.mass_term + positivity_shift(params)
-    points, folded = _fold_rule(
-        _quad_count(omega.shape[1] // 2, quad_points)
-    )
+    # products of two modes reach about (N + 1) pi / L: this rule keeps
+    # every generator block at the round-off floor of a (16N + 64)-point
+    # reference, and depends on N alone
+    points, folded = _fold_rule(band_limited_points(omega.shape[1] // 2))
     half = (0.5 * (walls[1] - walls[0]))[:, None]
     z, weights = half * points, half * folded
     lam = omega * omega - mass2f
@@ -791,25 +785,24 @@ def solve_instantaneous_bases(
     bc: BoundaryCondition,
     times: Sequence[float],
     bands: int,
-    quad_points: Optional[int] = None,
 ) -> Tuple[InstantaneousBasis, ...]:
     """First ``bands`` eigenpairs of each frequency branch at each time.
 
     Roots are bracketed by a sign scan and polished by safeguarded Newton
     iteration, each inside its bracket; eigenfunctions are normalised in
-    the velocity-compatible quadratic form and signed by the cavity-centre
-    convention.  All times share one scan on a (time x branch x node)
-    array, one polish over every bracket and one normalisation pass, so a
-    batch costs few numpy calls more than a single time.  No time
+    the velocity-compatible quadratic form, integrated on the
+    ``band_limited_points(bands)``-point Gauss-Legendre rule, and signed
+    by the cavity-centre convention.  All times share one scan on a
+    (time x branch x node) array, one polish over every bracket and one
+    normalisation pass, so a batch costs few numpy calls more than a
+    single time.  No time
     derivative or wall acceleration is computed.  Errors keep their types
     and name the first offending time in the order given.
     """
     times = np.asarray(times, dtype=float).reshape(-1)
     walls, speeds = _walls(traj, times.tolist())
     omega = _find_roots(times, walls, speeds, params, bc, bands)
-    lam, a, b = _folded_modes(
-        params, bc, times, walls, speeds, omega, quad_points
-    )[2:5]
+    lam, a, b = _folded_modes(params, bc, times, walls, speeds, omega)[2:5]
     for array in (omega, lam, a, b):
         array.flags.writeable = False
     f_term = positivity_shift(params)
@@ -838,15 +831,12 @@ def solve_instantaneous_basis(
     bc: BoundaryCondition,
     t: float,
     bands: int,
-    quad_points: Optional[int] = None,
 ) -> InstantaneousBasis:
     """First ``bands`` eigenpairs of each frequency branch at time t.
 
     The one-time case of ``solve_instantaneous_bases``.
     """
-    return solve_instantaneous_bases(
-        traj, params, bc, (t,), bands, quad_points
-    )[0]
+    return solve_instantaneous_bases(traj, params, bc, (t,), bands)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -991,19 +981,18 @@ def _folded_vhat(omegas, domega, lam, a, b, cs, rate, weights, speeds, f_term,
     return vhat
 
 
-def _workspace(nodes, bands, quad_points):
+def _workspace(nodes, bands):
     """Three folded float arrays for ``_chunk_vhats``, as one.
 
     Each is slot-major (2 x node x 2N x P), P = ceil(Q/2) + 1
     (``_fold_rule``), so a chunk's leading nodes of each slot are one
     contiguous block.
     """
-    points = len(_fold_rule(_quad_count(bands, quad_points))[0])
+    points = len(_fold_rule(band_limited_points(bands))[0])
     return np.empty((3, 2, nodes, 2 * bands, points))
 
 
-def _chunk_vhats(params, bc, times, walls, speeds, accels, omega,
-                 quad_points, work=None):
+def _chunk_vhats(params, bc, times, walls, speeds, accels, omega, work=None):
     """Real generator blocks (C, 2N, 2N) at ``times`` (C,).
 
     ``walls``, ``speeds`` and ``accels`` (2, C) are the trajectory at the
@@ -1018,10 +1007,10 @@ def _chunk_vhats(params, bc, times, walls, speeds, accels, omega,
     ``work``.
     """
     if work is None:
-        work = _workspace(len(times), omega.shape[1] // 2, quad_points)
+        work = _workspace(len(times), omega.shape[1] // 2)
     cs, rate, scratch = work[:, :, : len(times)]
     z, weights, lam, a, b, cs, squares = _folded_modes(
-        params, bc, times, walls, speeds, omega, quad_points, cs, scratch
+        params, bc, times, walls, speeds, omega, cs, scratch
     )
     f_term = positivity_shift(params)
     domega, rate = _folded_rates(
@@ -1040,20 +1029,18 @@ def assemble_vhat(
     bc: BoundaryCondition,
     t: float,
     bands: int,
-    quad_points: Optional[int] = None,
 ) -> np.ndarray:
     """Real 2N x 2N generator block matrix at time t.
 
     The one-node case of ``evolve_transformation``'s assembly: the wall
     positions, velocities and accelerations at t, its roots, one basis,
-    and closed-form time derivatives of its modes.
+    and closed-form time derivatives of its modes, every volume integral
+    on the ``band_limited_points(bands)``-point Gauss-Legendre rule.
     """
     times = np.array([float(t)])
     walls, speeds, accels = _walls(traj, times.tolist(), accelerations=True)
     omega = _find_roots(times, walls, speeds, params, bc, bands)
-    return _chunk_vhats(
-        params, bc, times, walls, speeds, accels, omega, quad_points
-    )[0]
+    return _chunk_vhats(params, bc, times, walls, speeds, accels, omega)[0]
 
 
 def generator_matrix(vhat: np.ndarray) -> np.ndarray:
@@ -1120,8 +1107,7 @@ def evolve_transformation(
     tf: float,
     bands: int,
     step: Optional[float] = None,
-    quad_points: Optional[int] = None,
-    checkpoint_times: Sequence[float] = (),
+    samples: int = 0,
 ) -> TransformationState:
     """Integrate the basis transformation from t0 to tf with 6th-order Magnus.
 
@@ -1140,15 +1126,18 @@ def evolve_transformation(
     targets 0.6 / omega_max.  dt times the spectral radius of K2 above
     1.5, checked at the first step and every 50th, raises
     ``StabilityError``; the bound also keeps Omega inside the Magnus
-    convergence radius pi.  ``checkpoint_times`` must lie in [t0, tf];
-    each is recorded at the nearest step end, so at most dt/2 from it.
+    convergence radius pi.  With ``samples`` S >= 1 the step count, at
+    least ceil((tf - t0)/step), is raised to the next multiple of S, so dt
+    never exceeds ``step``, and M U M* is recorded in ``checkpoints`` at
+    the end of each of the S equal parts of the window, the last at tf
+    exactly.  ``samples`` must pass ``_require_count`` with least 0.
 
     The generator is K = M V-hat M* with V-hat real and M
     (``mode_transform_matrix``) unitary, so Omega_K = M Omega_V M* and
     exp(Omega_K) = M exp(Omega_V) M*.  The steps therefore run on the
     real V-hat, the stability check takes the spectral radius of
     dt V-hat (the spectrum of dt K), and M U M* is formed only for each
-    checkpoint and for the result.
+    sample and for the result.
 
     The generator depends on t alone, so its nodes (three inside each step;
     t0 is not one) are known in advance.  t0's roots are found first, alone:
@@ -1163,8 +1152,8 @@ def evolve_transformation(
     held on the ceil(Q/2) + 1 half-grid points of the Gauss-Legendre rule
     about the cavity centre, c in the even slot and s in the odd one, each
     slot contiguous (``_folded_modes``).  Every basis has the same
-    ``_quad_count`` points and every scan grid as many nodes as t0's, so
-    both layouts depend on N, the field and ``quad_points`` alone.  A root
+    ``band_limited_points(N)`` points and every scan grid as many nodes as
+    t0's, so both layouts depend on N and the field alone.  A root
     batch is taken just before the first chunk that needs its roots, so the
     roots held never exceed one batch and one chunk, however long the
     window.  Each chunk takes its nodes' trajectory rows and roots by slice,
@@ -1181,9 +1170,9 @@ def evolve_transformation(
     the trajectory of every node, and then each root batch, followed by the
     chunks whose roots it completes with their modes, generators and
     stability checks.  Each error keeps its type and names the first
-    offending time of the stage that failed.  The method, step plan, both
-    layouts and the quadrature count are logged as one INFO line to the
-    ``movingcavity.exact1d`` logger.
+    offending time of the stage that failed.  The method, step plan (with
+    its split into samples), both layouts and the quadrature count are
+    logged as one INFO line to the ``movingcavity.exact1d`` logger.
     """
     require_finite("t0", t0)
     require_finite("tf", tf)
@@ -1191,9 +1180,7 @@ def evolve_transformation(
         raise ValueError("window must satisfy t0 < tf")
     if step is not None:
         require_positive("step", step)
-    outside = [t for t in checkpoint_times if not t0 <= t <= tf]
-    if outside:
-        raise ValueError(f"checkpoint_times outside [t0, tf]: {outside}")
+    samples = _require_count("samples", samples, 0)
     # t0's roots set the default step
     walls0, speeds0 = _walls(traj, [float(t0)])
     omega0 = _find_roots(
@@ -1201,11 +1188,13 @@ def evolve_transformation(
     )
     bands = omega0.shape[1] // 2  # checked, and a Python int from here on
     size = 2 * bands
-    quad_count = _quad_count(bands, quad_points)
+    quad_count = band_limited_points(bands)
     omega_max = float(np.max(np.abs(omega0)))
     if step is None:
         step = 0.6 / omega_max
     n_steps = max(1, int(math.ceil((tf - t0) / step)))
+    per_sample = -(-n_steps // samples) if samples else n_steps
+    n_steps = per_sample * max(samples, 1)
     dt = (tf - t0) / n_steps
 
     # the three Gauss nodes of each step, in time order
@@ -1223,9 +1212,11 @@ def evolve_transformation(
     chunk_nodes = 3 * max(1, CHUNK_BYTES // (3 * size * folded * 8))
     _log.info(
         "integrating %d sixth-order Magnus steps of dt=%.6g (guidance "
-        "dt <= 0.6/omega_max = %.6g); %d nodes in %d chunks of up to %d; "
+        "dt <= 0.6/omega_max = %.6g)%s; %d nodes in %d chunks of up to %d; "
         "%d quadrature points; roots in %d batches of up to %d nodes",
-        n_steps, dt, 0.6 / omega_max, len(node_times),
+        n_steps, dt, 0.6 / omega_max,
+        f"; {samples} samples of {per_sample} steps" if samples else "",
+        len(node_times),
         -(-len(node_times) // chunk_nodes), chunk_nodes, quad_count,
         -(-len(node_times) // root_nodes), root_nodes,
     )
@@ -1258,15 +1249,7 @@ def evolve_transformation(
     m = mode_transform_matrix(bands)
     m_dagger = m.conj().T
     u = np.eye(size)  # in the real eigenbasis; M u M* in the modes
-    pending = sorted(checkpoint_times, reverse=True)
     checkpoints = []
-
-    def record(t, u_now):
-        while pending and pending[-1] <= t + 0.5 * dt:
-            pending.pop()
-            checkpoints.append((t, m @ u_now @ m_dagger))
-
-    record(t0, u)
     # roots found and not yet used, from node `first` on; a root batch is
     # taken when a chunk needs it, so the held roots stay within one batch
     # and one chunk however long the window
@@ -1274,7 +1257,7 @@ def evolve_transformation(
     found = next(batches)
     # allocated after the first root batch: in a one-batch window no scan
     # array is live beside it
-    work = _workspace(chunk_nodes, bands, quad_points)
+    work = _workspace(chunk_nodes, bands)
     done = 0  # steps taken
     for first in range(0, len(node_times), chunk_nodes):
         chunk = slice(first, first + chunk_nodes)
@@ -1283,7 +1266,7 @@ def evolve_transformation(
             found = np.concatenate([found, next(batches)])
         vhat = _chunk_vhats(
             params, bc, times, walls[:, chunk], speeds[:, chunk],
-            accels[:, chunk], found[: len(times)], quad_points, work,
+            accels[:, chunk], found[: len(times)], work,
         )
         found = found[len(times) :]
         k1, k2, k3 = vhat[0::3], vhat[1::3], vhat[2::3]
@@ -1299,7 +1282,9 @@ def evolve_transformation(
         for factor in expm(exponent):
             u = factor @ u
             done += 1
-            record(t0 + done * dt, u)
+            if samples and done % per_sample == 0:
+                t = tf if done == n_steps else t0 + done * dt
+                checkpoints.append((t, m @ u @ m_dagger))
     return TransformationState(
         U=m @ u @ m_dagger,
         t_start=t0,

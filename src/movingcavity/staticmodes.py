@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -151,12 +152,27 @@ def _build_basis(geometry, params, bc, index, cutoff=math.inf) -> StaticBasis:
 
     Each mode takes the floating-point operations of a mode built alone,
     in the same order, so its numbers do not depend on the other modes.
+    A geometry where some mode's sum of squared wavenumbers is not finite,
+    or is below the smallest normal float for a nonzero index, raises
+    ``ValueError`` naming the geometry's fields.
     """
     lengths = geometry.lengths
     wavenumbers = math.pi * index / np.array(lengths)
     square = 0.0
-    for k in wavenumbers.T:
-        square = square + k * k
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        for k in wavenumbers.T:
+            square = square + k * k
+    tiny = sys.float_info.min  # the smallest normal float
+    # one pass for the common case: every sum normal and finite
+    if not (square.min() >= tiny and square.max() < math.inf):
+        bad = ~np.isfinite(square) | ((square < tiny) & index.any(axis=1))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(
+                f"{geometry!r} puts the squared wavenumber sum of mode "
+                f"{tuple(index[i].tolist())} outside the float range: "
+                f"{float(square[i])!r}"
+            )
     frequencies = np.sqrt(square + params.mass_term)
     # integral of the un-normalised product mode squared
     prod = 1.0

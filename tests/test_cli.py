@@ -143,6 +143,21 @@ def test_spectrum_integer_frequencies(capsys):
     assert [float(r[2]) for r in rows] == pytest.approx([1, 2, 3, 4, 5])
 
 
+@pytest.mark.parametrize("fields, name", [
+    ({"length": 1e-160}, "length"), ({"length": 1e160}, "length"),
+    ({"length": 1e300}, "length"), ({"mass": 1e200}, "mass"),
+])
+def test_spectrum_outside_float_range_is_config_error(
+    fields, name, tmp_path, capsys
+):
+    # each once printed a wrong table (inf, inexact or zero frequencies) or
+    # exited 3 on an OverflowError
+    config = write_config(tmp_path, **fields)
+    code, out, err = run_cli(capsys, "spectrum", "--config", config)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith("config error: ") and name in err
+
+
 def test_spectrum_box_single_mode(tmp_path, capsys):
     config = write_config(
         tmp_path, scenario="gw-rigid", lx=math.pi, ly=math.pi, lz=math.pi,
@@ -483,8 +498,9 @@ def test_evolve_exact_rejects_box_scenario(tmp_path, capsys):
 
 def test_evolve_exact_oversized_step_exit_code(tmp_path, capsys):
     # the step fails the stability guard: evolve-exact opens its output
-    # only once the evolution has returned, so nothing is left behind
-    config = write_config(tmp_path, tf=2.0, bands=3, dt=1.0)
+    # only once the evolution has returned, so nothing is left behind; one
+    # sample keeps the step count at 2
+    config = write_config(tmp_path, tf=2.0, bands=3, dt=1.0, samples=1)
     table = tmp_path / "table.csv"
     for output in (("--output", str(table)), ()):
         code, out, err = run_cli(
@@ -498,6 +514,7 @@ def test_evolve_exact_oversized_step_exit_code(tmp_path, capsys):
 EXACT_CONFIGS = {
     "defaults": {},
     "neumann-massive": {"bc": "neumann", "mass": 1.3, "bands": 4},
+    "no-samples": {"samples": 0},
     "one-sample": {"samples": 1},
     "forty-samples": {"samples": 40},
 }
@@ -506,15 +523,13 @@ EXACT_CONFIGS = {
 def reference_exact_table(config, fmt):
     """evolve-exact's table built row by row: one row per entry of U."""
     trajectory = cli._build_scenario_objects(config)[1]
-    checkpoints = np.linspace(config.t0, config.tf, config.samples + 1)[1:-1]
     state = evolve_transformation(
         trajectory, FieldParams(mass=config.mass), config.bc,
         config.t0, config.tf, config.bands, step=config.dt,
-        quad_points=config.quad_points,
-        checkpoint_times=[float(t) for t in checkpoints],
+        samples=max(config.samples, 1),
     )
     rows = []
-    for t, u in [*state.checkpoints, (state.t_current, state.U)]:
+    for t, u in state.checkpoints:
         snapshot = dataclasses.replace(state, U=u, t_current=t)
         residual = bogoliubov_identity_residual(snapshot)
         for i in range(u.shape[0]):
@@ -553,6 +568,45 @@ def test_evolve_exact_bytes_match_row_table(name, fmt, tmp_path, capsys):
     assert table.read_bytes() == want.encode("utf-8")
 
 
+def test_evolve_exact_default_samples_are_evenly_spaced(capsys):
+    # 25 samples of the default window [0, 10], each a whole number of
+    # steps: the 84-step default plan becomes 100 steps of 0.1
+    code, out, _ = run_cli(capsys, "evolve-exact")
+    assert code == EXIT_OK
+    _, rows = parse_csv(out)
+    times = np.array(sorted({float(row[0]) for row in rows}))
+    want = np.linspace(0.0, 10.0, 26)[1:]
+    assert np.all(np.abs(times - want) <= 2.0 * np.spacing(want))
+    assert times[-1] == 10.0
+    config = load_config(None, {})
+    trajectory = cli._build_scenario_objects(config)[1]
+    state = evolve_transformation(
+        trajectory, FieldParams(), config.bc, 0.0, 10.0, config.bands,
+        samples=25,
+    )
+    assert state.step_count == 100
+
+
+def test_evolve_exact_no_samples_writes_the_one_sample_table(tmp_path, capsys):
+    tables = []
+    for samples in (0, 1):
+        config = write_config(tmp_path, samples=samples)
+        code, out, _ = run_cli(capsys, "evolve-exact", "--config", config)
+        assert code == EXIT_OK
+        tables.append(out)
+    assert tables[0] == tables[1]
+    assert {row[0] for row in parse_csv(tables[0])[1]} == {"10"}
+
+
+def test_evolve_exact_superluminal_wall_is_config_error(tmp_path, capsys):
+    # InvalidTrajectoryError is a ValueError: exit 2, not the numerical 3
+    config = write_config(tmp_path, epsilon=0.9)
+    with pytest.warns(UserWarning, match="epsilon=0.9 is not small"):
+        code, out, err = run_cli(capsys, "evolve-exact", "--config", config)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith("config error: boundary speed ")
+
+
 def test_evolve_exact_zero_step_is_config_error(tmp_path, capsys):
     config = write_config(tmp_path, tf=2.0, bands=3, dt=0)
     code, out, err = run_cli(capsys, "evolve-exact", "--config", config)
@@ -567,19 +621,30 @@ def test_evolve_rejects_nonpositive_quad_points(tmp_path, capsys, quad_points):
     code, out, err = run_cli(capsys, "evolve", "--config", config)
     assert code == EXIT_CONFIG
     assert out == ""
-    assert "quad_points" in err
+    assert "unknown config field(s): quad_points" in err
 
 
 def test_evolve_rejects_quad_points_it_does_not_read(tmp_path, capsys):
-    # evolve's couplings are closed form: a valid quad_points would be
-    # silently ignored, so evolve names the field and the one reader
+    # no subcommand reads quad_points: a valid one is an unknown field too
     config = write_config(tmp_path, scenario="gw-rigid", quad_points=8)
+    code, out, err = run_cli(capsys, "evolve", "--config", config)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == "config error: unknown config field(s): quad_points\n"
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+@pytest.mark.parametrize("field, value", [
+    ("quad_points", 64), ("inject_error", "dce-closed-form"),
+])
+def test_removed_fields_are_unknown_to_every_subcommand(
+    command, field, value, tmp_path, capsys
+):
+    config = write_config(tmp_path, **{field: value})
     table = tmp_path / "table.csv"
     for output in ((), ("--output", str(table))):
-        code, out, err = run_cli(capsys, "evolve", "--config", config, *output)
+        code, out, err = run_cli(capsys, command, "--config", config, *output)
         assert (code, out) == (EXIT_CONFIG, "")
-        assert err.startswith("config error: field 'quad_points': ")
-        assert "only evolve-exact reads quad_points" in err
+        assert err == f"config error: unknown config field(s): {field}\n"
     assert not table.exists()
 
 
@@ -633,9 +698,11 @@ def test_validate_default_passes(capsys):
     assert all(passed == 1 for passed in checks.values())
 
 
-def test_validate_injected_error_fails_named_check(tmp_path, capsys):
-    config = write_config(tmp_path, inject_error="dce-closed-form")
-    code, out, _ = run_cli(capsys, "validate", "--config", config)
+def test_validate_injected_error_fails_named_check(monkeypatch, capsys):
+    monkeypatch.setitem(
+        cli._CHECKS, "dce-closed-form", lambda config: (False, 1.0)
+    )
+    code, out, _ = run_cli(capsys, "validate")
     assert code == EXIT_VALIDATION
     _, rows = parse_csv(out)
     status = {row[0]: int(row[1]) for row in rows}
@@ -644,10 +711,11 @@ def test_validate_injected_error_fails_named_check(tmp_path, capsys):
 
 
 def test_validate_unknown_injected_check(tmp_path, capsys):
+    # checks are no longer injected from the config
     config = write_config(tmp_path, inject_error="no-such-check")
-    code, _, err = run_cli(capsys, "validate", "--config", config)
-    assert code == EXIT_CONFIG
-    assert "inject_error" in err
+    code, out, err = run_cli(capsys, "validate", "--config", config)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == "config error: unknown config field(s): inject_error\n"
 
 
 def test_validate_epsilon_sweep_slope(tmp_path, capsys):

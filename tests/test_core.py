@@ -22,6 +22,13 @@ def test_non_finite_mass_rejected(mass):
         FieldParams(mass=mass)
 
 
+@pytest.mark.parametrize("mass", [1e200, 1.4e154, np.float64(1e200)])
+def test_mass_whose_square_overflows_rejected(mass):
+    with pytest.raises(ValueError, match="mass squared must be finite"):
+        FieldParams(mass=mass)
+    assert FieldParams(mass=1.3e154).mass_term == 1.3e154**2
+
+
 def test_non_finite_coupling_rejected():
     with pytest.raises(ValueError):
         FieldParams(coupling_xi=math.nan)

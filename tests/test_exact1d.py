@@ -33,6 +33,7 @@ from movingcavity.cli import _envelope_trajectory
 from movingcavity.scenarios import DceConfig, DceVariant, build_dce
 from movingcavity.staticmodes import (
     Interval,
+    band_limited_points,
     gauss_legendre,
     solve_interval_modes,
 )
@@ -482,7 +483,7 @@ def test_exact_resonant_window_folds_its_modes(monkeypatch):
     state = evolve_transformation(
         dce_trajectory(), FieldParams(), D, 0.0, 2.0 * math.pi / 3.0, 12
     )
-    quad_count = exact1d._quad_count(12, None)
+    quad_count = band_limited_points(12)
     assert {shape[2] for shape in shapes} == {-(-quad_count // 2) + 1}
     assert sum(shape[0] for shape in shapes) == 3 * state.step_count
 
@@ -799,9 +800,7 @@ def _fd_generator(traj, params, bc, t, bands, h):
         traj, params, bc, [t, t - h, t + h], bands
     )
     xm, xp = now.x_minus, now.x_plus
-    nodes, weights = gauss_legendre(
-        xm, xp, exact1d._quad_count(bands, None)
-    )
+    nodes, weights = gauss_legendre(xm, xp, band_limited_points(bands))
     points = np.concatenate([nodes, [xm, xp]])
     vals, dvals = now.values(points)
     inner = len(nodes)
@@ -839,7 +838,7 @@ def test_analytic_generator_matches_finite_differences(case):
     walls, speeds, accels = exact1d._walls(traj, [t], accelerations=True)
     omega = exact1d._find_roots(times, walls, speeds, params, bc, bands)
     z, weights, lam, a, b, cs, squares = exact1d._folded_modes(
-        params, bc, times, walls, speeds, omega, None
+        params, bc, times, walls, speeds, omega
     )
     if case.endswith("evanescent"):
         assert np.count_nonzero(lam < 0) == 1
@@ -865,25 +864,32 @@ def test_analytic_generator_matches_finite_differences(case):
 
 @pytest.mark.parametrize("bc", [D, N])
 @pytest.mark.parametrize("mass", [0.0, 1.5])
-def test_quadrature_rule_stays_at_round_off(bc, mass):
+def test_quadrature_rule_stays_at_round_off(bc, mass, monkeypatch):
     # the generator at 4N + 16 points against a (16N + 64)-point reference,
-    # held to twice the deviation of the earlier max(64, 8N) rule
+    # held to twice the deviation of the earlier max(64, 8N) rule; the
+    # other rules replace exact1d's band_limited_points for one assembly
     params = FieldParams(mass=mass)
     times = np.array([0.2, 0.7, 1.3])
     for variant in (DceVariant.RIGHT_ONLY, DceVariant.BREATHING):
         traj = dce_trajectory(variant=variant, bc=bc, epsilon=0.05, mass=mass)
         for bands in (3, 12, 24):
-            def vhats(quad_points):
-                return np.array([
-                    assemble_vhat(traj, params, bc, t, bands, quad_points)
-                    for t in times
-                ])
+            def vhats(quad_count=None):
+                with monkeypatch.context() as patch:
+                    if quad_count is not None:
+                        patch.setattr(
+                            exact1d, "band_limited_points",
+                            lambda n: quad_count,
+                        )
+                    return np.array([
+                        assemble_vhat(traj, params, bc, t, bands)
+                        for t in times
+                    ])
 
             reference = vhats(16 * bands + 64)
             scale = np.max(np.abs(reference))
-            rule = np.max(np.abs(vhats(None) - reference))
+            rule = np.max(np.abs(vhats() - reference))
             earlier = np.max(np.abs(vhats(max(64, 8 * bands)) - reference))
-            assert exact1d._quad_count(bands, None) == 4 * bands + 16
+            assert band_limited_points(bands) == 4 * bands + 16
             assert rule <= max(2.0 * earlier, 1e-12 * scale)
             # an odd rule folds onto a centre node of undoubled weight
             odd = np.max(np.abs(vhats(4 * bands + 17) - reference))
@@ -954,18 +960,31 @@ def test_default_step_matches_eighth_step_at_12_bands():
 
 
 def test_verbose_logs_the_step_plan_and_keeps_stdout_clean(caplog, capsys):
+    # without samples the plan has no split; 3 samples of the 2-step plan
+    # take 3 steps of 1, and 2 samples take 2 of 1
     traj = BoundaryTrajectory.static(0.0, math.pi)
     with caplog.at_level(logging.INFO, logger="movingcavity.exact1d"):
-        evolve_transformation(traj, FieldParams(), D, 0.0, 0.2, 2, step=0.1)
-    [record] = caplog.records
-    assert record.name == "movingcavity.exact1d"
-    assert re.fullmatch(
-        r"integrating 2 sixth-order Magnus steps of dt=0\.1 \(guidance "
-        r"dt <= 0\.6/omega_max = [0-9.e-]+\); "
-        r"6 nodes in 1 chunks of up to \d+; 24 quadrature points; "
-        r"roots in 1 batches of up to \d+ nodes",
-        record.getMessage(),
-    )
+        for samples in (0, 3, 2):
+            evolve_transformation(
+                traj, FieldParams(), D, 0.0, 0.2, 2, step=0.1,
+                samples=samples,
+            )
+    assert [record.name for record in caplog.records] == [
+        "movingcavity.exact1d"
+    ] * 3
+    for record, plan in zip(caplog.records, (
+        r"2 sixth-order Magnus steps of dt=0\.1 \(guidance "
+        r"dt <= 0\.6/omega_max = [0-9.e-]+\); 6 nodes",
+        r"3 sixth-order Magnus steps of dt=0\.0666667 \(guidance "
+        r"dt <= 0\.6/omega_max = [0-9.e-]+\); 3 samples of 1 steps; 9 nodes",
+        r"2 sixth-order Magnus steps of dt=0\.1 \(guidance "
+        r"dt <= 0\.6/omega_max = [0-9.e-]+\); 2 samples of 1 steps; 6 nodes",
+    )):
+        assert re.fullmatch(
+            r"integrating " + plan + r" in 1 chunks of up to \d+; "
+            r"24 quadrature points; roots in 1 batches of up to \d+ nodes",
+            record.getMessage(),
+        )
     assert capsys.readouterr().out == ""
 
 
@@ -976,9 +995,9 @@ DCE_II = (
 
 
 def _dce_ii_window():
-    """U and a checkpoint at each step end, short massive Neumann window."""
+    """U and a sample at each step end, short massive Neumann window."""
     state = evolve_transformation(
-        *DCE_II, checkpoint_times=np.linspace(0.0, 0.5, 41)
+        *DCE_II, samples=_step_plan(*DCE_II)[1]
     )
     return state.U, state.checkpoints
 
@@ -1068,7 +1087,7 @@ def _root_layout(caplog):
 # point) array on ceil(Q/2) + 1 points) and in its root batches ((node x
 # branch x scan node) grid, whose massive Neumann scan covers the
 # evanescent window too)
-BASIS_BYTES = 8 * 2 * (-(-exact1d._quad_count(4, None) // 2) + 1) * 8
+BASIS_BYTES = 8 * 2 * (-(-band_limited_points(4) // 2) + 1) * 8
 SCAN_BYTES = 2 * exact1d._scan_grid(
     np.array([math.pi]), 1.5**2, 4, False
 )[0].shape[1] * 8
@@ -1107,7 +1126,7 @@ def test_batched_evolution_matches_per_node_path(monkeypatch, caplog):
     for u, checkpoints in runs:
         assert np.array_equal(u, reference[-1])
         steps = [round(t / dt) for t, _ in checkpoints]
-        assert set(steps) == set(range(len(reference)))
+        assert steps == list(range(1, len(reference)))
         for step, (_, u_step) in zip(steps, checkpoints):
             assert np.array_equal(u_step, reference[step])
 
@@ -1138,13 +1157,11 @@ def test_real_basis_evolution_matches_complex_generator_steps(case, bands):
         basis = solve_instantaneous_basis(traj, params, bc, 0.0, bands)
         assert np.count_nonzero(basis.lam < 0) == 1
     dt, reference = _complex_per_step(*window)
-    state = evolve_transformation(
-        *window, checkpoint_times=np.linspace(0.0, 0.4, len(reference))
-    )
+    state = evolve_transformation(*window, samples=len(reference) - 1)
     assert state.step_count == len(reference) - 1
     assert np.max(np.abs(state.U - reference[-1])) <= 1e-13
     steps = [round(t / dt) for t, _ in state.checkpoints]
-    assert set(steps) == set(range(len(reference)))
+    assert steps == list(range(1, len(reference)))
     for step, (_, u_step) in zip(steps, state.checkpoints):
         assert np.max(np.abs(u_step - reference[step])) <= 1e-13
 
@@ -1185,13 +1202,13 @@ def test_evolutions_share_no_workspace():
     def evolve_a():
         return evolve_transformation(
             dce_trajectory(epsilon=0.05), FieldParams(), D, 0.0, 0.3, 12,
-            checkpoint_times=(0.0, 0.1, 0.1, 0.3),
+            samples=4,
         )
 
     first = evolve_a()
     between = evolve_transformation(
         _accelerating_contraction(), FieldParams(mass=1.5), N, 0.0, 0.3, 5,
-        checkpoint_times=(0.0, 0.2, 0.3),
+        samples=3,
     )
     again = evolve_a()
     assert np.array_equal(again.U, first.U)
@@ -1260,32 +1277,44 @@ def test_identity_preserved_and_checkpoints_recorded():
     # identities hold to integrator accuracy
     traj = dce_trajectory(epsilon=1e-3, drive=3.0)
     t0, tf = math.pi / 6.0, math.pi / 2.0
-    requested = (0.8, 1.2)
-    state = evolve_transformation(
-        traj, FieldParams(), D, t0, tf, 4, checkpoint_times=requested,
-    )
+    state = evolve_transformation(traj, FieldParams(), D, t0, tf, 4, samples=3)
     assert bogoliubov_identity_residual(state) < 5e-5
-    # each at the nearest step end, at most half a step away
-    dt = (tf - t0) / state.step_count
-    times = [t for t, _ in state.checkpoints]
-    for want, got in zip(requested, times, strict=True):
-        assert abs(got - want) <= 0.5 * dt + 1e-12
-        assert round((got - t0) / dt) == round((want - t0) / dt)
+    assert [t for t, _ in state.checkpoints] == pytest.approx(
+        [t0 + (tf - t0) / 3.0, t0 + 2.0 * (tf - t0) / 3.0, tf], abs=1e-15
+    )
     for _, u in state.checkpoints:
         assert u.shape == (8, 8)
 
 
-def test_checkpoints_land_at_nearest_step_end():
-    # dt = 0.1; 0.34 is nearer the end at 0.3 than at 0.4
-    requested = (0.04, 0.26, 0.34, 0.96)
-    state = evolve_transformation(
-        dce_trajectory(), FieldParams(), D, 0.0, 1.0, 3, step=0.1,
-        checkpoint_times=requested,
-    )
-    times = [t for t, _ in state.checkpoints]
-    assert times == pytest.approx([0.0, 0.3, 0.3, 1.0], abs=1e-12)
-    for want, got in zip(requested, times):
-        assert abs(got - want) <= 0.05 + 1e-12
+@pytest.mark.parametrize("t0, tf, step, samples", [
+    (0.0, 10.0, None, 25), (0.0, 1.0, 0.1, 4), (0.3, 1.7, 0.05, 7),
+    (-2.5, 4.0, 0.3, 3), (0.0, 0.5, None, 1),
+])
+def test_samples_split_the_window_evenly(t0, tf, step, samples):
+    # S samples raise the step count to the next multiple of S, so dt
+    # never exceeds the step and every sample is a step end
+    traj = dce_trajectory()
+    window = (traj, FieldParams(), D, t0, tf, 3)
+    plain = evolve_transformation(*window, step=step)
+    state = evolve_transformation(*window, step=step, samples=samples)
+    assert state.step_count % samples == 0
+    assert state.step_count == -(-plain.step_count // samples) * samples
+    times = np.array([t for t, _ in state.checkpoints])
+    want = np.linspace(t0, tf, samples + 1)[1:]
+    assert np.all(np.abs(times - want) <= 2.0 * np.spacing(np.abs(want)))
+    assert times[-1] == tf
+    assert np.array_equal(state.checkpoints[-1][1], state.U)
+
+
+def test_samples_at_every_step_keep_the_plain_result():
+    # a sample per step changes neither the plan nor the product
+    window = (dce_trajectory(epsilon=0.05), FieldParams(), D, 0.0, 0.7, 4)
+    plain = evolve_transformation(*window)
+    state = evolve_transformation(*window, samples=plain.step_count)
+    assert state.step_count == plain.step_count
+    assert np.array_equal(state.U, plain.U)
+    assert len(state.checkpoints) == plain.step_count
+    assert plain.checkpoints == ()
 
 
 @pytest.mark.parametrize("name, value", [
@@ -1299,30 +1328,32 @@ def test_non_finite_window_rejected(name, value):
         )
 
 
-@pytest.mark.parametrize("times", [
-    (math.nan, 0.2, 0.3), (0.2, 7.0, -3.0), (0.2, math.inf), (-1e-9,),
-])
-def test_checkpoint_times_outside_window_rejected(times):
-    with pytest.raises(ValueError, match="checkpoint_times outside"):
+@pytest.mark.parametrize(
+    "samples", [True, np.False_, 2.0, np.float64(2.0), 2.5, "2", np.int64(-3)],
+    ids=["bool", "numpy-bool", "float", "numpy-float", "fraction", "string",
+         "negative-numpy-int"],
+)
+def test_bad_samples_rejected(samples):
+    with pytest.raises(ValueError, match="samples must be"):
         evolve_transformation(
-            dce_trajectory(), FieldParams(), D, 0.0, 0.5, 3,
-            checkpoint_times=times,
+            dce_trajectory(), FieldParams(), D, 0.0, 0.5, 3, samples=samples
         )
 
 
 def test_checkpoints_at_window_ends_recorded():
+    # each sample ends one of the equal parts of the window; the last
+    # ends the window itself, at tf exactly, with the result
     state = evolve_transformation(
-        dce_trajectory(), FieldParams(), D, 0.0, 0.5, 3,
-        checkpoint_times=(0.5, 0.0),
+        dce_trajectory(), FieldParams(), D, 0.0, 0.5, 3, samples=2
     )
-    (t_start, u_start), (t_end, u_end) = state.checkpoints
-    assert (t_start, t_end) == (0.0, pytest.approx(0.5, abs=1e-12))
-    assert np.array_equal(u_start, np.eye(6))
+    (t_mid, u_mid), (t_end, u_end) = state.checkpoints
+    assert (t_mid, t_end) == (pytest.approx(0.25, abs=1e-16), 0.5)
+    assert not np.array_equal(u_mid, np.eye(6))
     assert np.array_equal(u_end, state.U)
 
 
 @pytest.mark.parametrize("name, value", [
-    ("step", 0.0), ("step", -0.5), ("quad_points", 0), ("bands", 0),
+    ("step", 0.0), ("step", -0.5), ("samples", -1), ("bands", 0),
 ])
 def test_bad_integration_argument_rejected(name, value):
     arguments = {"bands": 2, name: value}

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from movingcavity import staticmodes
 from movingcavity import (
     BoundaryCondition,
     Box,
@@ -106,6 +107,28 @@ def test_non_finite_lengths_rejected(value):
         Interval(value)
     with pytest.raises(ValueError, match="ly"):
         Box(1.0, value, 1.0)
+
+
+@pytest.mark.parametrize("length, bc, mass", [
+    (1e-160, D, 0.0), (1e160, D, 0.0), (1e300, D, 0.0), (1e300, N, 1.0),
+])
+def test_squared_wavenumbers_outside_float_range_rejected(length, bc, mass):
+    # k^2 of mode 1 overflows, is subnormal or is 0: a typed error naming
+    # the length, not a table of inf, inexact or zero frequencies
+    with pytest.raises(ValueError, match=r"Interval\(length=.* mode \(1,\)"):
+        solve_interval_modes(Interval(length), FieldParams(mass=mass), bc, 3)
+
+
+def test_box_squared_wavenumber_sum_is_checked_per_mode():
+    # only mode (0, 1, 0) moves along the 1e160 axis, and its k^2 sum is
+    # subnormal; the uniform mode's sum is 0 and stays allowed
+    box, params = Box(1.0, 1e160, 1.0), FieldParams(mass=1.0)
+    uniform = staticmodes._build_basis(box, params, N, np.array([[0, 0, 0]]))
+    assert uniform.frequencies.tolist() == [1.0]
+    with pytest.raises(ValueError, match=r"ly=1e\+160.*mode \(0, 1, 0\)"):
+        staticmodes._build_basis(
+            box, params, N, np.array([[0, 0, 0], [0, 1, 0]])
+        )
 
 
 def test_box_cutoff_below_spectrum_raises():
