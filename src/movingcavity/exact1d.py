@@ -32,7 +32,6 @@ pair-creation coefficients.
 from __future__ import annotations
 
 import functools
-import itertools
 import logging
 import math
 import numbers
@@ -84,8 +83,6 @@ class StabilityError(RuntimeError):
 
 TimeFunc = Callable[[float], float]
 
-FD_STEP = 1e-6  # finite-difference step for wall velocities
-ACCEL_STEP = 1e-3  # finite-difference step for wall accelerations
 LAM_SERIES_CUT = 1e-3  # |lam| x^2 below which ds/dlam takes its series
 BRACKET_DENSITY = 4  # root-scan nodes per half mode spacing
 CHUNK_BYTES = 1 << 18  # one array of a point chunk or of a root batch's grid
@@ -93,43 +90,21 @@ CHUNK_BYTES = 1 << 18  # one array of a point chunk or of a root batch's grid
 _log = logging.getLogger(__name__)
 
 
-def _first_difference(f, t, h):
-    """4th-order central difference of f' at t with step h."""
-    return (-f(t + 2 * h) + 8 * f(t + h) - 8 * f(t - h) + f(t - 2 * h)) / (
-        12 * h
-    )
-
-
-def _second_difference(f, t, h):
-    """4th-order central difference of f'' at t with step h."""
-    return (
-        -f(t + 2 * h) + 16 * f(t + h) - 30 * f(t) + 16 * f(t - h)
-        - f(t - 2 * h)
-    ) / (12 * h * h)
-
-
-def _require_finite(what, values, t):
-    for value in values:
-        if not math.isfinite(value):
-            raise InvalidTrajectoryError(f"non-finite {what} {value} at t={t}")
-
-
 @dataclass(frozen=True)
 class BoundaryTrajectory:
-    """Positions of the two cavity walls as functions of time.
+    """Positions, velocities and accelerations of the two cavity walls.
 
-    Velocities and accelerations may be supplied analytically.  Otherwise
-    velocities come from 4th-order central differences of the positions
-    with step ``FD_STEP``, and accelerations from 4th-order central
-    differences with step ``ACCEL_STEP``: of the velocities when those
-    are supplied, else second differences of the positions.  Every value
-    must be finite, and speeds below 1.
+    Each field maps a float time to a float.  The accelerations are
+    optional, but the generator (``assemble_vhat``,
+    ``evolve_transformation``) raises ``InvalidTrajectoryError`` naming a
+    missing one.  ``_walls`` evaluates and checks every field: values
+    finite, walls ordered and speeds below 1.
     """
 
     x_minus: TimeFunc
     x_plus: TimeFunc
-    v_minus: Optional[TimeFunc] = None
-    v_plus: Optional[TimeFunc] = None
+    v_minus: TimeFunc
+    v_plus: TimeFunc
     a_minus: Optional[TimeFunc] = None
     a_plus: Optional[TimeFunc] = None
 
@@ -144,47 +119,6 @@ class BoundaryTrajectory:
             a_minus=zero,
             a_plus=zero,
         )
-
-    def positions(self, t: float) -> Tuple[float, float]:
-        xm, xp = float(self.x_minus(t)), float(self.x_plus(t))
-        _require_finite("wall position", (xm, xp), t)
-        if xp <= xm:
-            raise InvalidTrajectoryError(
-                f"boundaries crossed at t={t}: x_-={xm}, x_+={xp}"
-            )
-        return xm, xp
-
-    def velocities(self, t: float) -> Tuple[float, float]:
-        def rate(x, v):
-            if v is not None:
-                return float(v(t))
-            return _first_difference(x, t, FD_STEP)
-
-        speeds = (
-            rate(self.x_minus, self.v_minus), rate(self.x_plus, self.v_plus)
-        )
-        _require_finite("wall speed", speeds, t)
-        for v in speeds:
-            if abs(v) >= 1.0:
-                raise InvalidTrajectoryError(
-                    f"boundary speed |{v}| >= 1 at t={t}"
-                )
-        return speeds
-
-    def accelerations(self, t: float) -> Tuple[float, float]:
-        def rate(x, v, a):
-            if a is not None:
-                return float(a(t))
-            if v is not None:
-                return _first_difference(v, t, ACCEL_STEP)
-            return _second_difference(x, t, ACCEL_STEP)
-
-        accels = (
-            rate(self.x_minus, self.v_minus, self.a_minus),
-            rate(self.x_plus, self.v_plus, self.a_plus),
-        )
-        _require_finite("wall acceleration", accels, t)
-        return accels
 
 
 # ---------------------------------------------------------------------------
@@ -649,20 +583,58 @@ def _walls(traj, times, accelerations=False):
     """Wall positions and speeds at ``times``, (2, 2, T), left wall first.
 
     With ``accelerations`` the wall accelerations follow as a third
-    (2, T) row, (3, 2, T).  Each time is checked whole, then the next,
-    so an invalid trajectory is reported at the first offending time.
+    (2, T) row, (3, 2, T), and a trajectory without ``a_minus`` or
+    ``a_plus`` raises ``InvalidTrajectoryError`` naming it.  The callables
+    are called at every time first, x_-, x_+, v_-, v_+ (a_-, a_+) per
+    time, so an exception of their own comes before any check.  The table
+    is then checked whole, and the first offending time raises through
+    ``_reject_walls``.
     """
-    rows = (
-        traj.positions(t) + traj.velocities(t)
-        + (traj.accelerations(t) if accelerations else ())
-        for t in times
+    calls = [traj.x_minus, traj.x_plus, traj.v_minus, traj.v_plus]
+    if accelerations:
+        for name in ("a_minus", "a_plus"):
+            if getattr(traj, name) is None:
+                raise InvalidTrajectoryError(
+                    f"the generator needs wall accelerations; the "
+                    f"trajectory has no {name}"
+                )
+        calls += [traj.a_minus, traj.a_plus]
+    table = np.array(
+        [[float(f(t)) for f in calls] for t in times], dtype=float
+    ).reshape(len(times), len(calls) // 2, 2)
+    positions, speeds = table[:, 0], table[:, 1]
+    bad = (
+        ~np.isfinite(table).all(axis=(1, 2))
+        | (positions[:, 1] <= positions[:, 0])
+        | (np.abs(speeds) >= 1.0).any(axis=1)
     )
-    kinds = 3 if accelerations else 2
-    table = np.fromiter(
-        itertools.chain.from_iterable(rows), dtype=float,
-        count=2 * kinds * len(times),
-    )
-    return table.reshape(len(times), kinds, 2).transpose(1, 2, 0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        _reject_walls(times[i], *table[i].tolist())
+    return table.transpose(1, 2, 0)
+
+
+def _reject_walls(t, positions, speeds, accels=()):
+    """Raise the first fault of the walls at t, in the order checked."""
+
+    def check_finite(what, values):
+        for value in values:
+            if not math.isfinite(value):
+                raise InvalidTrajectoryError(
+                    f"non-finite {what} {value} at t={t}"
+                )
+
+    check_finite("wall position", positions)
+    x_minus, x_plus = positions
+    if x_plus <= x_minus:
+        raise InvalidTrajectoryError(
+            f"boundaries crossed at t={t}: x_-={x_minus}, x_+={x_plus}"
+        )
+    check_finite("wall speed", speeds)
+    for v in speeds:
+        if abs(v) >= 1.0:
+            raise InvalidTrajectoryError(f"boundary speed |{v}| >= 1 at t={t}")
+    check_finite("wall acceleration", accels)
 
 
 _WALL_SIDES = np.array([-1.0, 1.0])[:, None, None]  # z = -L/2, L/2 axis
@@ -1143,7 +1115,7 @@ def evolve_transformation(
     t0 is not one) are known in advance.  t0's roots are found first, alone:
     they give omega_max for the default step and nothing else.  Then the
     wall positions, speeds and accelerations of every node are evaluated and
-    checked in time order.  The nodes' roots come in root batches, each one
+    checked as one table (``_walls``).  The nodes' roots come in root batches, each one
     ``_find_roots`` call (one sign scan and one polish over all its
     brackets) whose (node x branch x scan node) grid stays within
     ``CHUNK_BYTES``; the modes and generators come in point chunks of whole
@@ -1221,7 +1193,7 @@ def evolve_transformation(
         -(-len(node_times) // root_nodes), root_nodes,
     )
 
-    # every node's trajectory, checked in time order before any scan
+    # every node's trajectory, checked before any scan
     walls, speeds, accels = _walls(
         traj, node_times.tolist(), accelerations=True
     )

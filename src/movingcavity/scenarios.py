@@ -68,7 +68,7 @@ class DceConfig:
                 f"wall displacement amplitude epsilon={self.epsilon} is not "
                 "small compared to the cavity; first-order couplings are "
                 "unreliable",
-                stacklevel=2,
+                stacklevel=3,
             )
 
 
@@ -203,7 +203,7 @@ class GwConfig:
             warnings.warn(
                 f"metric perturbation epsilon={self.epsilon} is not small; "
                 "first-order couplings are unreliable",
-                stacklevel=2,
+                stacklevel=3,
             )
 
 

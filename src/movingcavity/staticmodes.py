@@ -154,7 +154,8 @@ def _build_basis(geometry, params, bc, index, cutoff=math.inf) -> StaticBasis:
     in the same order, so its numbers do not depend on the other modes.
     A geometry where some mode's sum of squared wavenumbers is not finite,
     or is below the smallest normal float for a nonzero index, raises
-    ``ValueError`` naming the geometry's fields.
+    ``ValueError`` naming the geometry's fields, and so does one where
+    that sum plus the squared mass overflows, naming the mass too.
     """
     lengths = geometry.lengths
     wavenumbers = math.pi * index / np.array(lengths)
@@ -162,18 +163,23 @@ def _build_basis(geometry, params, bc, index, cutoff=math.inf) -> StaticBasis:
     with np.errstate(over="ignore"):  # an overflow is reported below
         for k in wavenumbers.T:
             square = square + k * k
+        energy = square + params.mass_term
     tiny = sys.float_info.min  # the smallest normal float
-    # one pass for the common case: every sum normal and finite
-    if not (square.min() >= tiny and square.max() < math.inf):
+    # one pass for the common case: every sum normal and m^2 + sum finite
+    if not (square.min() >= tiny and energy.max() < math.inf):
         bad = ~np.isfinite(square) | ((square < tiny) & index.any(axis=1))
+        owner, what, values = repr(geometry), "squared wavenumber sum", square
+        if not bad.any():  # every sum is fine, but not every sum plus m^2
+            bad, what, values = ~np.isfinite(energy), "squared frequency", energy
+            owner += f" with mass {params.mass!r}"
         if bad.any():
             i = int(np.argmax(bad))
             raise ValueError(
-                f"{geometry!r} puts the squared wavenumber sum of mode "
+                f"{owner} puts the {what} of mode "
                 f"{tuple(index[i].tolist())} outside the float range: "
-                f"{float(square[i])!r}"
+                f"{float(values[i])!r}"
             )
-    frequencies = np.sqrt(square + params.mass_term)
+    frequencies = np.sqrt(energy)
     # integral of the un-normalised product mode squared
     prod = 1.0
     for k, length in zip(wavenumbers.T, lengths):

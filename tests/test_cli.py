@@ -146,6 +146,8 @@ def test_spectrum_integer_frequencies(capsys):
 @pytest.mark.parametrize("fields, name", [
     ({"length": 1e-160}, "length"), ({"length": 1e160}, "length"),
     ({"length": 1e300}, "length"), ({"mass": 1e200}, "mass"),
+    # every k^2 and m^2 finite, but not their sum
+    ({"mass": 1.3e154, "length": 6.2e-154, "bands": 1}, "mass"),
 ])
 def test_spectrum_outside_float_range_is_config_error(
     fields, name, tmp_path, capsys

@@ -1,5 +1,6 @@
 """Tests for instantaneous bases and exact Bogoliubov evolution."""
 
+import dataclasses
 import logging
 import math
 import re
@@ -57,21 +58,23 @@ def dce_trajectory(variant=DceVariant.RIGHT_ONLY, bc=D, length=math.pi,
 
 def test_static_factory_reports_zero_velocity():
     traj = BoundaryTrajectory.static(-1.0, 1.0)
-    assert traj.positions(3.7) == (-1.0, 1.0)
-    assert traj.velocities(3.7) == pytest.approx((0.0, 0.0), abs=1e-12)
+    walls, speeds = exact1d._walls(traj, [3.7])
+    assert walls[:, 0].tolist() == [-1.0, 1.0]
+    assert speeds[:, 0] == pytest.approx((0.0, 0.0), abs=1e-12)
 
 
-def test_finite_difference_velocity_matches_analytic():
-    exact = dce_trajectory(variant=DceVariant.BREATHING, epsilon=0.05)
-    fd = BoundaryTrajectory(exact.x_minus, exact.x_plus)
-    t = 0.37
-    assert fd.velocities(t) == pytest.approx(exact.velocities(t), rel=1e-7)
+def test_trajectory_requires_velocities():
+    with pytest.raises(TypeError):
+        BoundaryTrajectory(lambda t: 0.0, lambda t: 1.0)
 
 
 def test_crossing_walls_rejected():
-    traj = BoundaryTrajectory(lambda t: t, lambda t: 1.0 - t)
-    with pytest.raises(InvalidTrajectoryError):
-        traj.positions(0.6)
+    traj = BoundaryTrajectory(
+        lambda t: 0.5 * t, lambda t: 1.0 - 0.5 * t,
+        v_minus=lambda t: 0.5, v_plus=lambda t: -0.5,
+    )
+    with pytest.raises(InvalidTrajectoryError, match=r"crossed at t=1\.2"):
+        exact1d._walls(traj, [1.2])
 
 
 def test_superluminal_wall_rejected():
@@ -79,31 +82,76 @@ def test_superluminal_wall_rejected():
         lambda t: -1.0, lambda t: 1.0 + 2.0 * t,
         v_minus=lambda t: 0.0, v_plus=lambda t: 2.0,
     )
-    with pytest.raises(InvalidTrajectoryError):
-        traj.velocities(0.0)
+    with pytest.raises(InvalidTrajectoryError, match=r"speed \|2\.0\| >= 1"):
+        exact1d._walls(traj, [0.0])
 
 
 def test_static_factory_reports_zero_acceleration():
-    assert BoundaryTrajectory.static(-1.0, 1.0).accelerations(0.3) == (0.0, 0.0)
+    traj = BoundaryTrajectory.static(-1.0, 1.0)
+    accels = exact1d._walls(traj, [0.3], accelerations=True)[2]
+    assert accels[:, 0].tolist() == [0.0, 0.0]
+
+
+def _pipeline_trajectories():
+    """Every trajectory a pipeline builds, by name."""
+    return {
+        **{
+            f"dce-{variant.value}": dce_trajectory(
+                variant=variant, epsilon=0.05
+            )
+            for variant in DceVariant
+        },
+        "envelope": _envelope_trajectory(math.pi, 0.05, 3.0, 4.0),
+        "static": BoundaryTrajectory.static(-1.0, 1.0),
+    }
+
+
+def test_pipeline_trajectories_supply_every_callable():
+    # so no pipeline reaches the missing-acceleration error
+    names = [field.name for field in dataclasses.fields(BoundaryTrajectory)]
+    assert len(names) == 6
+    for name, traj in _pipeline_trajectories().items():
+        for field in names:
+            assert callable(getattr(traj, field)), (name, field)
+        exact1d._walls(traj, [0.37, 1.9], accelerations=True)
+
+
+def _fourth_order_difference(f, t, h, order):
+    """4th-order central difference of f' (order 1) or f'' (2) at t."""
+    if order == 1:
+        return (
+            -f(t + 2 * h) + 8 * f(t + h) - 8 * f(t - h) + f(t - 2 * h)
+        ) / (12 * h)
+    return (
+        -f(t + 2 * h) + 16 * f(t + h) - 30 * f(t) + 16 * f(t - h)
+        - f(t - 2 * h)
+    ) / (12 * h * h)
 
 
 @pytest.mark.parametrize("name", ["dce", "envelope"])
 @pytest.mark.parametrize("given", ["v", "x"])
 def test_finite_difference_acceleration_matches_analytic(name, given):
-    if name == "dce":
-        exact = dce_trajectory(variant=DceVariant.BREATHING, epsilon=0.05)
-    else:
-        exact = _envelope_trajectory(math.pi, 0.05, 3.0, 4.0)
-    # with velocities given they are differenced, else the positions twice
-    speeds = (exact.v_minus, exact.v_plus) if given == "v" else (None, None)
-    fd = BoundaryTrajectory(exact.x_minus, exact.x_plus, *speeds)
-    assert exact.a_minus is not None and exact.a_plus is not None
-    for t in (0.37, 1.9, 3.1):
-        want = np.array(exact.accelerations(t))
-        assert np.max(np.abs(np.array(fd.accelerations(t)) - want)) < 1e-7
+    # the supplied accelerations are the derivatives of the supplied
+    # velocities ("v") and the second derivatives of the positions ("x")
+    cases = [
+        traj for key, traj in _pipeline_trajectories().items()
+        if key.startswith(name)
+    ]
+    assert len(cases) == (3 if name == "dce" else 1)
+    for traj in cases:
+        for x, v, a in (
+            (traj.x_minus, traj.v_minus, traj.a_minus),
+            (traj.x_plus, traj.v_plus, traj.a_plus),
+        ):
+            for t in (0.37, 1.9, 3.1):
+                if given == "v":
+                    fd = _fourth_order_difference(v, t, 1e-3, 1)
+                else:
+                    fd = _fourth_order_difference(x, t, 1e-3, 2)
+                assert abs(fd - a(t)) < 1e-7
 
 
-@pytest.mark.parametrize("field, value, method", [
+@pytest.mark.parametrize("field, value, kind", [
     ("x_plus", math.nan, "positions"),
     ("x_plus", math.inf, "positions"),
     ("x_minus", -math.inf, "positions"),
@@ -111,7 +159,7 @@ def test_finite_difference_acceleration_matches_analytic(name, given):
     ("a_plus", math.nan, "accelerations"),
     ("a_minus", math.inf, "accelerations"),
 ])
-def test_non_finite_trajectory_rejected(field, value, method):
+def test_non_finite_trajectory_rejected(field, value, kind):
     functions = dict(
         x_minus=lambda t: 0.0, x_plus=lambda t: 1.0,
         v_minus=lambda t: 0.0, v_plus=lambda t: 0.0,
@@ -119,16 +167,81 @@ def test_non_finite_trajectory_rejected(field, value, method):
     )
     functions[field] = lambda t: value
     traj = BoundaryTrajectory(**functions)
-    with pytest.raises(InvalidTrajectoryError, match=r"non-finite .* at t=0\.25"):
-        getattr(traj, method)(0.25)
+    what = {
+        "positions": "position", "velocities": "speed",
+        "accelerations": "acceleration",
+    }[kind]
+    message = rf"non-finite wall {what} .* at t=0\.25"
+    with pytest.raises(InvalidTrajectoryError, match=message):
+        exact1d._walls(traj, [0.25], accelerations=True)
     # the solvers raise it too, naming the time, instead of failing a scan
-    with pytest.raises(InvalidTrajectoryError, match=r"at t=0\.25"):
+    with pytest.raises(InvalidTrajectoryError, match=message):
         assemble_vhat(traj, FieldParams(), D, 0.25, 3)
-    if method != "accelerations":  # a plain basis needs no acceleration
-        with pytest.raises(InvalidTrajectoryError, match=r"at t=0\.25"):
+    if kind != "accelerations":  # a plain basis needs no acceleration
+        with pytest.raises(InvalidTrajectoryError, match=message):
             solve_instantaneous_basis(traj, FieldParams(), D, 0.25, 3)
     else:
+        exact1d._walls(traj, [0.25])
         solve_instantaneous_basis(traj, FieldParams(), D, 0.25, 3)
+
+
+# each fault of the wall checks, in the order they are checked at one time
+WALL_FAULTS = [
+    ("x_plus", math.nan, r"non-finite wall position nan"),
+    ("x_minus", 2.0, r"boundaries crossed at t=0\.2: x_-=2\.0"),
+    ("v_minus", math.inf, r"non-finite wall speed inf"),
+    ("v_plus", -1.0, r"boundary speed \|-1\.0\| >= 1"),
+    ("a_minus", math.nan, r"non-finite wall acceleration nan"),
+]
+
+
+@pytest.mark.parametrize("first", range(len(WALL_FAULTS)))
+def test_walls_report_first_offending_time_in_check_order(first):
+    # t = 0.2 carries the faults from ``first`` on, t = 0.3 every fault:
+    # the earliest time is named, with its first fault in check order
+    functions = dict(
+        x_minus=lambda t: 0.0, x_plus=lambda t: 1.0,
+        v_minus=lambda t: 0.0, v_plus=lambda t: 0.0,
+        a_minus=lambda t: 0.0, a_plus=lambda t: 0.0,
+    )
+    for k, (field, bad, _) in enumerate(WALL_FAULTS):
+        fine = functions[field]
+        start = 0.2 if k >= first else 0.3
+        functions[field] = (
+            lambda t, fine=fine, bad=bad, start=start:
+            bad if t >= start else fine(t)
+        )
+    traj = BoundaryTrajectory(**functions)
+    pattern = WALL_FAULTS[first][2]
+    times = [0.0, 0.1, 0.2, 0.3, 0.4]
+    with pytest.raises(InvalidTrajectoryError, match=pattern) as error:
+        exact1d._walls(traj, times, accelerations=True)
+    assert "t=0.2" in str(error.value)
+    # without accelerations an acceleration fault is not seen
+    if first == len(WALL_FAULTS) - 1:
+        pattern = r"non-finite wall position nan at t=0\.3$"
+    with pytest.raises(InvalidTrajectoryError, match=pattern):
+        exact1d._walls(traj, times)
+    # every callable is called at every time before any check, so an
+    # exception of its own at a later time comes first
+    raising = dataclasses.replace(
+        traj, a_plus=lambda t: 1.0 / 0.0 if t > 0.35 else 0.0
+    )
+    with pytest.raises(ZeroDivisionError):
+        exact1d._walls(raising, times, accelerations=True)
+
+
+@pytest.mark.parametrize("missing", ["a_minus", "a_plus"])
+def test_missing_acceleration_is_a_typed_error(missing):
+    traj = dataclasses.replace(dce_trajectory(epsilon=0.05), **{missing: None})
+    window = (traj, FieldParams(), D)
+    with pytest.raises(InvalidTrajectoryError, match=missing):
+        evolve_transformation(*window, 0.0, 0.5, 3)
+    with pytest.raises(InvalidTrajectoryError, match=missing):
+        assemble_vhat(*window, 0.3, 3)
+    # a plain basis solve reads no acceleration
+    bases = solve_instantaneous_bases(*window, [0.0, 0.3], 3)
+    assert len(bases) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -636,8 +749,7 @@ def test_moving_modes_satisfy_boundary_conditions(bc, variant, epsilon, t,
     )
     params = FieldParams(mass=mass)
     basis = solve_instantaneous_basis(traj, params, bc, t, bands)
-    xm, xp = traj.positions(t)
-    vm, vp = traj.velocities(t)
+    (xm, xp), (vm, vp) = exact1d._walls(traj, [t])[..., 0].tolist()
     # both branches keep a sub-band root, or neither does
     sub_band = math.pi / (2 * (xp - xm))
     assert (abs(basis.plus[0].omega) < sub_band) == (
@@ -705,7 +817,7 @@ def test_custom_norm_orthonormality_moving():
     t = 0.3
     params = FieldParams()
     basis = solve_instantaneous_basis(traj, params, D, t, 6)
-    xm, xp = traj.positions(t)
+    xm, xp = traj.x_minus(t), traj.x_plus(t)
     nodes, weights = gauss_legendre(xm, xp, 96)
     modes = basis.plus
     vals = np.array([m.eval(nodes) for m in modes])
@@ -820,7 +932,7 @@ def _fd_generator(traj, params, bc, t, bands, h):
     outward = np.array([-1.0, 1.0])  # left wall, right wall
     psi_t_end = vals_dt[:, inner:]
     if bc is N:
-        speeds = np.array(traj.velocities(t))
+        speeds = np.array([traj.v_minus(t), traj.v_plus(t)])
         total -= (psi_t_end * outward * speeds) @ vals[:, inner:].T
     else:
         total += (psi_t_end @ (dvals[:, inner:] * outward).T) / omega[None, :]
@@ -1230,6 +1342,7 @@ def test_evolution_names_first_offending_time_inside_a_chunk(caplog):
     traj = BoundaryTrajectory(
         lambda t: 0.0, lambda t: math.pi + 2.0 * max(t - 0.3, 0.0),
         v_minus=lambda t: 0.0, v_plus=lambda t: 2.0 if t >= 0.3 else 0.0,
+        a_minus=lambda t: 0.0, a_plus=lambda t: 0.0,
     )
     with caplog.at_level(logging.INFO, logger="movingcavity.exact1d"):
         with pytest.raises(

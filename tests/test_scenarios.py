@@ -54,11 +54,11 @@ def test_trajectory_positions_and_velocities():
     t = 0.62
     s = math.sin(1.5 * t)
     c = 1.5 * math.cos(1.5 * t)
-    xm, xp = traj.positions(t)
+    xm, xp = traj.x_minus(t), traj.x_plus(t)
     # both walls shift the same way: the cavity shakes rigidly
     assert xm == pytest.approx(-1.0 + 0.01 * s)
     assert xp == pytest.approx(1.0 + 0.01 * s)
-    vm, vp = traj.velocities(t)
+    vm, vp = traj.v_minus(t), traj.v_plus(t)
     assert vm == pytest.approx(0.01 * c)
     assert vp == pytest.approx(0.01 * c)
 
@@ -71,11 +71,9 @@ def test_trajectory_velocity_consistent_with_positions():
         )
         traj = build_dce(config).trajectory
         t, h = 0.9, 1e-6
-        for pick in (0, 1):
-            fd = (traj.positions(t + h)[pick] - traj.positions(t - h)[pick]) / (
-                2 * h
-            )
-            assert traj.velocities(t)[pick] == pytest.approx(fd, abs=1e-9)
+        for x, v in ((traj.x_minus, traj.v_minus), (traj.x_plus, traj.v_plus)):
+            fd = (x(t + h) - x(t - h)) / (2 * h)
+            assert v(t) == pytest.approx(fd, abs=1e-9)
 
 
 def test_spec_reproduces_predictor():
@@ -167,6 +165,24 @@ def gw_config(bc=D, epsilon=1e-3, frequency_cutoff=25.0):
         lx=1.0, ly=1.3, lz=0.9, bc=bc, epsilon=epsilon, omega_drive=5.0,
         frequency_cutoff=frequency_cutoff,
     )
+
+
+@pytest.mark.parametrize("kind", ["dce", "gw"])
+def test_large_epsilon_warning_points_at_the_caller(kind):
+    # the warning names the line that built the config, not the
+    # dataclass-generated __init__
+    with pytest.warns(UserWarning, match="epsilon=0.9") as record:
+        if kind == "dce":
+            DceConfig(
+                variant=DceVariant.RIGHT_ONLY, length=1.0, bc=D,
+                epsilon=0.9, omega_drive=2.0,
+            )
+        else:
+            GwConfig(
+                lx=1.0, ly=1.3, lz=0.9, bc=D, epsilon=0.9, omega_drive=5.0,
+                frequency_cutoff=25.0,
+            )
+    assert [warning.filename for warning in record] == [__file__]
 
 
 @pytest.mark.parametrize(

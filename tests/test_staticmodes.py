@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -117,6 +118,21 @@ def test_squared_wavenumbers_outside_float_range_rejected(length, bc, mass):
     # the length, not a table of inf, inexact or zero frequencies
     with pytest.raises(ValueError, match=r"Interval\(length=.* mode \(1,\)"):
         solve_interval_modes(Interval(length), FieldParams(mass=mass), bc, 3)
+
+
+def test_squared_frequency_overflow_rejected():
+    # k^2 and m^2 are finite but their sum is not: a typed error naming the
+    # length and the mass, not an inf frequency and an overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(
+            ValueError,
+            match=r"Interval\(length=6\.2e-154\) with mass 1\.3e\+154 .*"
+            r"mode \(1,\)",
+        ):
+            solve_interval_modes(
+                Interval(6.2e-154), FieldParams(mass=1.3e154), D, 1
+            )
 
 
 def test_box_squared_wavenumber_sum_is_checked_per_mode():
