@@ -10,18 +10,22 @@ are exact: the roots move as -(dD/dt)/(dD/domega) on the characteristic
 determinant D, which brings in the wall accelerations, and the modes
 follow from the null vector of the boundary rows and from their norm.
 Every mode is evaluated in z = x - (x_- + x_+)/2, centred on the cavity,
-so no result depends on where the cavity sits.  The Gauss-Legendre rule
-is symmetric about z = 0, where c is even and s odd, so the modes are
-held folded: c and s on the half grid z >= 0 alone, each in its own
-contiguous slot of a slot-major array, and the norms from per-mode
-moments.  c and s come from one vectorised tangent of half the phase
-(``_cs``).
+so no result depends on where the cavity sits.  c and s come from one
+vectorised tangent of half the phase (``_cs``).
+Everything of a node that is not a volume integral follows from c, s
+and their lam-derivatives at the wall: the rows, the norms (from
+closed-form moments), the roots' rates and the coefficients of d psi/dt.
+That per-node layer reads no grid, so a plain basis solve touches none.
+The two cross overlaps of the generator take a Gauss-Legendre rule,
+symmetric about z = 0, where c is even and s odd, so the modes are held
+folded there: c and s on the half grid z >= 0 alone, each in its own
+contiguous slot of a slot-major array.
 The generator depends on t alone, so every node's eigenproblem is
-solved ahead of the step loop in two layouts: the roots in large root
-batches, one sign scan and one polish each, and the modes and generator
-blocks in smaller point chunks of whole steps, in one workspace per
-evolution, where the exponentials of each chunk's Magnus steps are taken
-as one stack.
+solved ahead of the step loop in two layouts: the roots and the
+per-node layer in large root batches, one sign scan and one polish
+each, and the grid work and generator blocks in smaller point chunks of
+whole steps, in one workspace per evolution, where the exponentials of
+each chunk's Magnus steps are taken as one stack.
 The steps run on the real generator blocks; the unitary change to the
 frequency modes is applied to the product only.  Blocks are ordered
 positive branch first, then negative branch; with static start and end
@@ -200,17 +204,6 @@ def _cs_rates(x, lam, c, s, out=None, reach=None):
     return dc, ds
 
 
-def _mode_values(lam, a, b, z):
-    """Values and z-derivatives of the modes a c + b s at points ``z``.
-
-    ``lam``, ``a`` and ``b`` are (..., 2N) and ``z`` is (..., P), with
-    matching leading axes; the results are (..., 2N, P).
-    """
-    c, s = _cs(np.asarray(z, dtype=float)[..., None, :], lam[..., None])
-    lam, a, b = lam[..., None], a[..., None], b[..., None]
-    return a * c + b * s, b * c - lam * a * s
-
-
 @dataclass(frozen=True)
 class InstantaneousMode:
     """One eigen-solution psi(x) = a c(z) + b s(z) on [x_minus, x_plus].
@@ -279,9 +272,10 @@ class InstantaneousBasis:
     def values(self, x):
         """Values and x-derivatives of every mode, each (2N, len(x))."""
         centre = 0.5 * (self.x_minus + self.x_plus)
-        return _mode_values(
-            self.lam, self.a, self.b, np.asarray(x, dtype=float) - centre
-        )
+        z = np.asarray(x, dtype=float) - centre
+        c, s = _cs(z[None, :], self.lam[:, None])
+        lam, a, b = self.lam[:, None], self.a[:, None], self.b[:, None]
+        return a * c + b * s, b * c - lam * a * s
 
     @functools.cached_property
     def modes(self) -> Tuple[InstantaneousMode, ...]:
@@ -343,8 +337,15 @@ def _boundary_rates(omega, lam, x, c, s, dc, ds, v, bc):
     return by_x, by_v, by_omega
 
 
-def _char_det(omega, length, v_minus, v_plus, mass2f, bc, lam=None,
-              slope=False):
+def _det_walls(length, v_minus, v_plus, bc):
+    """The wall constants of ``_char_det``: L, L^2 (the series reach of
+    s(L)), v_- v_+, 1 + v_- v_+ and the gap, dv (Dirichlet) or -dv."""
+    product, neumann = v_minus * v_plus, bc is BoundaryCondition.NEUMANN
+    gap = v_minus - v_plus if neumann else v_plus - v_minus
+    return length, length * length, product, 1.0 + product, gap
+
+
+def _char_det(omega, walls, mass2f, bc, lam=None, slope=False):
     """Characteristic determinant D = p_- q_+ - p_+ q_- of the wall rows.
 
     D depends on the walls only through the cavity length L = x_+ - x_-:
@@ -355,30 +356,32 @@ def _char_det(omega, length, v_minus, v_plus, mass2f, bc, lam=None,
         Dirichlet: D = (omega^2 + v_- v_+ lam) s(L) + omega dv c(L),
         Neumann:   D = (lam + omega^2 v_- v_+) s(L) - omega dv c(L).
 
-    ``length`` and the speeds broadcast against ``omega``; ``lam`` may be
+    ``walls`` is ``_det_walls``, whose arrays broadcast against ``omega``
+    (a polish takes them once for all its rounds); ``lam`` may be
     given in any shape that broadcasts against it: c and s depend on lam
     alone, so a scan of both branches evaluates them once for the two.
     With ``slope`` the result is (D, dD/domega), the slope in closed form
     from ``_cs_rates`` with d lam = 2 omega d omega; whether s takes its
     series there is decided for each entry on its own.
     """
-    square, product = omega * omega, v_minus * v_plus
+    length, reach, product, one_plus, gap = walls
+    square = omega * omega
     if lam is None:
         lam = square - mass2f
     c, s = _cs(length, lam)
-    # D = s_term s(L) + omega gap c(L); gap is also d(omega gap)/d omega
+    # D = s_term s(L) + omega gap c(L)
     if bc is BoundaryCondition.NEUMANN:
-        s_term, gap = lam + product * square, v_minus - v_plus
+        s_term = lam + product * square
     else:
-        s_term, gap = square + product * lam, v_plus - v_minus
+        s_term = square + product * lam
     c_term = omega * gap
     det = s_term * s + c_term * c
     if not slope:
         return det
     # each entry is one mode at its one point: the series cut is its own
-    dc, ds = _cs_rates(length, lam, c, s, reach=length * length)
+    dc, ds = _cs_rates(length, lam, c, s, reach=reach)
     # d s_term/d omega = 2 omega (1 + v_- v_+) under either condition
-    by_lam = (1.0 + product) * s + s_term * ds + c_term * dc
+    by_lam = one_plus * s + s_term * ds + c_term * dc
     return det, 2.0 * omega * by_lam + gap * c
 
 
@@ -531,9 +534,9 @@ def _find_roots(times, walls, speeds, params, bc, bands):
     length = walls[1] - walls[0]
     grid, sub_band = _scan_grid(length, mass2f, bands, skip_low)
     nodes = grid[:, None, :] * np.array([[1.0], [-1.0]])  # (T, 2, G)
+    scan = _det_walls(length[:, None, None], *speeds[:, :, None, None], bc)
     values = _char_det(
-        nodes, length[:, None, None], *speeds[:, :, None, None], mass2f, bc,
-        (grid * grid - mass2f)[:, None, :],
+        nodes, scan, mass2f, bc, (grid * grid - mass2f)[:, None, :]
     )
     exact = values == 0.0
     event = exact.copy()
@@ -562,13 +565,11 @@ def _find_roots(times, walls, speeds, params, bc, bands):
     if np.any(bracket):
         lo = picked[bracket]
         t = lo // (2 * grid.shape[1])
-        bracket_length, bracket_speeds = length[t], speeds[:, t]
+        bracket_walls = _det_walls(length[t], *speeds[:, t], bc)
 
         def scaled(w):
             # D/|omega| has the signs of D and the Newton steps of D/omega
-            det, slope = _char_det(
-                w, bracket_length, *bracket_speeds, mass2f, bc, slope=True
-            )
+            det, slope = _char_det(w, bracket_walls, mass2f, bc, slope=True)
             size = np.abs(w)
             return det / size, (slope - det / w) / size
 
@@ -587,8 +588,8 @@ def _walls(traj, times, accelerations=False):
     ``a_plus`` raises ``InvalidTrajectoryError`` naming it.  The callables
     are called at every time first, x_-, x_+, v_-, v_+ (a_-, a_+) per
     time, so an exception of their own comes before any check.  The table
-    is then checked whole, and the first offending time raises through
-    ``_reject_walls``.
+    is then checked whole; only one that fails a sum and two comparisons
+    goes through ``_reject_walls`` row by row, so its first bad time raises.
     """
     calls = [traj.x_minus, traj.x_plus, traj.v_minus, traj.v_plus]
     if accelerations:
@@ -599,18 +600,17 @@ def _walls(traj, times, accelerations=False):
                     f"trajectory has no {name}"
                 )
         calls += [traj.a_minus, traj.a_plus]
-    table = np.array(
-        [[float(f(t)) for f in calls] for t in times], dtype=float
-    ).reshape(len(times), len(calls) // 2, 2)
+    values = [float(f(t)) for t in times for f in calls]
+    table = np.array(values).reshape(len(times), len(calls) // 2, 2)
     positions, speeds = table[:, 0], table[:, 1]
-    bad = (
-        ~np.isfinite(table).all(axis=(1, 2))
-        | (positions[:, 1] <= positions[:, 0])
-        | (np.abs(speeds) >= 1.0).any(axis=1)
-    )
-    if bad.any():
-        i = int(np.argmax(bad))
-        _reject_walls(times[i], *table[i].tolist())
+    # a float sum that overflows only sends a good table to the row check
+    if not (
+        math.isfinite(sum(values))
+        and (positions[:, 1] > positions[:, 0]).all()
+        and np.abs(speeds).max(initial=0.0) < 1.0
+    ):
+        for t, row in zip(times, table.tolist()):
+            _reject_walls(t, *row)
     return table.transpose(1, 2, 0)
 
 
@@ -661,63 +661,44 @@ def _fold_rule(quad_count):
     return points, folded
 
 
-def _moments(f, g, weights, scratch=None):
-    """int f g of each mode's even and odd slots, (2, T, 2N).
+# d2s/dlam2 = x^5 sum_n n (n - 1) (-u)^(n - 2) / (2n + 1)!, u = lam x^2,
+# highest power first: cut after u^8, it is exact to 1e-18 where |u| < 1
+_SECOND_RATE_SERIES = tuple(
+    n * (n - 1) * (-1) ** n / math.factorial(2 * n + 1) for n in range(10, 1, -1)
+)
 
-    ``f`` and ``g`` are folded (2, T, 2N, P) arrays and ``weights`` (T, P)
-    the folded rule; ``scratch``, shaped like ``f``, takes the products.
+
+def _wall_terms(walls, lam):
+    """h = L/2 (T, 1); c, s, dc, ds at z = h; int c^2, int s^2; (T, 2N).
+
+    ``walls`` is (2, T).  The moments over the cavity follow from Green's
+    identity for psi'' = -lam psi and its lam-derivative, c even and s odd:
+    int s^2 = 2 (c ds - s dc) and int c^2 = 2 c s + lam int s^2 at z = h.
     """
-    product = np.multiply(f, g, out=scratch)
-    return (product @ weights[:, :, None])[..., 0]
+    half = (0.5 * (walls[1] - walls[0]))[:, None]
+    c, s = _cs(half, lam)
+    dc, ds = _cs_rates(half, lam, c, s, reach=half * half)
+    s_sq = 2.0 * (c * ds - s * dc)
+    c_sq = 2.0 * c * s + lam * s_sq
+    return half, c, s, dc, ds, c_sq, s_sq
 
 
-def _folded_modes(params, bc, times, walls, speeds, omega, out=None,
-                  scratch=None):
-    """Normalised, signed modes of the roots ``omega`` (T, 2N) at ``times``.
+def _node_modes(params, bc, times, walls, speeds, omega):
+    """Normalised, signed modes of the roots ``omega`` (T, 2N), on no grid.
 
-    The roots come from ``_find_roots`` at the same walls and speeds,
-    (2, T), which a caller may have taken in batches of another layout.
-    Each mode is psi = a c(z) + b s(z) in z = x - (x_- + x_+)/2, measured
-    from the cavity centre, and is held in the folded layout: the
-    Gauss-Legendre rule is symmetric about z = 0, where c is even and s
-    odd, so c and s are evaluated only on the P = ceil(Q/2) + 1 half-grid
-    points z >= 0 of ``_fold_rule``, Q = ``band_limited_points(N)`` (the
-    last is the wall z = L/2), and
-    the left wall follows by parity.  The folded (2, T, 2N, P) array is
-    slot-major: c in its even slot (index 0 of the first axis) and s in
-    its odd slot, each one contiguous (T, 2N, P) block.  On the folded
-    weights, zero at the wall, every integral
-    int f g over the cavity is sum W f g over both slots, as even x odd
-    terms cancel on the symmetric rule.  The norms come from the moments
-    int c^2 and int s^2 before any value is formed:
-    int psi^2 = a^2 int c^2 + b^2 int s^2 and
-    int psi'^2 = b^2 int c^2 + a^2 lam^2 int s^2.  The sign rule reads
-    psi(0) = a and psi'(0) = b.
-
-    Returns the half-grid points z (T, P) and folded weights (T, P);
-    ``lam``, ``a`` and ``b``, (T, 2N); c and s, folded, written into
-    ``out`` when given; and the moments int c^2 and int s^2 of each mode,
-    (2, T, 2N), as from ``_moments``.  ``scratch``, shaped like ``out``,
-    takes the products.  Errors name the first offending time.
+    The basis half of the per-node layer, from walls and speeds (2, T):
+    psi = a c(z) + b s(z) in z = x - (x_- + x_+)/2 is the null direction of
+    the boundary rows, normalised with the moments of ``_wall_terms`` (which
+    it returns after lam, a and b) and signed so psi(0) = a, psi'(0) = b.
+    Errors name the first offending time.
     """
     mass2f = params.mass_term + positivity_shift(params)
-    # products of two modes reach about (N + 1) pi / L: this rule keeps
-    # every generator block at the round-off floor of a (16N + 64)-point
-    # reference, and depends on N alone
-    points, folded = _fold_rule(band_limited_points(omega.shape[1] // 2))
-    half = (0.5 * (walls[1] - walls[0]))[:, None]
-    z, weights = half * points, half * folded
     lam = omega * omega - mass2f
-    if out is None:
-        out = np.empty((2,) + omega.shape + (len(points),))
-    c, s = _cs(z[:, None, :], lam[..., None], out)
-    # int c s vanishes on the symmetric rule
-    squares = _moments(out, out, weights, scratch)
-    c_sq, s_sq = squares
+    wall = _wall_terms(walls, lam)
+    _, c_w, s_w, _, _, c_sq, s_sq = wall
     # boundary rows at z = -L/2 (c even, s odd) and z = L/2
     r0, r1 = _boundary_rows(
-        omega, lam, c[..., -1], _WALL_SIDES * s[..., -1], speeds[:, :, None],
-        bc,
+        omega, lam, c_w, _WALL_SIDES * s_w, speeds[:, :, None], bc
     )
     # coefficient vector = null direction of the 2x2 boundary system,
     # taken from the better-conditioned row (left wall on a tie)
@@ -748,7 +729,7 @@ def _folded_modes(params, bc, times, walls, speeds, omega, out=None,
     value = np.abs(omega) * a
     decider = np.where(np.abs(value) >= np.abs(b), value, b)
     factor = np.where(decider < 0, -1.0, 1.0) / np.sqrt(quad / np.abs(omega))
-    return z, weights, lam, a * factor, b * factor, out, squares
+    return lam, a * factor, b * factor, wall
 
 
 def solve_instantaneous_bases(
@@ -761,20 +742,18 @@ def solve_instantaneous_bases(
     """First ``bands`` eigenpairs of each frequency branch at each time.
 
     Roots are bracketed by a sign scan and polished by safeguarded Newton
-    iteration, each inside its bracket; eigenfunctions are normalised in
-    the velocity-compatible quadratic form, integrated on the
-    ``band_limited_points(bands)``-point Gauss-Legendre rule, and signed
-    by the cavity-centre convention.  All times share one scan on a
-    (time x branch x node) array, one polish over every bracket and one
-    normalisation pass, so a batch costs few numpy calls more than a
-    single time.  No time
-    derivative or wall acceleration is computed.  Errors keep their types
-    and name the first offending time in the order given.
+    iteration, each inside its bracket (``_find_roots``); eigenfunctions
+    are normalised in the velocity-compatible quadratic form from wall
+    values alone and signed by the cavity-centre convention
+    (``_node_modes``).  All times share one scan, one polish and one
+    normalisation pass; no time derivative or wall acceleration is
+    computed.  Errors keep their types and name the first offending time
+    in the order given.
     """
     times = np.asarray(times, dtype=float).reshape(-1)
     walls, speeds = _walls(traj, times.tolist())
     omega = _find_roots(times, walls, speeds, params, bc, bands)
-    lam, a, b = _folded_modes(params, bc, times, walls, speeds, omega)[2:5]
+    lam, a, b = _node_modes(params, bc, times, walls, speeds, omega)[:3]
     for array in (omega, lam, a, b):
         array.flags.writeable = False
     f_term = positivity_shift(params)
@@ -823,41 +802,43 @@ def mode_transform_matrix(bands: int) -> np.ndarray:
     )
 
 
-def _folded_rates(times, omega, lam, a, b, z, weights, cs, squares, speeds,
-                  accels, mass2f, bc, out=None, scratch=None):
-    """d omega/dt, (C, 2N), and d psi/dt at fixed x, folded (2, C, 2N, P).
+def _rate_moments(lam, wall):
+    """int c dc and int s ds over the cavity from ``_wall_terms``, (T, 2N).
 
-    Arrays are those of ``_folded_modes`` and ``accels`` the wall
-    accelerations, (2, C).  The roots move as d omega/dt =
-    -(dD/dt)/(dD/domega) on the characteristic determinant D = p_L q_R -
-    p_R q_L of the wall rows.  The modes live in z, whose origin moves at
-    the mean wall speed v_c, so the walls move at v_e - v_c in z.  The
-    coefficient vector (a, b) moves across itself at the rate that keeps
-    it null for both rows (a least-squares blend of the two walls, which
-    agree), and along itself as the norm form
-    Q = (m^2 + F + omega^2) int psi^2 + int psi'^2 = |omega| requires,
-    with the walls' Leibniz terms; int psi psi_t comes from the moments
-    int c dc and int s ds.  At fixed x, psi_t gains -v_c psi'.  It is
-    formed once from per-mode coefficients on c, s and their
-    lam-derivatives dc, ds (``_cs_rates``), in ``out``, shaped like
-    ``cs``, when given; ``scratch`` takes the products.
-    """
-    if out is None:
-        out = np.empty_like(cs)
-    c, s = cs
-    dc, ds = _cs_rates(z[:, None, :], lam[..., None], c, s, out)
-    (c_dc, s_ds), (c_sq, s_sq) = _moments(cs, out, weights, scratch), squares
+    Half the lam-derivatives of its moments: int s ds = c d2s - s d2c and
+    int c dc = 2 c ds + lam int s ds at z = h, with d2c = -h ds/2 and d2s
+    = (h dc - 3 ds)/(2 lam), which would lose 1e-9 at the ``LAM_SERIES_CUT``
+    of ds and takes ``_SECOND_RATE_SERIES`` wherever |lam| h^2 < 1."""
+    half, c, s, dc, ds = wall[:5]
+    reach = half * half
+    u = lam * reach
+    second = np.full_like(u, _SECOND_RATE_SERIES[0])
+    for coefficient in _SECOND_RATE_SERIES[1:]:
+        second *= u
+        second += coefficient
+    second *= reach * reach * half
+    closed = np.abs(u) >= 1.0
+    if closed.any():
+        np.divide(half * dc - 3.0 * ds, 2.0 * lam, out=second, where=closed)
+    s_ds = c * second + 0.5 * half * s * ds
+    return 2.0 * c * ds + lam * s_ds, s_ds
+
+
+def _row_rates(times, omega, lam, a, b, wall, speeds, accels, drift, bc):
+    """d omega/dt = -(dD/dt)/(dD/domega) on the wall rows' determinant and
+    the rate tau at which (a, b) turns to stay null for both rows (a
+    least-squares blend), each (T, 2N).  In z the walls move at v_e less
+    the ``drift`` of its origin, their mean speed."""
+    half, c_w, s_w, dc_w, ds_w = wall[:5]
     # the walls z = -L/2 and L/2: c and dc even, s and ds odd
-    c_w, s_w, dc_w, ds_w = c[..., -1], s[..., -1], dc[..., -1], ds[..., -1]
     side = _WALL_SIDES
-    z_w = side * z[:, -1:]
+    z_w = side * half
     v_w, a_w = speeds[:, :, None], accels[:, :, None]
     p, q = _boundary_rows(omega, lam, c_w, side * s_w, v_w, bc)
     by_x, by_v, by_omega = _boundary_rates(
         omega, lam, z_w, c_w, side * s_w, dc_w, side * ds_w, v_w, bc
     )
-    centre_speed = 0.5 * (speeds[0] + speeds[1])[:, None]
-    shift = v_w - centre_speed  # wall speeds in z
+    shift = v_w - drift  # wall speeds in z
     p_t, q_t = (by_x[k] * shift + by_v[k] * a_w for k in range(2))
 
     def det_rate(dp, dq):
@@ -875,6 +856,27 @@ def _folded_rates(times, omega, lam, a, b, z, weights, cs, squares, speeds,
     along = p_t * a + q_t * b
     across = q * a - p * b
     tau = -np.sum(along * across, axis=0) / np.sum(across * across, axis=0)
+    return domega, tau
+
+
+def _node_terms(params, bc, times, walls, speeds, accels, omega):
+    """The per-node layer of the generator, (9, T, 2N), on no grid.
+
+    Rows: omega, lam, d omega/dt, a and b of psi on c and s, then the
+    coefficients of d psi/dt at fixed x on c, s, dc and ds.  (a, b) turns
+    as ``_row_rates`` finds and scales as the norm form
+    Q = (m^2 + F + omega^2) int psi^2 + int psi'^2 = |omega| requires,
+    with the walls' Leibniz terms and the moments of ``_rate_moments``; at
+    fixed x, psi_t gains -v_c psi'.  Errors name the first offending time.
+    """
+    lam, a, b, wall = _node_modes(params, bc, times, walls, speeds, omega)
+    mass2f = params.mass_term + positivity_shift(params)
+    centre_speed = 0.5 * (speeds[0] + speeds[1])[:, None]
+    domega, tau = _row_rates(
+        times, omega, lam, a, b, wall, speeds, accels, centre_speed, bc
+    )
+    _, c_w, s_w, dc_w, ds_w, c_sq, s_sq = wall
+    c_dc, s_ds = _rate_moments(lam, wall)
     # psi_t at fixed z, norm held: tau (a s - b c) + lam_t (a dc + b ds),
     # coefficients of c, dc (even) and s, ds (odd)
     lam_t = 2.0 * omega * domega
@@ -895,29 +897,21 @@ def _folded_rates(times, omega, lam, a, b, z, weights, cs, squares, speeds,
     q_rate = 2.0 * omega * domega * norm_sq + 4.0 * omega**2 * cross + boundary
     kappa = domega / (2.0 * omega) - q_rate / (2.0 * np.abs(omega))
     # at fixed x, psi_t - v_c psi' with psi' = b c (even) - lam a s (odd)
-    on_cs = np.stack([
-        on_c + kappa * a - centre_speed * b,
-        on_s + kappa * b + centre_speed * lam * a,
+    return np.stack([
+        omega, lam, domega, a, b, on_c + kappa * a - centre_speed * b,
+        on_s + kappa * b + centre_speed * lam * a, on_dc, on_ds,
     ])
-    out *= np.stack([on_dc, on_ds])[..., None]
-    out += np.multiply(cs, on_cs[..., None], out=scratch)
-    return domega, out
 
 
-def _folded_vhat(omegas, domega, lam, a, b, cs, rate, weights, speeds, f_term,
-                 bc, scratch=None):
+def _folded_vhat(terms, cs, rate, weights, speeds, f_term, bc, scratch=None):
     """Real 2N x 2N generator blocks of C nodes, (C, 2N, 2N).
 
-    ``omegas`` and ``domega`` (C, 2N) are the frequencies at the nodes
-    and their time derivatives, ``lam``, ``a`` and ``b`` (C, 2N) the
-    modes, ``cs`` their folded c and s and ``rate`` their folded time
-    derivatives at fixed x, each (2, C, 2N, P) on the folded rule
-    ``weights`` (C, P) (``_folded_modes``, ``_folded_rates``); ``speeds``
-    (2, C) are the wall velocities.  ``cs`` is overwritten with the
-    modes' folded values, and ``scratch``, shaped like it, takes the
-    weighted values; it is allocated when omitted.  Each overlap is the
-    sum of an even-slot and an odd-slot batched product.
+    ``terms`` are the nodes' ``_node_terms``; ``cs`` (overwritten with the
+    modes' values) and ``rate`` hold c and s and d psi/dt at fixed x,
+    folded (2, C, 2N, P) on the weights (C, P); ``speeds`` is (2, C).
+    ``scratch``, shaped like ``cs``, takes the weighted values.
     """
+    omegas, lam, domega, a, b = terms[:5]
     # wall values, (C, 2N, 2) left wall first: even part -+ odd part
     side = np.array([-1.0, 1.0])
     c_w, s_w = cs[0, ..., -1:], cs[1, ..., -1:]
@@ -925,72 +919,72 @@ def _folded_vhat(omegas, domega, lam, a, b, cs, rate, weights, speeds, f_term,
     dpsi_end = b[..., None] * c_w - side * ((lam * a)[..., None] * s_w)
     dpsidt_end = rate[0, ..., -1:] + side * rate[1, ..., -1:]
     vals = cs
-    vals *= np.stack([a, b])[..., None]
+    vals *= terms[3:5, ..., None]
     weighted = np.swapaxes(
         np.multiply(vals, weights[:, None, :], out=scratch), -1, -2
     )
 
-    # volume integrals, all pairs at once, even slot plus odd slot
-    overlap = vals[0] @ weighted[0] + vals[1] @ weighted[1]  # int psi_n psi_m
-    # int (d psi_n/dt) psi_m
-    dt_overlap = rate[0] @ weighted[0] + rate[1] @ weighted[1]
+    # volume integrals, all pairs at once, even slot plus odd slot, summed
+    # in place: int psi_n psi_m, then int (d psi_n/dt) psi_m
+    overlap = vals[0] @ weighted[0]
+    overlap += vals[1] @ weighted[1]
+    total = rate[0] @ weighted[0]
+    total += rate[1] @ weighted[1]
     size = omegas.shape[-1]
 
-    total = (omegas[..., :, None] + omegas[..., None, :]) * dt_overlap
-    total += (2.0 * omegas**2 + domega - f_term)[..., :, None] * overlap
+    total *= omegas[..., :, None] + omegas[..., None, :]
+    overlap *= (2.0 * omegas**2 + domega - f_term)[..., :, None]
+    total += overlap
+    del overlap
     if bc is BoundaryCondition.NEUMANN:
         vb = (speeds.T * side)[..., None, :]  # outward-normal wall speeds
         total -= (dpsidt_end * vb) @ np.swapaxes(psi_end, -1, -2)
     else:
-        normal_grad = dpsi_end * side
-        total += (dpsidt_end @ np.swapaxes(normal_grad, -1, -2)) / omegas[
-            ..., None, :
-        ]
-    hat_sign = np.where(np.arange(size) < size // 2, 1.0, -1.0)
-    vhat = hat_sign * total
+        wall = dpsidt_end @ np.swapaxes(dpsi_end * side, -1, -2)
+        wall /= omegas[..., None, :]
+        total += wall
+    vhat = total
+    vhat *= np.where(np.arange(size) < size // 2, 1.0, -1.0)
     diag = np.arange(size)
     vhat[..., diag, diag] -= omegas
     return vhat
 
 
 def _workspace(nodes, bands):
-    """Three folded float arrays for ``_chunk_vhats``, as one.
-
-    Each is slot-major (2 x node x 2N x P), P = ceil(Q/2) + 1
-    (``_fold_rule``), so a chunk's leading nodes of each slot are one
-    contiguous block.
-    """
+    """Three slot-major (2 x node x 2N x P) arrays for ``_chunk_vhats``,
+    P = ceil(Q/2) + 1 (``_fold_rule``): a chunk's leading nodes of each
+    slot are one contiguous block."""
     points = len(_fold_rule(band_limited_points(bands))[0])
     return np.empty((3, 2, nodes, 2 * bands, points))
 
 
-def _chunk_vhats(params, bc, times, walls, speeds, accels, omega, work=None):
-    """Real generator blocks (C, 2N, 2N) at ``times`` (C,).
+def _chunk_vhats(params, bc, walls, speeds, terms, work=None):
+    """Real generator blocks (C, 2N, 2N) of a point chunk of C nodes.
 
-    ``walls``, ``speeds`` and ``accels`` (2, C) are the trajectory at the
-    times (``_walls``) and ``omega`` (C, 2N) their roots
-    (``_find_roots``).  The chunk's modes are normalised in one batched
-    ``_folded_modes``; their time derivatives come in closed form from
-    the wall velocities and accelerations (``_folded_rates``).  Every
-    folded (2, C, 2N, P) array of the pass takes the leading C nodes of
-    ``work``, a ``_workspace`` for at least C nodes (one is allocated
-    when omitted), so a caller that passes the same workspace to each
-    chunk allocates none of them again.  The blocks share no memory with
-    ``work``.
+    The grid work alone, from the nodes' walls and speeds (2, C) and
+    ``_node_terms``: c, s and their lam-derivatives on the half grid of
+    ``_fold_rule`` (the last point is the wall), d psi/dt, and
+    ``_folded_vhat``.  The folded weights are zero at the wall, and even x
+    odd terms cancel, so int f g is sum W f g over both slots.  The arrays
+    take the leading C nodes of ``work`` (a ``_workspace``, allocated when
+    omitted), which the blocks do not share.
     """
+    nodes, size = terms.shape[1:]
     if work is None:
-        work = _workspace(len(times), omega.shape[1] // 2)
-    cs, rate, scratch = work[:, :, : len(times)]
-    z, weights, lam, a, b, cs, squares = _folded_modes(
-        params, bc, times, walls, speeds, omega, cs, scratch
-    )
-    f_term = positivity_shift(params)
-    domega, rate = _folded_rates(
-        times, omega, lam, a, b, z, weights, cs, squares, speeds, accels,
-        params.mass_term + f_term, bc, rate, scratch,
-    )
+        work = _workspace(nodes, size // 2)
+    cs, rate, scratch = work[:, :, :nodes]
+    # products of two modes reach about (N + 1) pi / L: this rule keeps
+    # every generator block at the round-off floor of a (16N + 64)-point
+    # reference, and depends on N alone
+    points, folded = _fold_rule(band_limited_points(size // 2))
+    half = (0.5 * (walls[1] - walls[0]))[:, None]
+    z, lam = half[:, None] * points, terms[1, ..., None]
+    c, s = _cs(z, lam, cs)
+    _cs_rates(z, lam, c, s, rate)
+    rate *= terms[7:9, ..., None]
+    rate += np.multiply(cs, terms[5:7, ..., None], out=scratch)
     return _folded_vhat(
-        omega, domega, lam, a, b, cs, rate, weights, speeds, f_term, bc,
+        terms, cs, rate, half * folded, speeds, positivity_shift(params), bc,
         scratch,
     )
 
@@ -1004,15 +998,14 @@ def assemble_vhat(
 ) -> np.ndarray:
     """Real 2N x 2N generator block matrix at time t.
 
-    The one-node case of ``evolve_transformation``'s assembly: the wall
-    positions, velocities and accelerations at t, its roots, one basis,
-    and closed-form time derivatives of its modes, every volume integral
-    on the ``band_limited_points(bands)``-point Gauss-Legendre rule.
+    The one-node case of ``evolve_transformation``'s assembly: the walls
+    at t, its roots, ``_node_terms`` and ``_chunk_vhats``.
     """
     times = np.array([float(t)])
     walls, speeds, accels = _walls(traj, times.tolist(), accelerations=True)
     omega = _find_roots(times, walls, speeds, params, bc, bands)
-    return _chunk_vhats(params, bc, times, walls, speeds, accels, omega)[0]
+    terms = _node_terms(params, bc, times, walls, speeds, accels, omega)
+    return _chunk_vhats(params, bc, walls, speeds, terms)[0]
 
 
 def generator_matrix(vhat: np.ndarray) -> np.ndarray:
@@ -1071,6 +1064,19 @@ def _commutator(x, y):
     return x @ y - y @ x
 
 
+def _magnus_exponents(vhat, dt):
+    """Omega of each step whose three Gauss-node generators are ``vhat``."""
+    k1, k2, k3 = vhat[0::3], vhat[1::3], vhat[2::3]
+    a1 = dt * k2
+    a2 = (_SQRT15_OVER_3 * dt) * (k3 - k1)
+    a3 = (10.0 * dt / 3.0) * (k3 - 2.0 * k2 + k1)
+    c1 = _commutator(a1, a2)
+    c2 = _commutator(a1, 2.0 * a3 + c1) / -60.0
+    exponent = a1 + a3 / 12.0
+    exponent += _commutator(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
+    return exponent
+
+
 def evolve_transformation(
     traj: BoundaryTrajectory,
     params: FieldParams,
@@ -1111,40 +1117,24 @@ def evolve_transformation(
     dt V-hat (the spectrum of dt K), and M U M* is formed only for each
     sample and for the result.
 
-    The generator depends on t alone, so its nodes (three inside each step;
-    t0 is not one) are known in advance.  t0's roots are found first, alone:
-    they give omega_max for the default step and nothing else.  Then the
-    wall positions, speeds and accelerations of every node are evaluated and
-    checked as one table (``_walls``).  The nodes' roots come in root batches, each one
-    ``_find_roots`` call (one sign scan and one polish over all its
-    brackets) whose (node x branch x scan node) grid stays within
-    ``CHUNK_BYTES``; the modes and generators come in point chunks of whole
-    steps, each of which keeps one folded (2 x node x 2N x point) array
-    within ``CHUNK_BYTES`` unless a single step exceeds it: the modes are
-    held on the ceil(Q/2) + 1 half-grid points of the Gauss-Legendre rule
-    about the cavity centre, c in the even slot and s in the odd one, each
-    slot contiguous (``_folded_modes``).  Every basis has the same
-    ``band_limited_points(N)`` points and every scan grid as many nodes as
-    t0's, so both layouts depend on N and the field alone.  A root
-    batch is taken just before the first chunk that needs its roots, so the
-    roots held never exceed one batch and one chunk, however long the
-    window.  Each chunk takes its nodes' trajectory rows and roots by slice,
-    normalises their modes in one batch and assembles its generator blocks
-    together with the modes' closed-form time derivatives, in one
-    ``_workspace`` that is allocated per call, after the first root batch,
-    and reused by every chunk.  The Omegas of the chunk's steps are then
-    formed and exponentiated as one stack.  Only the products U <-
-    exp(Omega) U are left to the step loop, and the result does not depend
-    on either layout to the last bit: the nodes of a batch or chunk do not
-    interact, each bracket of a polish converges on its own, and so a batch
-    or chunk raises exactly when one of its nodes would raise alone.  Errors
-    therefore come stage by stage: t0's wall positions, speeds and roots,
-    the trajectory of every node, and then each root batch, followed by the
-    chunks whose roots it completes with their modes, generators and
-    stability checks.  Each error keeps its type and names the first
-    offending time of the stage that failed.  The method, step plan (with
-    its split into samples), both layouts and the quadrature count are
-    logged as one INFO line to the ``movingcavity.exact1d`` logger.
+    The nodes (three inside each step; t0 is not one) are known in
+    advance.  t0's roots come first, alone, for omega_max; then every
+    node's wall table is checked (``_walls``).  In root batches whose
+    (node x branch x scan node) grid stays within ``CHUNK_BYTES``, one
+    ``_find_roots`` and one ``_node_terms`` call make the per-node layer.
+    Point chunks of whole steps, whose folded arrays stay within
+    ``CHUNK_BYTES`` unless one step exceeds it, do the grid work in one
+    ``_workspace`` (``_chunk_vhats``), and a chunk's Omegas are
+    exponentiated as one stack.  A root batch is taken when a chunk first
+    needs it, so the terms held never exceed a batch and a chunk.  Nodes
+    do not interact, so U does not depend on either layout to the last
+    bit, and errors come stage by stage: t0's walls and roots, every
+    node's trajectory, then each root batch with its per-node failures
+    (degenerate rows, a non-positive norm form, a flat root), followed by
+    the chunks it completes with their stability checks.  Each error keeps
+    its type and names the first offending time of its stage.  The method,
+    step plan, both layouts and the quadrature count are logged as one
+    INFO line to the ``movingcavity.exact1d`` logger.
     """
     require_finite("t0", t0)
     require_finite("tf", tf)
@@ -1199,13 +1189,12 @@ def evolve_transformation(
     )
 
     def root_batches():
-        """The nodes' roots, one root batch at a time."""
+        """The nodes' ``_node_terms``, one root batch at a time."""
         for first in range(0, len(node_times), root_nodes):
             batch = slice(first, first + root_nodes)
-            yield _find_roots(
-                node_times[batch], walls[:, batch], speeds[:, batch], params,
-                bc, bands,
-            )
+            times, rows = node_times[batch], (walls[:, batch], speeds[:, batch])
+            omega = _find_roots(times, *rows, params, bc, bands)
+            yield _node_terms(params, bc, times, *rows, accels[:, batch], omega)
 
     def check(j, k2):
         """The stability bound of step j, V-hat at its midpoint ``k2``."""
@@ -1222,9 +1211,7 @@ def evolve_transformation(
     m_dagger = m.conj().T
     u = np.eye(size)  # in the real eigenbasis; M u M* in the modes
     checkpoints = []
-    # roots found and not yet used, from node `first` on; a root batch is
-    # taken when a chunk needs it, so the held roots stay within one batch
-    # and one chunk however long the window
+    # node terms found and not yet used, from node `first` on
     batches = root_batches()
     found = next(batches)
     # allocated after the first root batch: in a one-batch window no scan
@@ -1233,25 +1220,20 @@ def evolve_transformation(
     done = 0  # steps taken
     for first in range(0, len(node_times), chunk_nodes):
         chunk = slice(first, first + chunk_nodes)
-        times = node_times[chunk]
-        while len(found) < len(times):
-            found = np.concatenate([found, next(batches)])
+        count = len(node_times[chunk])
+        while found.shape[1] < count:
+            found = np.concatenate([found, next(batches)], axis=1)
         vhat = _chunk_vhats(
-            params, bc, times, walls[:, chunk], speeds[:, chunk],
-            accels[:, chunk], found[: len(times)], work,
+            params, bc, walls[:, chunk], speeds[:, chunk], found[:, :count],
+            work,
         )
-        found = found[len(times) :]
-        k1, k2, k3 = vhat[0::3], vhat[1::3], vhat[2::3]
-        for j, midpoint in enumerate(k2, first // 3):
+        found = found[:, count:]
+        for j, midpoint in enumerate(vhat[1::3], first // 3):
             check(j, midpoint)
-        a1 = dt * k2
-        a2 = (_SQRT15_OVER_3 * dt) * (k3 - k1)
-        a3 = (10.0 * dt / 3.0) * (k3 - 2.0 * k2 + k1)
-        c1 = _commutator(a1, a2)
-        c2 = _commutator(a1, 2.0 * a3 + c1) / -60.0
-        exponent = a1 + a3 / 12.0
-        exponent += _commutator(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
-        for factor in expm(exponent):
+        # the next chunk's generators are built without these held
+        factors = expm(_magnus_exponents(vhat, dt))
+        del vhat
+        for factor in factors:
             u = factor @ u
             done += 1
             if samples and done % per_sample == 0:

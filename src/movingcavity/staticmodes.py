@@ -45,6 +45,9 @@ class EmptyBasisError(ValueError):
     """Raised when a truncation request captures no modes."""
 
 
+MAX_BOX_MODES = 1 << 20  # the most modes ``solve_box_modes`` enumerates
+
+
 @dataclass(frozen=True)
 class Interval:
     """1D cavity [-L/2, L/2]."""
@@ -166,7 +169,7 @@ def _build_basis(geometry, params, bc, index, cutoff=math.inf) -> StaticBasis:
         energy = square + params.mass_term
     tiny = sys.float_info.min  # the smallest normal float
     # one pass for the common case: every sum normal and m^2 + sum finite
-    if not (square.min() >= tiny and energy.max() < math.inf):
+    if len(index) and not (square.min() >= tiny and energy.max() < math.inf):
         bad = ~np.isfinite(square) | ((square < tiny) & index.any(axis=1))
         owner, what, values = repr(geometry), "squared wavenumber sum", square
         if not bad.any():  # every sum is fine, but not every sum plus m^2
@@ -228,16 +231,30 @@ def solve_box_modes(
     zero, except the all-zero index for a massless field, whose constant
     mode has zero frequency.  "Massless" means m^2 + xi R^h is 0 in
     floating point, so a mass below about 1.5e-162 counts as massless (see
-    ``has_uniform_mode``).
+    ``has_uniform_mode``).  Axis by axis, an index takes each k = pi n / L
+    that leaves room for the least k^2 of the later axes within
+    cutoff^2 (1 + 1e-9), so no partial index is a dead end, and
+    ``_build_basis`` then tests each mode exactly.  More than
+    ``MAX_BOX_MODES`` indices raise ``ValueError`` before any is made.
     """
     lowest = 1 if bc is BoundaryCondition.DIRICHLET else 0
-    # Per-axis bound: k_n <= cutoff requires n <= cutoff * L / pi.
-    ranges = [
-        np.arange(lowest, math.floor(frequency_cutoff * length / math.pi) + 1)
-        for length in geometry.lengths
-    ]
-    grid = np.meshgrid(*ranges, indexing="ij")
-    index = np.stack(grid, axis=-1).reshape(-1, len(ranges))
+    steps = [math.pi * lowest / length for length in geometry.lengths]
+    least = [k * k for k in steps]  # an overflow is inf, not an error
+    budget = np.array([frequency_cutoff * frequency_cutoff * (1 + 1e-9)])
+    index = np.zeros((1, 0), dtype=np.int64)
+    for axis, length in enumerate(geometry.lengths):
+        room = budget - sum(least[axis + 1 :])
+        top = np.floor(np.sqrt(np.maximum(room, 0.0)) * (length / math.pi))
+        counts = np.where(room >= 0.0, np.maximum(top - lowest + 1, 0.0), 0.0)
+        if not counts.sum() <= MAX_BOX_MODES:
+            raise ValueError(
+                f"{geometry!r} with frequency cutoff {frequency_cutoff!r} "
+                f"holds more than {MAX_BOX_MODES} modes"
+            )
+        rows = np.repeat(np.arange(len(index)), counts.astype(np.int64))
+        numbers = lowest + np.arange(len(rows)) - np.searchsorted(rows, rows)
+        index = np.column_stack([index[rows], numbers])
+        budget = budget[rows] - (math.pi * numbers / length) ** 2
     if not has_uniform_mode(params):
         index = index[index.any(axis=1)]
     basis = _build_basis(geometry, params, bc, index, frequency_cutoff)

@@ -160,6 +160,20 @@ def test_spectrum_outside_float_range_is_config_error(
     assert err.startswith("config error: ") and name in err
 
 
+@pytest.mark.parametrize("fields, name", [
+    # no Dirichlet number fits the x axis; billions of modes in a long box
+    ({"lz": 1e170, "frequency_cutoff": 1e-150}, "frequency cutoff 1e-150"),
+    ({"lz": 1e7}, "lz=10000000.0"),
+])
+def test_spectrum_absurd_box_is_config_error(fields, name, tmp_path, capsys):
+    # once numpy's bare "Maximum allowed size exceeded", or billions of
+    # index rows, before the cutoff selected any mode
+    config = write_config(tmp_path, scenario="gw-rigid", **fields)
+    code, out, err = run_cli(capsys, "spectrum", "--config", config)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith("config error: ") and name in err
+
+
 def test_spectrum_box_single_mode(tmp_path, capsys):
     config = write_config(
         tmp_path, scenario="gw-rigid", lx=math.pi, ly=math.pi, lz=math.pi,

@@ -21,6 +21,7 @@ from movingcavity.exact1d import (
     StabilityError,
     _char_det,
     _cs,
+    _det_walls,
     _polish_roots,
     assemble_vhat,
     bogoliubov_identity_residual,
@@ -61,6 +62,19 @@ def test_static_factory_reports_zero_velocity():
     walls, speeds = exact1d._walls(traj, [3.7])
     assert walls[:, 0].tolist() == [-1.0, 1.0]
     assert speeds[:, 0] == pytest.approx((0.0, 0.0), abs=1e-12)
+
+
+def test_walls_whose_sum_overflows_pass_the_row_check():
+    # every value finite and every row good, but the table's sum overflows:
+    # the one-sum filter sends it to the row check, which passes it whole
+    traj = BoundaryTrajectory.static(1e308, 1.5e308)
+    walls, speeds, accels = exact1d._walls(
+        traj, [0.0, 1.0], accelerations=True
+    )
+    assert walls.tolist() == [[1e308, 1e308], [1.5e308, 1.5e308]]
+    assert speeds.tolist() == accels.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+    # and an empty table passes, as no row fails
+    assert exact1d._walls(traj, []).shape == (2, 2, 0)
 
 
 def test_trajectory_requires_velocities():
@@ -360,10 +374,9 @@ def test_char_det_matches_two_wall_form(bc, speeds):
     lam = omega * omega - mass2f
     assert np.count_nonzero(lam == 0) == 2 and np.any(lam < 0)
     walls = np.array([[-0.8], [-0.8 + length]])
-    det, slope = _char_det(omega, length, *speeds, mass2f, bc, slope=True)
-    assert np.array_equal(
-        det, _char_det(omega, length, *speeds, mass2f, bc)
-    )
+    fixed = _det_walls(length, *speeds, bc)
+    det, slope = _char_det(omega, fixed, mass2f, bc, slope=True)
+    assert np.array_equal(det, _char_det(omega, fixed, mass2f, bc))
     speeds = np.array(speeds)[:, None]
     want = _two_wall_det(omega, walls, speeds, mass2f, bc)
     # every entry of a wall row is at most (1 + |omega| + |lam|)(|c| + |s|)
@@ -374,8 +387,8 @@ def test_char_det_matches_two_wall_form(bc, speeds):
     assert np.all(np.abs(det - want) <= 1e-15 * scale)
     h = 1e-6
     central = (
-        _char_det(omega + h, length, *speeds[:, 0], mass2f, bc)
-        - _char_det(omega - h, length, *speeds[:, 0], mass2f, bc)
+        _char_det(omega + h, fixed, mass2f, bc)
+        - _char_det(omega - h, fixed, mass2f, bc)
     ) / (2 * h)
     assert np.all(np.abs(slope - central) <= 1e-8 * (1.0 + np.abs(slope)))
 
@@ -389,18 +402,21 @@ def test_char_det_slope_takes_its_series_per_entry():
     lam = omega * omega - mass2f
     assert len(set(np.abs(lam) * length**2 < exact1d.LAM_SERIES_CUT)) == 2
     for bc in (D, N):
-        batch = _char_det(omega, length, 0.3, -0.2, mass2f, bc, slope=True)
+        batch = _char_det(
+            omega, _det_walls(length, 0.3, -0.2, bc), mass2f, bc, slope=True
+        )
         for i in range(len(omega)):
             alone = _char_det(
-                omega[i:i + 1], length[i:i + 1], 0.3, -0.2, mass2f, bc,
-                slope=True,
+                omega[i:i + 1], _det_walls(length[i:i + 1], 0.3, -0.2, bc),
+                mass2f, bc, slope=True,
             )
             assert batch[0][i] == alone[0][0] and batch[1][i] == alone[1][0]
 
 
 def test_polish_roots_raises_when_iterations_run_out():
     # static Dirichlet walls pi apart: roots at omega = 1, 2, ...
-    det = lambda w: _char_det(w, math.pi, 0.0, 0.0, 0.0, D, slope=True)
+    fixed = _det_walls(math.pi, 0.0, 0.0, D)
+    det = lambda w: _char_det(w, fixed, 0.0, D, slope=True)
     a, b = np.array([0.9, 1.8]), np.array([1.1, 2.3])
     fa, fb = det(a)[0], det(b)[0]
     labels = np.array([0.25, 0.75])
@@ -949,15 +965,12 @@ def test_analytic_generator_matches_finite_differences(case):
     times = np.array([t])
     walls, speeds, accels = exact1d._walls(traj, [t], accelerations=True)
     omega = exact1d._find_roots(times, walls, speeds, params, bc, bands)
-    z, weights, lam, a, b, cs, squares = exact1d._folded_modes(
-        params, bc, times, walls, speeds, omega
+    terms = exact1d._node_terms(
+        params, bc, times, walls, speeds, accels, omega
     )
+    lam, domega = terms[1], terms[2][0]
     if case.endswith("evanescent"):
         assert np.count_nonzero(lam < 0) == 1
-    domega = exact1d._folded_rates(
-        times, omega, lam, a, b, z, weights, cs, squares, speeds, accels,
-        params.mass_term + exact1d.positivity_shift(params), bc,
-    )[0][0]
     gaps = []
     for h in (1e-4, 5e-5):
         reference, fd_domega = _fd_generator(traj, params, bc, t, bands, h)
@@ -972,6 +985,78 @@ def test_analytic_generator_matches_finite_differences(case):
     else:
         assert np.max(np.abs(domega)) == 0.0
         assert gaps[0] <= 1e-15 * scale
+
+
+def _reference_moments(lam, half, points=160):
+    """int c^2, int s^2, int c dc and int s ds over [-h, h], and scales.
+
+    A Gauss-Legendre sum, one mode at a time, of c and s written out from
+    cos and sin (cosh and sinh when lam < 0) with dc = -x s/2; ds takes a
+    30-term series in u = lam x^2 where |lam| h^2 < 1 and (x c - s)/(2 lam)
+    elsewhere.  Each scale is the integral of |f g|.
+    """
+    x, w = gauss_legendre(-half, half, points)
+    k = math.sqrt(abs(lam))
+    if lam > 0:
+        c, s = np.cos(k * x), np.sin(k * x) / k
+    elif lam < 0:
+        c, s = np.cosh(k * x), np.sinh(k * x) / k
+    else:
+        c, s = np.ones_like(x), x
+    if abs(lam) * half * half < 1.0:
+        u = lam * x * x
+        ds = x**3 * sum(
+            n * (-u) ** (n - 1) / math.factorial(2 * n + 1) * (-1.0)
+            for n in range(1, 31)
+        )
+    else:
+        ds = (x * c - s) / (2.0 * lam)
+    products = (c * c, s * s, -0.5 * x * s * c, s * ds)
+    return np.array([w @ f for f in products]), np.array(
+        [w @ np.abs(f) for f in products]
+    )
+
+
+MOMENT_BASES = {
+    (D, 0.0): dce_trajectory(variant=DceVariant.BREATHING, epsilon=0.05),
+    (D, 1.5): dce_trajectory(epsilon=0.05, mass=1.5),
+    (N, 0.0): dce_trajectory(variant=DceVariant.SHAKING, bc=N, epsilon=0.05),
+    # its lowest pair is evanescent at t = 0
+    (N, 1.5): _accelerating_contraction(),
+}
+
+
+@pytest.mark.parametrize("bc", [D, N])
+@pytest.mark.parametrize("mass", [0.0, 1.5])
+def test_closed_form_moments_match_quadrature(bc, mass):
+    # the moments of every mode of a moving 12-band basis, and of lam = 0
+    # and lam h^2 of either sign on both sides of LAM_SERIES_CUT and of the
+    # |lam| h^2 = 1 cut of d2s/dlam2.  Measured: at most 1.0e-13 of the
+    # scale where ds takes its series and 5.7e-14 from |lam| h^2 = 1 on;
+    # just above LAM_SERIES_CUT, int s^2, int c dc and int s ds inherit the
+    # 6 eps/|lam h^2| that (h c - s)/(2 lam) loses in ds itself (1.1e-12)
+    basis = solve_instantaneous_basis(
+        MOMENT_BASES[bc, mass], FieldParams(mass=mass), bc, 0.0, 12
+    )
+    if bc is N and mass:
+        assert np.count_nonzero(basis.lam < 0) == 1
+    half = 0.5 * (basis.x_plus - basis.x_minus)
+    cut = exact1d.LAM_SERIES_CUT
+    scaled = np.array(
+        [0.0, 1e-9, 0.5 * cut, 0.999 * cut, 1.001 * cut, 2.0 * cut, 0.1,
+         0.999, 1.001, 3.0, 30.0]
+    )
+    lam = np.concatenate([basis.lam, np.concatenate([scaled, -scaled[1:]])
+                          / (half * half)])
+    wall = exact1d._wall_terms(
+        np.array([[basis.x_minus], [basis.x_plus]]), lam[None, :]
+    )
+    got = np.stack([*wall[5:], *exact1d._rate_moments(lam[None, :], wall)])
+    for j, value in enumerate(lam):
+        u = abs(value) * half * half
+        want, scale = _reference_moments(value, half)
+        bound = 2e-13 if u < cut else 2e-13 + 2e-15 / u
+        assert np.all(np.abs(got[:, 0, j] - want) <= bound * scale), u
 
 
 @pytest.mark.parametrize("bc", [D, N])
@@ -1281,31 +1366,41 @@ def test_real_basis_evolution_matches_complex_generator_steps(case, bands):
 def test_each_node_is_solved_once(monkeypatch):
     # t0's roots give the default step, and t0 is no node; every node's
     # roots are found once and its modes normalised once, whatever the
-    # layout
-    find_roots, solve = exact1d._find_roots, exact1d._folded_modes
+    # layout, and the per-node layer runs once per root batch, on the
+    # batch's nodes, however the point chunks split them
+    find_roots, solve = exact1d._find_roots, exact1d._node_modes
     found, solved = [], []
 
     def counting_roots(times, *args):
-        found.extend(times.tolist())
+        found.append(times.tolist())
         return find_roots(times, *args)
 
     def counting_solve(params, bc, times, *args):
-        solved.extend(times.tolist())
+        solved.append(times.tolist())
         return solve(params, bc, times, *args)
 
     monkeypatch.setattr(exact1d, "_find_roots", counting_roots)
-    monkeypatch.setattr(exact1d, "_folded_modes", counting_solve)
-    for chunk_bytes in (
-        exact1d.CHUNK_BYTES, 3 * BASIS_BYTES, 5 * SCAN_BYTES, 1
+    monkeypatch.setattr(exact1d, "_node_modes", counting_solve)
+    # the root batch sizes of test_batched_evolution_matches_per_node_path
+    for chunk_bytes, per_batch in (
+        (exact1d.CHUNK_BYTES, None), (3 * BASIS_BYTES, 7),
+        (5 * SCAN_BYTES, 5), (1, 1),
     ):
         monkeypatch.setattr(exact1d, "CHUNK_BYTES", chunk_bytes)
         found.clear()
         solved.clear()
         state = evolve_transformation(*DCE_II)
-        assert found[0] == DCE_II[3] < solved[0]
+        assert found[0] == [DCE_II[3]]
         assert found[1:] == solved
-        assert len(solved) == 3 * state.step_count
-        assert len(set(solved)) == len(solved) and solved == sorted(solved)
+        nodes = [t for batch in solved for t in batch]
+        assert len(nodes) == 3 * state.step_count
+        per_batch = per_batch or len(nodes)
+        assert [len(batch) for batch in solved] == [
+            len(nodes[first : first + per_batch])
+            for first in range(0, len(nodes), per_batch)
+        ]
+        assert len(set(nodes)) == len(nodes) and nodes == sorted(nodes)
+        assert DCE_II[3] < nodes[0]
 
 
 def test_evolutions_share_no_workspace():

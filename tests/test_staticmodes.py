@@ -152,6 +152,79 @@ def test_box_cutoff_below_spectrum_raises():
         solve_box_modes(Box(math.pi, math.pi, math.pi), FieldParams(), D, 1.0)
 
 
+def _full_grid_box_modes(geometry, params, bc, cutoff):
+    """``solve_box_modes`` from the whole per-axis index grid.
+
+    Every number up to floor(cutoff L / pi) on each axis, as the box was
+    enumerated before it took the cutoff ellipsoid.
+    """
+    lowest = 1 if bc is D else 0
+    ranges = [
+        np.arange(lowest, math.floor(cutoff * length / math.pi) + 1)
+        for length in geometry.lengths
+    ]
+    grid = np.meshgrid(*ranges, indexing="ij")
+    index = np.stack(grid, axis=-1).reshape(-1, 3)
+    if not (bc is N and params.mass > 0):
+        index = index[index.any(axis=1)]
+    return staticmodes._build_basis(geometry, params, bc, index, cutoff)
+
+
+@pytest.mark.parametrize("bc", [D, N])
+@pytest.mark.parametrize("mass", [0.0, 0.7])
+def test_box_ellipsoid_enumeration_matches_the_full_grid(bc, mass):
+    # the same modes, bit for bit and in the same order, on boxes whose
+    # cutoff sits exactly on a mode (pi sqrt 3 and pi sqrt 14 on the unit
+    # cube, 3 pi on a 2:1:1 box) and on random boxes and cutoffs
+    rng = np.random.default_rng(11)
+    cases = [
+        ((1.0, 1.0, 1.0), math.pi * math.sqrt(3.0)),
+        ((1.0, 1.0, 1.0), math.pi * math.sqrt(14.0)),
+        ((2.0, 1.0, 1.0), 3.0 * math.pi),
+        ((1.0, 1.3, 0.9), 25.0),
+    ] + [
+        (tuple(rng.uniform(0.5, 4.0, 3).tolist()), float(rng.uniform(12, 30)))
+        for _ in range(12)
+    ]
+    params = FieldParams(mass=mass)
+    for sides, cutoff in cases:
+        geometry = Box(*sides)
+        reference = _full_grid_box_modes(geometry, params, bc, cutoff)
+        if not len(reference):  # pi sqrt 3 holds (1, 1, 1) only when massless
+            with pytest.raises(EmptyBasisError):
+                solve_box_modes(geometry, params, bc, cutoff)
+            continue
+        basis = solve_box_modes(geometry, params, bc, cutoff)
+        for got, want in zip(basis._arrays(), reference._arrays()):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("sides, cutoff, match", [
+    # billions of modes in a long box, and more than a float's count
+    ((1.0, 1.3, 1e7), 25.0, r"lz=10000000\.0\) with frequency cutoff 25\.0"),
+    ((1.0, 1.3, 1e170), 25.0, r"lz=1e\+170"),
+    ((1.0, 1.3, 0.9), 1e300, r"frequency cutoff 1e\+300 holds more"),
+])
+def test_box_with_too_many_modes_is_a_typed_error(sides, cutoff, match):
+    # raised before any index row is made, naming the geometry and cutoff
+    with pytest.raises(ValueError, match=match):
+        solve_box_modes(Box(*sides), FieldParams(), D, cutoff)
+    assert staticmodes.MAX_BOX_MODES == 1 << 20
+
+
+def test_box_whose_axes_hold_no_number_is_empty():
+    # a cutoff below the lowest Dirichlet number of the x axis, an axis
+    # whose lowest k^2 overflows, and a last axis that no x-y pair leaves
+    # room for (billions of pairs, were they enumerated)
+    for geometry, cutoff in (
+        (Box(1.0, 1.3, 1e170), 1e-150), (Box(1e-170, 1.3, 0.9), 25.0),
+        (Box(1e4, 1e4, 1e-5), 25.0),
+    ):
+        with pytest.raises(EmptyBasisError, match="captures no modes"):
+            solve_box_modes(geometry, FieldParams(), D, cutoff)
+
+
 def test_eval_mode_dirichlet_center_value():
     basis = solve_interval_modes(Interval(math.pi), FieldParams(), D, 1)
     assert eval_mode(basis.modes[0], 0.0) == pytest.approx(1.0 / math.sqrt(math.pi))
