@@ -12,20 +12,16 @@ follow from the null vector of the boundary rows and from their norm.
 Every mode is evaluated in z = x - (x_- + x_+)/2, centred on the cavity,
 so no result depends on where the cavity sits.  c and s come from one
 vectorised tangent of half the phase (``_cs``).
-Everything of a node that is not a volume integral follows from c, s
-and their lam-derivatives at the wall: the rows, the norms (from
-closed-form moments), the roots' rates and the coefficients of d psi/dt.
-That per-node layer reads no grid, so a plain basis solve touches none.
-The two cross overlaps of the generator take a Gauss-Legendre rule,
-symmetric about z = 0, where c is even and s odd, so the modes are held
-folded there: c and s on the half grid z >= 0 alone, each in its own
-contiguous slot of a slot-major array.
+Everything of a node follows from c, s and their lam-derivatives at the
+wall: the rows, the norms (from closed-form moments), the roots' rates,
+the coefficients of d psi/dt and, by Green's identity, every overlap of
+two modes in the generator.  No integral is taken on a grid.
 The generator depends on t alone, so every node's eigenproblem is
 solved ahead of the step loop in two layouts: the roots and the
 per-node layer in large root batches, one sign scan and one polish
-each, and the grid work and generator blocks in smaller point chunks of
-whole steps, in one workspace per evolution, where the exponentials of
-each chunk's Magnus steps are taken as one stack.
+each, and the pair overlaps and generator blocks in smaller chunks of
+whole steps, where the exponentials of each chunk's Magnus steps are
+taken as one stack.
 The steps run on the real generator blocks; the unitary change to the
 frequency modes is applied to the product only.  Blocks are ordered
 positive branch first, then negative branch; with static start and end
@@ -53,7 +49,6 @@ from .core import (
     require_finite,
     require_positive,
 )
-from .staticmodes import band_limited_points, gauss_legendre
 
 __all__ = [
     "BoundaryTrajectory",
@@ -87,9 +82,8 @@ class StabilityError(RuntimeError):
 
 TimeFunc = Callable[[float], float]
 
-LAM_SERIES_CUT = 1e-3  # |lam| x^2 below which ds/dlam takes its series
 BRACKET_DENSITY = 4  # root-scan nodes per half mode spacing
-CHUNK_BYTES = 1 << 18  # one array of a point chunk or of a root batch's grid
+CHUNK_BYTES = 1 << 18  # one array of a chunk or of a root batch's grid
 
 _log = logging.getLogger(__name__)
 
@@ -131,7 +125,7 @@ class BoundaryTrajectory:
 # (oscillatory lam > 0, evanescent lam < 0).
 
 
-def _cs(x, lam, out=None):
+def _cs(x, lam):
     """c and s at points ``x`` for spectral parameters ``lam``, broadcast.
 
     c and s come from one t = tan(kx/2), k = sqrt(|lam|), as
@@ -141,23 +135,20 @@ def _cs(x, lam, out=None):
     do not depend on the other entries of its call.  Evanescent entries
     then take cosh and sinh of kx instead, and lam == 0 keeps c = 1 and
     takes s = x.
-    ``out`` is a pair of float arrays of the broadcast shape that receive
-    c and s; both are allocated when it is omitted.
     """
     x = np.asarray(x, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    c_out, s_out = (None, None) if out is None else out
     oscillatory = lam.size and lam.min() > 0  # all oscillatory: no masks
     k = np.sqrt(lam if oscillatory else np.abs(lam))
     # kx/2, then t, is formed in s, in an array even for 0-d arguments,
     # and 2/(1 + t^2) in c
-    t = s = np.asarray(np.multiply(0.5 * k, x, out=s_out))
+    t = s = np.asarray(np.multiply(0.5 * k, x))
     if not oscillatory:
         # kx, doubled exactly from kx/2; cosh and sinh take only the
         # evanescent entries, so cosh cannot overflow on an oscillatory one
         evan = lam < 0
         kx = t + t
-    c = np.empty_like(s) if c_out is None else c_out
+    c = np.empty_like(s)
     np.tan(t, out=t)
     np.multiply(t, t, out=c)
     c += 1.0
@@ -174,34 +165,63 @@ def _cs(x, lam, out=None):
     return c, s
 
 
-def _cs_rates(x, lam, c, s, out=None, reach=None):
+def _s_series(order):
+    """Horner coefficients, highest power first, of the lam-derivative of
+    that ``order`` of s over x^(2 order + 1), in u = lam x^2: s is
+    sum_n (-u)^n x^(2n + 1)/(2n + 1)!, and cut after n = 10 the series is
+    exact to 1e-18 where |u| < 1."""
+    return tuple(
+        math.perm(n, order) * (-1) ** n / math.factorial(2 * n + 1)
+        for n in range(10, order - 1, -1)
+    )
+
+
+_RATE_SERIES = _s_series(1)
+_SECOND_RATE_SERIES = _s_series(2)
+
+
+def _series(u, coefficients):
+    """Horner sum of ``coefficients`` (highest power first) at ``u``."""
+    total = np.full_like(u, coefficients[0])
+    for coefficient in coefficients[1:]:
+        total *= u
+        total += coefficient
+    return total
+
+
+def _cs_rates(x, lam, c, s, reach):
     """lam-derivatives of c and s from their values at ``x``, broadcast.
 
     dc/dlam = -x s / 2 and ds/dlam = (x c - s) / (2 lam) hold in both
-    regimes.  The second cancels as lam x^2 -> 0, so a mode whose
-    |lam| X^2 is below ``LAM_SERIES_CUT``, X the largest |x| along the
-    last (point) axis, takes its series -x^3/6 + lam x^5/60 -
-    lam^2 x^7/1680 at all its points.  ``reach`` replaces X^2 when given,
-    broadcast against ``lam``.  ``out`` is a pair of arrays shaped like
-    ``c`` that receive the two; both are allocated when it is omitted.
+    regimes.  The second cancels as lam x^2 -> 0, so where |lam| ``reach``
+    < 1 (``reach`` is x^2) it takes its series, ``_RATE_SERIES``.
     """
     x = np.asarray(x, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    dc_out, ds_out = (None, None) if out is None else out
-    dc = np.multiply(-0.5 * x, s, out=dc_out)
-    ds = np.multiply(x, c, out=ds_out)
+    dc = np.multiply(-0.5 * x, s)
+    ds = np.multiply(x, c)
     ds -= s
-    if reach is None:
-        reach = np.max(x * x, axis=-1, keepdims=True)
-    small = np.abs(lam) * reach < LAM_SERIES_CUT
+    u = lam * reach
+    small = np.abs(u) < 1.0
     if not small.any():
         ds /= 2.0 * lam
         return dc, ds
     np.divide(ds, 2.0 * lam, out=ds, where=~small)
-    u = lam * (x * x)
-    series = x**3 * (-1.0 / 6.0 + u * (1.0 / 60.0 - u / 1680.0))
-    np.copyto(ds, series, where=small)
+    np.copyto(ds, x * reach * _series(u, _RATE_SERIES), where=small)
     return dc, ds
+
+
+def _second_rate(x, lam, dc, ds, reach):
+    """d2s/dlam2 at ``x`` from the rates of ``_cs_rates``, broadcast:
+    (x dc - 3 ds)/(2 lam), or ``_SECOND_RATE_SERIES`` where
+    |lam| ``reach`` < 1.  d2c/dlam2 is -x ds/2."""
+    u = lam * reach
+    small = np.abs(u) < 1.0
+    if not small.any():
+        return (x * dc - 3.0 * ds) / (2.0 * lam)
+    second = _series(u, _SECOND_RATE_SERIES) * (reach * reach * x)
+    np.divide(x * dc - 3.0 * ds, 2.0 * lam, out=second, where=~small)
+    return second
 
 
 @dataclass(frozen=True)
@@ -379,7 +399,7 @@ def _char_det(omega, walls, mass2f, bc, lam=None, slope=False):
     if not slope:
         return det
     # each entry is one mode at its one point: the series cut is its own
-    dc, ds = _cs_rates(length, lam, c, s, reach=reach)
+    dc, ds = _cs_rates(length, lam, c, s, reach)
     # d s_term/d omega = 2 omega (1 + v_- v_+) under either condition
     by_lam = one_plus * s + s_term * ds + c_term * dc
     return det, 2.0 * omega * by_lam + gap * c
@@ -639,32 +659,16 @@ def _reject_walls(t, positions, speeds, accels=()):
 
 _WALL_SIDES = np.array([-1.0, 1.0])[:, None, None]  # z = -L/2, L/2 axis
 
-
-@functools.lru_cache(maxsize=8)
-def _fold_rule(quad_count):
-    """Half-grid points and folded weights of a ``quad_count``-point rule.
-
-    On [-1, 1]: the Gauss-Legendre nodes at or above 0 (their mirror
-    images are the nodes below; ``leggauss`` nodes are exactly
-    antisymmetric), then the wall 1.  Each node off the centre stands for
-    itself and its mirror image, so its weight is doubled; the centre
-    node of an odd rule keeps its weight, and the wall has weight 0.
-    """
-    nodes, weights = gauss_legendre(-1.0, 1.0, quad_count)
-    upper = quad_count // 2
-    points = np.append(nodes[upper:], 1.0)
-    folded = np.append(2.0 * weights[upper:], 0.0)
-    if quad_count % 2:
-        folded[0] = weights[upper]
-    for array in (points, folded):
-        array.flags.writeable = False
-    return points, folded
-
-
-# d2s/dlam2 = x^5 sum_n n (n - 1) (-u)^(n - 2) / (2n + 1)!, u = lam x^2,
-# highest power first: cut after u^8, it is exact to 1e-18 where |u| < 1
-_SECOND_RATE_SERIES = tuple(
-    n * (n - 1) * (-1) ** n / math.factorial(2 * n + 1) for n in range(10, 1, -1)
+# |gap| h^2 below which a pair's kernels take their mean value over lam,
+# and the five-point Gauss-Legendre rule that takes it: nodes 0 and
+# +-sqrt(5 +- 2 sqrt(10/7))/3 on [-1, 1], weights 128/225 and
+# (322 -+ 13 sqrt(70))/900.  Both forms are at round-off on either side
+_MEAN_CUT = 10.0
+_MEAN_RULE = (
+    np.array([-0.906179845938664, -0.5384693101056831, 0.0,
+              0.5384693101056831, 0.906179845938664]),
+    np.array([0.23692688505618908, 0.47862867049936647, 128.0 / 225.0,
+              0.47862867049936647, 0.23692688505618908]),
 )
 
 
@@ -677,7 +681,7 @@ def _wall_terms(walls, lam):
     """
     half = (0.5 * (walls[1] - walls[0]))[:, None]
     c, s = _cs(half, lam)
-    dc, ds = _cs_rates(half, lam, c, s, reach=half * half)
+    dc, ds = _cs_rates(half, lam, c, s, half * half)
     s_sq = 2.0 * (c * ds - s * dc)
     c_sq = 2.0 * c * s + lam * s_sq
     return half, c, s, dc, ds, c_sq, s_sq
@@ -806,20 +810,9 @@ def _rate_moments(lam, wall):
     """int c dc and int s ds over the cavity from ``_wall_terms``, (T, 2N).
 
     Half the lam-derivatives of its moments: int s ds = c d2s - s d2c and
-    int c dc = 2 c ds + lam int s ds at z = h, with d2c = -h ds/2 and d2s
-    = (h dc - 3 ds)/(2 lam), which would lose 1e-9 at the ``LAM_SERIES_CUT``
-    of ds and takes ``_SECOND_RATE_SERIES`` wherever |lam| h^2 < 1."""
+    int c dc = 2 c ds + lam int s ds at z = h (``_second_rate``)."""
     half, c, s, dc, ds = wall[:5]
-    reach = half * half
-    u = lam * reach
-    second = np.full_like(u, _SECOND_RATE_SERIES[0])
-    for coefficient in _SECOND_RATE_SERIES[1:]:
-        second *= u
-        second += coefficient
-    second *= reach * reach * half
-    closed = np.abs(u) >= 1.0
-    if closed.any():
-        np.divide(half * dc - 3.0 * ds, 2.0 * lam, out=second, where=closed)
+    second = _second_rate(half, lam, dc, ds, half * half)
     s_ds = c * second + 0.5 * half * s * ds
     return 2.0 * c * ds + lam * s_ds, s_ds
 
@@ -860,10 +853,12 @@ def _row_rates(times, omega, lam, a, b, wall, speeds, accels, drift, bc):
 
 
 def _node_terms(params, bc, times, walls, speeds, accels, omega):
-    """The per-node layer of the generator, (9, T, 2N), on no grid.
+    """The per-node layer of the generator, (15, T, 2N), on no grid.
 
-    Rows: omega, lam, d omega/dt, a and b of psi on c and s, then the
-    coefficients of d psi/dt at fixed x on c, s, dc and ds.  (a, b) turns
+    Rows: omega, lam, d omega/dt, a and b of psi on c and s, the
+    coefficients of d psi/dt at fixed x on c, s, dc and ds, c, s, dc and
+    ds at the wall z = h (``_wall_terms``), then int s^2 and int s ds over
+    the cavity (``_rate_moments``).  (a, b) turns
     as ``_row_rates`` finds and scales as the norm form
     Q = (m^2 + F + omega^2) int psi^2 + int psi'^2 = |omega| requires,
     with the walls' Leibniz terms and the moments of ``_rate_moments``; at
@@ -900,93 +895,140 @@ def _node_terms(params, bc, times, walls, speeds, accels, omega):
     return np.stack([
         omega, lam, domega, a, b, on_c + kappa * a - centre_speed * b,
         on_s + kappa * b + centre_speed * lam * a, on_dc, on_ds,
+        c_w, s_w, dc_w, ds_w, s_sq, s_ds,
     ])
 
 
-def _folded_vhat(terms, cs, rate, weights, speeds, f_term, bc, scratch=None):
-    """Real 2N x 2N generator blocks of C nodes, (C, 2N, 2N).
+def _pair_kernels(half, lam, c, s, dc, ds, s_sq, s_ds):
+    """int s_n s_m and int ds_n s_m over the cavity, each (C, 2N, 2N), from
+    h (C, 1), the wall values c, s, dc and ds at z = h and the moments
+    int s^2 and int s ds of each mode (C, 2N), which are the diagonals.
 
-    ``terms`` are the nodes' ``_node_terms``; ``cs`` (overwritten with the
-    modes' values) and ``rate`` hold c and s and d psi/dt at fixed x,
-    folded (2, C, 2N, P) on the weights (C, P); ``speeds`` is (2, C).
-    ``scratch``, shaped like ``cs``, takes the weighted values.
+    Green's identity for psi'' = -lam psi, c even and s odd, gives with
+    gap = lam_m - lam_n: int s_n s_m = 2 (c_n s_m - s_n c_m)/gap, and its
+    lam_n-derivative int ds_n s_m = (2 (dc_n s_m - ds_n c_m) + int s_n s_m)
+    /gap.  Where |gap| h^2 < ``_MEAN_CUT`` the quotients cancel, and both
+    take the mean value over lam from lam_n to lam_m, at lam_n + x gap for
+    x on ``_MEAN_RULE``: int s_n s_m is 2 (c_n ds - s_n dc) there, and its
+    lam_n-derivative adds dc_n ds - ds_n dc + (1 - x) (c_n d2s - s_n d2c);
+    at gap = 0 these are the moments.  A pair and its mirror share the
+    nodes.  Integration by parts gives the even pairs with no division:
+    int c_n c_m = lam_m int s_n s_m + 2 s_n c_m and int dc_n c_m =
+    lam_m int ds_n s_m + 2 ds_n c_m.
     """
-    omegas, lam, domega, a, b = terms[:5]
-    # wall values, (C, 2N, 2) left wall first: even part -+ odd part
-    side = np.array([-1.0, 1.0])
-    c_w, s_w = cs[0, ..., -1:], cs[1, ..., -1:]
-    psi_end = a[..., None] * c_w + side * (b[..., None] * s_w)
-    dpsi_end = b[..., None] * c_w - side * ((lam * a)[..., None] * s_w)
-    dpsidt_end = rate[0, ..., -1:] + side * rate[1, ..., -1:]
-    vals = cs
-    vals *= terms[3:5, ..., None]
-    weighted = np.swapaxes(
-        np.multiply(vals, weights[:, None, :], out=scratch), -1, -2
-    )
+    size = lam.shape[-1]
+    diag = np.arange(size)
+    gap = lam[..., None, :] - lam[..., :, None]
+    gap[..., diag, diag] = np.inf  # the diagonal is the moments
+    near = np.flatnonzero(np.abs(gap) < (_MEAN_CUT / (half * half))[..., None])
+    right = np.stack([s, c], axis=-2)
+    kss = np.stack([2.0 * c, -2.0 * s], axis=-1) @ right
+    jss = np.stack([2.0 * dc, -2.0 * ds], axis=-1) @ right
+    with np.errstate(divide="ignore", invalid="ignore"):  # near is replaced
+        kss /= gap
+        jss += kss
+        jss /= gap
+    kss[..., diag, diag] = s_sq
+    jss[..., diag, diag] = s_ds
+    node, rest = np.divmod(near, size * size)
+    n, m = np.divmod(rest, size)
+    upper = n < m
+    if upper.any():
+        # the rule's nodes on the leading axis, the pairs n < m on the last
+        node, n, m, first = node[upper], n[upper], m[upper], near[upper]
+        nodes, weights = _MEAN_RULE  # the weights, doubled on [0, 1]
+        x = 0.5 * (1.0 + nodes)
+        h = half[node, 0]
+        ell = lam[node, n] + x[:, None] * gap.reshape(-1)[first]
+        c_l, s_l = _cs(h, ell)
+        dc_l, ds_l = _cs_rates(h, ell, c_l, s_l, h * h)
+        d2s_l = _second_rate(h, ell, dc_l, ds_l, h * h)
+        # the ends n and m, whose lam moves the nodes by 1 - x and x
+        ends = np.stack([n, m])
+        c_e, s_e, dc_e, ds_e = (f[node, ends][:, None] for f in (c, s, dc, ds))
+        moved = np.array([1.0 - x, x])[..., None]
+        kss_l = c_e * ds_l - s_e * dc_l
+        jss_l = dc_e * ds_l - ds_e * dc_l
+        # d2c = -h ds/2
+        jss_l += moved * (c_e * d2s_l + 0.5 * h * s_e * ds_l)
+        pairs = np.stack([first, first + (m - n) * (size - 1)])
+        kss.reshape(-1)[pairs] = weights @ kss_l
+        jss.reshape(-1)[pairs] = weights @ jss_l
+    return kss, jss
 
-    # volume integrals, all pairs at once, even slot plus odd slot, summed
-    # in place: int psi_n psi_m, then int (d psi_n/dt) psi_m
-    overlap = vals[0] @ weighted[0]
-    overlap += vals[1] @ weighted[1]
-    total = rate[0] @ weighted[0]
-    total += rate[1] @ weighted[1]
+
+def _rows(*blocks):
+    """Blocks of rows (k, C, 2N) as one matmul operand (C, 2N, k)."""
+    return np.moveaxis(np.concatenate(blocks), 0, -1)
+
+
+def _columns(*blocks):
+    """Blocks of rows (k, C, 2N) as one matmul operand (C, k, 2N)."""
+    return np.moveaxis(np.concatenate(blocks), 0, -2)
+
+
+def _pair_sums(half, terms, left, right):
+    """sum_k int f_n^k g_m^k over the cavity of C nodes, (C, 2N, 2N).
+
+    ``terms`` are the nodes' ``_node_terms`` and h is (C, 1).  Each f^k
+    is alpha c + beta s + gamma dc + delta ds, with ``left`` the rows
+    (alpha, beta, gamma, delta), and each g^k is mu c + nu s, with
+    ``right`` the rows (mu, nu), each row (k, C, 2N).  Even x odd terms
+    cancel, and with the even pairs of ``_pair_kernels`` in terms of the
+    odd ones, Kss = int s_n s_m and Jss = int ds_n s_m:
+    int f_n g_m = Kss (alpha_n lam_m mu_m + beta_n nu_m)
+    + Jss (gamma_n lam_m mu_m + delta_n nu_m) + 2 (alpha s + gamma ds)_n
+    (mu c)_m, and each sum over k of a product is one matmul.
+    """
+    lam, c, s, dc, ds = terms[[1, 9, 10, 11, 12]]
+    kss, jss = _pair_kernels(half, lam, c, s, dc, ds, *terms[13:15])
+    alpha, beta, gamma, delta = left
+    mu, nu = right
+    odd = _columns(lam * mu, nu)
+    total = _rows(alpha, beta) @ odd
+    total *= kss
+    rate = _rows(gamma, delta) @ odd
+    rate *= jss
+    total += rate
+    total += _rows(2.0 * (alpha * s + gamma * ds)) @ _columns(mu * c)
+    return total
+
+
+def _chunk_vhats(params, bc, walls, speeds, terms):
+    """Real generator blocks (C, 2N, 2N) of a chunk of C nodes.
+
+    From the nodes' walls and speeds (2, C) and ``_node_terms``: the
+    volume terms (omega_n + omega_m) int (d psi_n/dt) psi_m
+    + (2 omega_n^2 + d omega_n/dt - F) int psi_n psi_m as ``_pair_sums``,
+    and the walls' terms from psi, psi' and d psi/dt at z = -+h, each its
+    even part -+ its odd part.  The negative branch's columns change sign.
+    """
+    omegas, lam, domega, a, b, on_c, on_s, on_dc, on_ds = terms[:9]
+    c_w, s_w, dc_w, ds_w = terms[9:13]
     size = omegas.shape[-1]
-
-    total *= omegas[..., :, None] + omegas[..., None, :]
-    overlap *= (2.0 * omegas**2 + domega - f_term)[..., :, None]
-    total += overlap
-    del overlap
+    sign = np.where(np.arange(size) < size // 2, 1.0, -1.0)
+    half = (0.5 * (walls[1] - walls[0]))[:, None]
+    p = 2.0 * omegas**2 + domega - positivity_shift(params)
+    left = np.array([
+        [omegas * on_c + p * a, on_c], [omegas * on_s + p * b, on_s],
+        [omegas * on_dc, on_dc], [omegas * on_ds, on_ds],
+    ])
+    right = sign * np.array([[a, omegas * a], [b, omegas * b]])
+    vhat = _pair_sums(half, terms, left, right)
+    # at the walls, left first: [d psi_n/dt] times -v psi_m n (Neumann) or
+    # psi_m' n / omega_m (Dirichlet), n the outward normal
+    even, odd = on_c * c_w + on_dc * dc_w, on_s * s_w + on_ds * ds_w
+    rate = np.array([even - odd, even + odd])
     if bc is BoundaryCondition.NEUMANN:
-        vb = (speeds.T * side)[..., None, :]  # outward-normal wall speeds
-        total -= (dpsidt_end * vb) @ np.swapaxes(psi_end, -1, -2)
+        even, odd = a * c_w, b * s_w
+        wall = speeds[:, :, None] * np.array([even - odd, -even - odd])
     else:
-        wall = dpsidt_end @ np.swapaxes(dpsi_end * side, -1, -2)
-        wall /= omegas[..., None, :]
-        total += wall
-    vhat = total
-    vhat *= np.where(np.arange(size) < size // 2, 1.0, -1.0)
+        even, odd = b * c_w, -lam * a * s_w
+        wall = np.array([odd - even, even + odd]) / omegas
+    vhat += _rows(rate) @ _columns(sign * wall)
     diag = np.arange(size)
     vhat[..., diag, diag] -= omegas
     return vhat
-
-
-def _workspace(nodes, bands):
-    """Three slot-major (2 x node x 2N x P) arrays for ``_chunk_vhats``,
-    P = ceil(Q/2) + 1 (``_fold_rule``): a chunk's leading nodes of each
-    slot are one contiguous block."""
-    points = len(_fold_rule(band_limited_points(bands))[0])
-    return np.empty((3, 2, nodes, 2 * bands, points))
-
-
-def _chunk_vhats(params, bc, walls, speeds, terms, work=None):
-    """Real generator blocks (C, 2N, 2N) of a point chunk of C nodes.
-
-    The grid work alone, from the nodes' walls and speeds (2, C) and
-    ``_node_terms``: c, s and their lam-derivatives on the half grid of
-    ``_fold_rule`` (the last point is the wall), d psi/dt, and
-    ``_folded_vhat``.  The folded weights are zero at the wall, and even x
-    odd terms cancel, so int f g is sum W f g over both slots.  The arrays
-    take the leading C nodes of ``work`` (a ``_workspace``, allocated when
-    omitted), which the blocks do not share.
-    """
-    nodes, size = terms.shape[1:]
-    if work is None:
-        work = _workspace(nodes, size // 2)
-    cs, rate, scratch = work[:, :, :nodes]
-    # products of two modes reach about (N + 1) pi / L: this rule keeps
-    # every generator block at the round-off floor of a (16N + 64)-point
-    # reference, and depends on N alone
-    points, folded = _fold_rule(band_limited_points(size // 2))
-    half = (0.5 * (walls[1] - walls[0]))[:, None]
-    z, lam = half[:, None] * points, terms[1, ..., None]
-    c, s = _cs(z, lam, cs)
-    _cs_rates(z, lam, c, s, rate)
-    rate *= terms[7:9, ..., None]
-    rate += np.multiply(cs, terms[5:7, ..., None], out=scratch)
-    return _folded_vhat(
-        terms, cs, rate, half * folded, speeds, positivity_shift(params), bc,
-        scratch,
-    )
 
 
 def assemble_vhat(
@@ -1122,9 +1164,9 @@ def evolve_transformation(
     node's wall table is checked (``_walls``).  In root batches whose
     (node x branch x scan node) grid stays within ``CHUNK_BYTES``, one
     ``_find_roots`` and one ``_node_terms`` call make the per-node layer.
-    Point chunks of whole steps, whose folded arrays stay within
-    ``CHUNK_BYTES`` unless one step exceeds it, do the grid work in one
-    ``_workspace`` (``_chunk_vhats``), and a chunk's Omegas are
+    Chunks of whole steps, whose two pair kernels (``_pair_kernels``)
+    stay within ``CHUNK_BYTES`` unless one step exceeds it, build the
+    generator blocks (``_chunk_vhats``), and a chunk's Omegas are
     exponentiated as one stack.  A root batch is taken when a chunk first
     needs it, so the terms held never exceed a batch and a chunk.  Nodes
     do not interact, so U does not depend on either layout to the last
@@ -1133,8 +1175,8 @@ def evolve_transformation(
     (degenerate rows, a non-positive norm form, a flat root), followed by
     the chunks it completes with their stability checks.  Each error keeps
     its type and names the first offending time of its stage.  The method,
-    step plan, both layouts and the quadrature count are logged as one
-    INFO line to the ``movingcavity.exact1d`` logger.
+    step plan and both layouts are logged as one INFO line to the
+    ``movingcavity.exact1d`` logger.
     """
     require_finite("t0", t0)
     require_finite("tf", tf)
@@ -1150,7 +1192,6 @@ def evolve_transformation(
     )
     bands = omega0.shape[1] // 2  # checked, and a Python int from here on
     size = 2 * bands
-    quad_count = band_limited_points(bands)
     omega_max = float(np.max(np.abs(omega0)))
     if step is None:
         step = 0.6 / omega_max
@@ -1162,24 +1203,24 @@ def evolve_transformation(
     # the three Gauss nodes of each step, in time order
     starts = t0 + np.arange(n_steps) * dt
     node_times = (starts[:, None] + dt * np.array(_GAUSS_NODES)).reshape(-1)
-    # a root batch's (node x branch x scan node) grid and a chunk's folded
-    # (2 x node x 2N x point) arrays each stay within CHUNK_BYTES, a chunk
-    # holding at least one step; every node's scan grid is as wide as t0's
+    # a root batch's (node x branch x scan node) grid and a chunk's two
+    # pair kernels (2 x node x 2N x 2N) each stay within CHUNK_BYTES, a
+    # chunk holding at least one step; every node's scan grid is as wide
+    # as t0's
     mass2f, skip_low = _scan_terms(params, bc)
     scan_width = _scan_grid(
         walls0[1] - walls0[0], mass2f, bands, skip_low
     )[0].shape[1]
     root_nodes = max(1, CHUNK_BYTES // (2 * scan_width * 8))
-    folded = 2 * len(_fold_rule(quad_count)[0])
-    chunk_nodes = 3 * max(1, CHUNK_BYTES // (3 * size * folded * 8))
+    chunk_nodes = 3 * max(1, CHUNK_BYTES // (3 * 2 * size * size * 8))
     _log.info(
         "integrating %d sixth-order Magnus steps of dt=%.6g (guidance "
         "dt <= 0.6/omega_max = %.6g)%s; %d nodes in %d chunks of up to %d; "
-        "%d quadrature points; roots in %d batches of up to %d nodes",
+        "roots in %d batches of up to %d nodes",
         n_steps, dt, 0.6 / omega_max,
         f"; {samples} samples of {per_sample} steps" if samples else "",
         len(node_times),
-        -(-len(node_times) // chunk_nodes), chunk_nodes, quad_count,
+        -(-len(node_times) // chunk_nodes), chunk_nodes,
         -(-len(node_times) // root_nodes), root_nodes,
     )
 
@@ -1214,9 +1255,6 @@ def evolve_transformation(
     # node terms found and not yet used, from node `first` on
     batches = root_batches()
     found = next(batches)
-    # allocated after the first root batch: in a one-batch window no scan
-    # array is live beside it
-    work = _workspace(chunk_nodes, bands)
     done = 0  # steps taken
     for first in range(0, len(node_times), chunk_nodes):
         chunk = slice(first, first + chunk_nodes)
@@ -1224,8 +1262,7 @@ def evolve_transformation(
         while found.shape[1] < count:
             found = np.concatenate([found, next(batches)], axis=1)
         vhat = _chunk_vhats(
-            params, bc, walls[:, chunk], speeds[:, chunk], found[:, :count],
-            work,
+            params, bc, walls[:, chunk], speeds[:, chunk], found[:, :count]
         )
         found = found[:, count:]
         for j, midpoint in enumerate(vhat[1::3], first // 3):

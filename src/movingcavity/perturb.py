@@ -32,7 +32,6 @@ __all__ = [
     "Resonance",
     "ResonanceKind",
     "GaussianEnvelope",
-    "RaisedCosineEnvelope",
     "UnsupportedSpecError",
     "ValidityWindowWarning",
     "validity_window",
@@ -708,35 +707,6 @@ class GaussianEnvelope:
         )
 
 
-@dataclass(frozen=True)
-class RaisedCosineEnvelope:
-    """Envelope cos^2(pi t / duration) on [-duration/2, duration/2]."""
-
-    duration: float
-
-    def __post_init__(self):
-        require_positive("duration", self.duration)
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        inside = np.abs(t) <= self.duration / 2.0
-        return np.where(inside, np.cos(np.pi * t / self.duration) ** 2, 0.0)
-
-    def transform(self, mu):
-        """Integral of envelope(t) exp(i mu t) over the real line."""
-        T = self.duration
-
-        def box(u):
-            # integral of exp(i u t) over [-T/2, T/2]
-            small = np.abs(u) < 1e-14
-            u = np.where(small, 1.0, u)
-            return np.where(small, T, 2.0 * np.sin(u * T / 2.0) / u)
-
-        mu = np.asarray(mu, dtype=float)
-        w = 2.0 * math.pi / T
-        return 0.5 * box(mu) + 0.25 * (box(mu + w) + box(mu - w))
-
-
 def bogoliubov_asymptotic(
     couplings: CouplingMatrices,
     basis: StaticBasis,
@@ -753,7 +723,7 @@ def bogoliubov_asymptotic(
     if envelope is None or not hasattr(envelope, "transform"):
         raise UnsupportedSpecError(
             "asymptotic coefficients need an integrable envelope with a "
-            "closed-form transform (Gaussian or raised-cosine)"
+            "closed-form transform, such as GaussianEnvelope"
         )
     require_finite("epsilon", epsilon)
     alpha, beta = _first_order(couplings, basis, epsilon, envelope.transform)

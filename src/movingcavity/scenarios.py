@@ -38,7 +38,6 @@ __all__ = [
     "build_dce",
     "build_gw",
     "SCENARIO_NAMES",
-    "build_scenario",
 ]
 
 
@@ -329,21 +328,3 @@ def build_gw(config: GwConfig) -> GwScenario:
 # name registry used by the command-line layer
 
 SCENARIO_NAMES = ("dce-i", "dce-ii", "dce-iii", "gw-rigid")
-
-_DCE_BY_NAME = {
-    "dce-i": DceVariant.RIGHT_ONLY,
-    "dce-ii": DceVariant.BREATHING,
-    "dce-iii": DceVariant.SHAKING,
-}
-
-
-def build_scenario(name: str, **params):
-    """Construct a scenario by registry name with keyword parameters."""
-    if name in _DCE_BY_NAME:
-        config = DceConfig(variant=_DCE_BY_NAME[name], **params)
-        return build_dce(config)
-    if name == "gw-rigid":
-        return build_gw(GwConfig(**params))
-    raise KeyError(
-        f"unknown scenario {name!r}; available: {', '.join(SCENARIO_NAMES)}"
-    )

@@ -14,7 +14,6 @@ from movingcavity.perturb import (
     HarmonicSum,
     HarmonicTerm,
     PerturbationSpec,
-    RaisedCosineEnvelope,
     ResonanceKind,
     UnsupportedSpecError,
     ValidityWindowWarning,
@@ -627,34 +626,23 @@ def test_perturbative_matches_scalar_loop_exactly():
 
 
 def test_asymptotic_matches_scalar_loop():
-    sigma, duration = 4.0, 9.0
+    sigma = 4.0
 
     def gaussian(mu):
         return sigma * math.sqrt(2.0 * math.pi) * math.exp(
             -0.5 * (sigma * mu) ** 2
         )
 
-    def box(u):
-        if abs(u) < 1e-14:
-            return duration
-        return 2.0 * math.sin(u * duration / 2.0) / u
-
-    def raised_cosine(mu):
-        w = 2.0 * math.pi / duration
-        return 0.5 * box(mu) + 0.25 * (box(mu + w) + box(mu - w))
-
     for spec, basis, bc in coefficient_cases():
         mats = build_coupling_matrices(spec, basis, bc, resonant=True)
-        for envelope, kernel in (
-            (GaussianEnvelope(sigma), gaussian),
-            (RaisedCosineEnvelope(duration), raised_cosine),
-        ):
-            result = bogoliubov_asymptotic(mats, basis, 1e-3, envelope)
-            alpha, beta = reference_coefficients(mats, basis, 1e-3, kernel)
-            for got, want in ((result.alpha, alpha), (result.beta, beta)):
-                scale = np.max(np.abs(want - np.diag(np.diag(alpha))))
-                assert scale > 0
-                assert np.max(np.abs(got - want)) <= 1e-13 * scale
+        result = bogoliubov_asymptotic(
+            mats, basis, 1e-3, GaussianEnvelope(sigma)
+        )
+        alpha, beta = reference_coefficients(mats, basis, 1e-3, gaussian)
+        for got, want in ((result.alpha, alpha), (result.beta, beta)):
+            scale = np.max(np.abs(want - np.diag(np.diag(alpha))))
+            assert scale > 0
+            assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
 
 def cell_cases():
@@ -674,7 +662,7 @@ def test_cells_match_dense_coefficients(resonant):
     # window and envelope matrices, bit for bit
     rng = np.random.default_rng(19)
     uncoupled_seen = 0
-    envelopes = (GaussianEnvelope(4.0), RaisedCosineEnvelope(9.0))
+    envelopes = (GaussianEnvelope(4.0), GaussianEnvelope(9.0))
     for spec, basis, bc in cell_cases():
         mats = build_coupling_matrices(spec, basis, bc, resonant)
         with warnings.catch_warnings():
@@ -743,19 +731,7 @@ def test_gaussian_transform_oracle():
         assert env.transform(mu) == pytest.approx(want.real, rel=1e-8, abs=1e-12)
 
 
-def test_raised_cosine_transform_oracle():
-    env = RaisedCosineEnvelope(duration=9.0)
-    for mu in (0.0, 0.5, 1.9):
-        t = np.linspace(-4.5, 4.5, 400001)
-        want = np.trapezoid(
-            np.cos(math.pi * t / 9.0) ** 2 * np.exp(1j * mu * t), t
-        )
-        assert env.transform(mu) == pytest.approx(
-            complex(want).real, rel=1e-6, abs=1e-9
-        )
-
-
-@pytest.mark.parametrize("envelope", [GaussianEnvelope, RaisedCosineEnvelope])
+@pytest.mark.parametrize("envelope", [GaussianEnvelope])
 @pytest.mark.parametrize("size", [0.0, -1.0, math.nan, math.inf])
 def test_envelope_rejects_bad_size(envelope, size):
     with pytest.raises(ValueError, match="must be positive and finite"):

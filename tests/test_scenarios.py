@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from movingcavity import cli
 from movingcavity.core import BoundaryCondition, FieldParams
 from movingcavity.perturb import coupling_alpha, coupling_beta
 from movingcavity.scenarios import (
@@ -17,7 +18,6 @@ from movingcavity.scenarios import (
     GwPredictor,
     build_dce,
     build_gw,
-    build_scenario,
     gw_boundary_position,
 )
 from movingcavity.staticmodes import Box, Interval, solve_box_modes, solve_interval_modes
@@ -262,20 +262,21 @@ def test_gw_predictor_rejects_invalid_indices():
 
 
 def test_registry_builds_every_named_scenario():
+    # the command-line layer is the one resolver of scenario names
     assert set(SCENARIO_NAMES) == {"dce-i", "dce-ii", "dce-iii", "gw-rigid"}
-    for name in ("dce-i", "dce-ii", "dce-iii"):
-        scenario = build_scenario(
-            name, length=math.pi, bc=D, epsilon=1e-3, omega_drive=3.0
+    for name in SCENARIO_NAMES:
+        config = cli.load_config(
+            None, {"scenario": name, "epsilon": 1e-3, "omega_drive": 5.0}
         )
-        assert scenario.spec.epsilon == 1e-3
-    scenario = build_scenario(
-        "gw-rigid", lx=1.0, ly=1.3, lz=0.9, bc=D, epsilon=1e-3,
-        omega_drive=5.0, frequency_cutoff=25.0,
-    )
-    assert scenario.spec.base_frequency == 5.0
+        spec, trajectory, predictor = cli._build_scenario_objects(config)
+        assert spec.epsilon == 1e-3 and spec.base_frequency == 5.0
+        assert (trajectory is None) == (name == "gw-rigid")
+        assert isinstance(
+            predictor, GwPredictor if name == "gw-rigid" else DcePredictor
+        )
 
 
 def test_registry_unknown_name():
-    with pytest.raises(KeyError) as err:
-        build_scenario("squeezed-vacuum")
+    with pytest.raises(cli.ConfigError) as err:
+        cli.load_config(None, {"scenario": "squeezed-vacuum"})
     assert "dce-i" in str(err.value)
