@@ -523,7 +523,7 @@ def cmd_evolve_exact(config: RunConfig, fmt: str, output: Optional[str]) -> int:
         )
         for t, u in state.checkpoints:
             residual = bogoliubov_identity_residual(
-                dataclasses.replace(state, U=u, t_current=t)
+                dataclasses.replace(state, U=u)
             )
             # re U, im U and the residual of each entry, row by row
             cells = (u.real, u.imag, np.full(u.shape, residual))
@@ -762,8 +762,9 @@ def _run(args: argparse.Namespace) -> int:
     handler = _COMMANDS[args.command]
     try:
         return handler(config, args.fmt, args.output)
-    except (KeyError, ValueError) as err:
-        print(f"config error: {err}", file=sys.stderr)
+    except (KeyError, ValueError, MemoryError) as err:
+        # a MemoryError is a problem size in the config that cannot fit
+        print(f"config error: {str(err) or 'out of memory'}", file=sys.stderr)
         return EXIT_CONFIG
     except StabilityError as err:
         print(

@@ -226,34 +226,17 @@ def _second_rate(x, lam, dc, ds, reach):
 
 @dataclass(frozen=True)
 class InstantaneousMode:
-    """One eigen-solution psi(x) = a c(z) + b s(z) on [x_minus, x_plus].
+    """The numbers of one instantaneous mode, entry ``i`` of a basis.
 
-    z = x - (x_minus + x_plus)/2 is measured from the cavity centre, so
-    a = psi and b = psi' there.
+    psi(x) = a c(z) + b s(z) with z measured from the cavity centre, so
+    a = psi and b = psi' there.  A view for reading a mode's numbers as
+    Python floats; ``InstantaneousBasis.values`` evaluates the modes.
     """
 
     omega: float
     lam: float  # omega^2 - (m^2 + F): positive oscillatory, negative evanescent
     a: float
     b: float
-    x_minus: float
-    x_plus: float
-
-    @property
-    def evanescent(self) -> bool:
-        return self.lam < 0
-
-    def _cs_at(self, x):
-        centre = 0.5 * (self.x_minus + self.x_plus)
-        return _cs(np.asarray(x, dtype=float) - centre, self.lam)
-
-    def eval(self, x):
-        c, s = self._cs_at(x)
-        return self.a * c + self.b * s
-
-    def eval_deriv(self, x):
-        c, s = self._cs_at(x)
-        return -self.a * self.lam * s + self.b * c
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,15 +247,15 @@ class InstantaneousBasis:
     frequency omega[i], where z = x - (x_minus + x_plus)/2 is measured
     from the cavity centre: a and b are the value and slope of each mode
     there.  The four read-only arrays have shape (2N,), the positive
-    branch first.  ``modes``, ``plus`` and ``minus`` present the same
-    numbers as ``InstantaneousMode`` objects, built on first access.
-    Bases compare and hash by identity.
+    branch first.  ``values`` evaluates every mode at once; ``modes``,
+    ``plus`` and ``minus`` present the same numbers as
+    ``InstantaneousMode`` objects, built on first access.  Bases compare
+    and hash by identity.
     """
 
     time: float
     bc: BoundaryCondition
     params: FieldParams
-    f_term: float
     omega: np.ndarray
     lam: np.ndarray
     a: np.ndarray
@@ -301,7 +284,7 @@ class InstantaneousBasis:
     def modes(self) -> Tuple[InstantaneousMode, ...]:
         arrays = (self.omega, self.lam, self.a, self.b)
         return tuple(
-            InstantaneousMode(*row, self.x_minus, self.x_plus)
+            InstantaneousMode(*row)
             for row in zip(*(array.tolist() for array in arrays))
         )
 
@@ -760,13 +743,11 @@ def solve_instantaneous_bases(
     lam, a, b = _node_modes(params, bc, times, walls, speeds, omega)[:3]
     for array in (omega, lam, a, b):
         array.flags.writeable = False
-    f_term = positivity_shift(params)
     return tuple(
         InstantaneousBasis(
             time=t,
             bc=bc,
             params=params,
-            f_term=f_term,
             omega=omega[i],
             lam=lam[i],
             a=a[i],
@@ -1070,8 +1051,6 @@ class TransformationState:
     """Linear transformation between instantaneous bases over a window."""
 
     U: np.ndarray
-    t_start: float
-    t_current: float
     step_count: int
     bands: int
     checkpoints: Tuple[Tuple[float, np.ndarray], ...] = ()
@@ -1278,8 +1257,6 @@ def evolve_transformation(
                 checkpoints.append((t, m @ u @ m_dagger))
     return TransformationState(
         U=m @ u @ m_dagger,
-        t_start=t0,
-        t_current=tf,
         step_count=n_steps,
         bands=bands,
         checkpoints=tuple(checkpoints),

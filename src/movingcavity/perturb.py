@@ -179,33 +179,6 @@ class PerturbationSpec:
     def __post_init__(self):
         require_positive("epsilon", self.epsilon)
 
-    def __add__(self, other: "PerturbationSpec") -> "PerturbationSpec":
-        if self.epsilon != other.epsilon:
-            raise ValueError("can only combine specs with equal epsilon")
-        na, nb = len(self.delta_o_coeffs), len(other.delta_o_coeffs)
-        zeros = lambda: HarmonicSum.zero()
-        coeffs = tuple(
-            (self.delta_o_coeffs[i] if i < na else zeros())
-            + (other.delta_o_coeffs[i] if i < nb else zeros())
-            for i in range(max(na, nb))
-        )
-        faces = dict(self.delta_x)
-        for key, hs in other.delta_x.items():
-            faces[key] = faces.get(key, zeros()) + hs
-        freq = self.base_frequency
-        if freq is None or (
-            other.base_frequency is not None and other.base_frequency != freq
-        ):
-            freq = None if other.base_frequency != freq else freq
-        return PerturbationSpec(
-            epsilon=self.epsilon,
-            delta_o_coeffs=coeffs,
-            delta_r=self.delta_r + other.delta_r,
-            delta_r_bar=self.delta_r_bar + other.delta_r_bar,
-            delta_x=faces,
-            base_frequency=freq,
-        )
-
 
 class ResonanceKind(enum.Enum):
     MODE_MIXING = "mode-mixing"
@@ -235,7 +208,6 @@ class CouplingMatrices:
     harmonics: Tuple[Tuple[float, str], ...]
     alpha: np.ndarray  # (H, N, N) complex
     beta: np.ndarray  # (H, N, N) complex
-    basis: StaticBasis
     drive_frequency: Optional[float] = None
 
     @functools.cached_property
@@ -279,8 +251,6 @@ class BogoliubovMatrix:
 
     alpha: np.ndarray
     beta: np.ndarray
-    epsilon_used: float
-    window: Optional[Tuple[float, float]]  # None means asymptotic
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +452,6 @@ def build_coupling_matrices(
         harmonics=harmonics,
         alpha=alpha,
         beta=beta,
-        basis=basis,
         drive_frequency=spec.base_frequency,
     )
 
@@ -615,9 +584,7 @@ def bogoliubov_perturbative(
     """
     kernel = _window_kernel(couplings, epsilon, t0, tf)
     alpha, beta = _first_order(couplings, basis, epsilon, kernel)
-    return BogoliubovMatrix(
-        alpha=alpha, beta=beta, epsilon_used=epsilon, window=(t0, tf)
-    )
+    return BogoliubovMatrix(alpha=alpha, beta=beta)
 
 
 def perturbative_cells(
@@ -727,6 +694,4 @@ def bogoliubov_asymptotic(
         )
     require_finite("epsilon", epsilon)
     alpha, beta = _first_order(couplings, basis, epsilon, envelope.transform)
-    return BogoliubovMatrix(
-        alpha=alpha, beta=beta, epsilon_used=epsilon, window=None
-    )
+    return BogoliubovMatrix(alpha=alpha, beta=beta)

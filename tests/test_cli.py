@@ -455,6 +455,26 @@ def test_unwritable_output_is_config_error(command, target, tmp_path, capsys):
     assert err.startswith(f"config error: cannot write output '{output}': ")
 
 
+@pytest.mark.parametrize("command, field", [
+    ("spectrum", "bands"), ("evolve", "samples"),
+    ("evolve-exact", "bands"), ("evolve-exact", "samples"),
+])
+def test_problem_too_large_for_memory_is_config_error(
+    command, field, tmp_path, capsys
+):
+    # 10^17 eight-byte entries exceed a 2^48-byte address space, so the
+    # allocation is refused before any memory is touched; each once left
+    # cli.main with a MemoryError traceback and exit code 1
+    config = write_config(tmp_path, **{field: 10**17})
+    table = tmp_path / "table.csv"
+    code, out, err = run_cli(
+        capsys, command, "--config", config, "--output", str(table)
+    )
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith("config error: ") and "allocate" in err
+    assert not table.exists()
+
+
 def test_evolve_verbose_counts_samples_outside_validity_window(
     tmp_path, capsys
 ):
@@ -546,7 +566,7 @@ def reference_exact_table(config, fmt):
     )
     rows = []
     for t, u in state.checkpoints:
-        snapshot = dataclasses.replace(state, U=u, t_current=t)
+        snapshot = dataclasses.replace(state, U=u)
         residual = bogoliubov_identity_residual(snapshot)
         for i in range(u.shape[0]):
             for j in range(u.shape[1]):

@@ -1,6 +1,7 @@
 """Tests for instantaneous bases and exact Bogoliubov evolution."""
 
 import dataclasses
+import functools
 import logging
 import math
 import re
@@ -546,7 +547,7 @@ def test_roots_do_not_depend_on_the_cavity_position():
     for moved in roots[1:]:
         assert np.all(np.abs(moved - roots[0]) <= 1e-14 * np.abs(roots[0]))
     (basis, values), vhat = bases[0], vhats[0]
-    assert basis.minus[0].evanescent  # the mode that came out NaN
+    assert basis.lam[basis.bands] < 0  # the mode that came out NaN
     size = np.hypot(basis.a, basis.b)
     for (moved, moved_values), moved_vhat in zip(bases[1:], vhats[1:]):
         for name in ("a", "b"):
@@ -691,9 +692,8 @@ def test_branch_symmetry_at_rest(bc):
     basis = solve_instantaneous_basis(traj, FieldParams(mass=0.9), bc, 0.0, 5)
     freqs = basis.frequencies
     assert freqs[5:] == pytest.approx(-freqs[:5], rel=1e-12)
-    x = np.linspace(-0.7, 1.4, 33)
-    for up, down in zip(basis.plus, basis.minus):
-        assert up.eval(x) == pytest.approx(down.eval(x), abs=1e-10)
+    values = basis.values(np.linspace(-0.7, 1.4, 33))[0]
+    assert values[:5] == pytest.approx(values[5:], abs=1e-10)
 
 
 @pytest.mark.parametrize("bc, variant, epsilon, t, bands, mass, drive", [
@@ -729,16 +729,13 @@ def test_moving_modes_satisfy_boundary_conditions(bc, variant, epsilon, t,
     assert (abs(basis.plus[0].omega) < sub_band) == (
         abs(basis.minus[0].omega) < sub_band
     )
-    for mode in basis.plus + basis.minus:
-        w = mode.omega
-        for x, v in ((xm, vm), (xp, vp)):
-            psi = float(mode.eval(np.array([x]))[0])
-            dpsi = float(mode.eval_deriv(np.array([x]))[0])
-            if bc is D:
-                residual = w * psi + v * dpsi
-            else:
-                residual = dpsi + w * v * psi
-            assert abs(residual) < 1e-9 * max(abs(w), 1.0)
+    psi, dpsi = basis.values(np.array([xm, xp]))
+    w, v = basis.omega[:, None], np.array([vm, vp])
+    if bc is D:
+        residual = w * psi + v * dpsi
+    else:
+        residual = dpsi + w * v * psi
+    assert np.all(np.abs(residual) < 1e-9 * np.maximum(np.abs(w), 1.0))
 
 
 @pytest.mark.parametrize("variant, bc, mass, bands", [
@@ -793,14 +790,12 @@ def test_custom_norm_orthonormality_moving():
     basis = solve_instantaneous_basis(traj, params, D, t, 6)
     xm, xp = traj.x_minus(t), traj.x_plus(t)
     nodes, weights = gauss_legendre(xm, xp, 96)
-    modes = basis.plus
-    vals = np.array([m.eval(nodes) for m in modes])
-    derivs = np.array([m.eval_deriv(nodes) for m in modes])
-    omegas = np.array([m.omega for m in modes])
-    gram = (np.add.outer(np.zeros(6), np.zeros(6)))
+    vals, derivs = (array[:6] for array in basis.values(nodes))
+    omegas = basis.omega[:6]
     quad0 = (vals * weights) @ vals.T
     quad1 = (derivs * weights) @ derivs.T
-    gram = (basis.f_term + np.multiply.outer(omegas, omegas)) * quad0 + quad1
+    shift = core.positivity_shift(params)
+    gram = (shift + np.multiply.outer(omegas, omegas)) * quad0 + quad1
     target = np.diag(np.abs(omegas))
     assert np.max(np.abs(gram - target)) < 1e-10
 
@@ -812,13 +807,11 @@ def test_massive_neumann_contraction_has_evanescent_mode():
         v_minus=lambda t: 0.2, v_plus=lambda t: -0.2,
     )
     basis = solve_instantaneous_basis(traj, FieldParams(mass=1.5), N, 0.0, 4)
-    lowest = basis.plus[0]
-    assert abs(lowest.omega) < 1.5
-    assert lowest.lam < 0
-    assert lowest.evanescent
-    dpsi = float(lowest.eval_deriv(np.array([1.0]))[0])
-    psi = float(lowest.eval(np.array([1.0]))[0])
-    assert dpsi + lowest.omega * (-0.2) * psi == pytest.approx(0.0, abs=1e-10)
+    omega = basis.omega[0]
+    assert abs(omega) < 1.5
+    assert basis.lam[0] < 0
+    psi, dpsi = (float(array[0, 0]) for array in basis.values([1.0]))
+    assert dpsi + omega * (-0.2) * psi == pytest.approx(0.0, abs=1e-10)
 
 
 def test_frequencies_never_reach_zero():
@@ -851,6 +844,32 @@ def _accelerating_contraction():
         v_minus=lambda t: 0.2 - 0.1 * t, v_plus=lambda t: -0.2 + 0.1 * t,
         a_minus=lambda t: -0.1, a_plus=lambda t: 0.1,
     )
+
+
+@pytest.mark.parametrize("traj, bc, mass, t, bands", [
+    (_accelerating_contraction(), N, 1.5, 0.0, 4),
+    (dce_trajectory(DceVariant.BREATHING, epsilon=0.05), D, 0.0, 0.3, 6),
+], ids=["moving-massive-neumann", "dirichlet"])
+def test_values_derivative_matches_centred_difference(traj, bc, mass, t,
+                                                      bands):
+    # oscillatory and evanescent modes, and an appended lam == 0 entry
+    # psi = 0.7 - 0.3 z.  psi''' = -lam psi', so the difference is off by
+    # at most h^2 |lam| / 6 of max |psi'|, plus rounding: measured within
+    # 5.3e-11 of max |psi'| above that at h = 1e-5, worst 0.85 of the bound
+    basis = solve_instantaneous_basis(traj, FieldParams(mass=mass), bc, t,
+                                      bands)
+    assert np.any(basis.lam < 0) == (bc is N) and np.any(basis.lam > 0)
+    basis = dataclasses.replace(basis, **{
+        name: np.append(getattr(basis, name), value)
+        for name, value in (("omega", 1.0), ("lam", 0.0), ("a", 0.7),
+                            ("b", -0.3))
+    })
+    x, h = np.linspace(basis.x_minus, basis.x_plus, 41), 1e-5
+    dpsi = basis.values(x)[1]
+    central = (basis.values(x + h)[0] - basis.values(x - h)[0]) / (2 * h)
+    scale = np.max(np.abs(dpsi), axis=1, keepdims=True)
+    bound = (h * h * np.abs(basis.lam)[:, None] / 6 + 1e-10) * scale
+    assert np.all(np.abs(central - dpsi) <= bound)
 
 
 GENERATOR_CASES = {
@@ -907,25 +926,30 @@ def _legendre(n, x):
     return high, n * (x * high - low) / (x * x - 1)
 
 
-def _long_gauss(a, b, points):
-    """Gauss-Legendre nodes and weights on [a, b] in long double: numpy's
+@functools.lru_cache(maxsize=None)
+def _long_rule(points):
+    """Gauss-Legendre nodes and weights on [-1, 1] in long double: numpy's
     float64 nodes after three Newton steps on P_n in long double."""
     x = np.polynomial.legendre.leggauss(points)[0].astype(np.longdouble)
     for _ in range(3):
         value, slope = _legendre(points, x)
         x -= value / slope
     slope = _legendre(points, x)[1]
+    weights = 2 / ((1 - x * x) * slope * slope)
+    x.flags.writeable = weights.flags.writeable = False
+    return x, weights
+
+
+def _long_gauss(a, b, points):
+    """Gauss-Legendre nodes and weights on [a, b] in long double."""
+    x, weights = _long_rule(points)
     half = (np.longdouble(b) - np.longdouble(a)) / 2
-    return (np.longdouble(a) + b) / 2 + half * x, half * 2 / (
-        (1 - x * x) * slope * slope
-    )
+    return (np.longdouble(a) + b) / 2 + half * x, half * weights
 
 
-def _long_values(basis, x):
-    """psi and psi' of every mode at the long double points ``x``,
-    (2N, len(x)), from cos and sin (cosh and sinh where lam < 0)."""
-    z = x - (np.longdouble(basis.x_minus) + basis.x_plus) / 2
-    lam = basis.lam.astype(np.longdouble)[:, None]
+def _long_cs(z, lam):
+    """c and s at the long double points ``z`` for the long double ``lam``,
+    from cos and sin (cosh and sinh where lam < 0)."""
     k = np.sqrt(np.abs(lam))
     kz = k * z
     with np.errstate(all="ignore"):  # each branch is taken where it holds
@@ -933,6 +957,15 @@ def _long_values(basis, x):
         s = np.where(
             lam > 0, np.sin(kz) / k, np.where(lam < 0, np.sinh(kz) / k, z)
         )
+    return c, s
+
+
+def _long_values(basis, x):
+    """psi and psi' of every mode at the long double points ``x``,
+    (2N, len(x))."""
+    z = x - (np.longdouble(basis.x_minus) + basis.x_plus) / 2
+    lam = basis.lam.astype(np.longdouble)[:, None]
+    c, s = _long_cs(z, lam)
     a, b = basis.a[:, None], basis.b[:, None]
     return a * c + b * s, b * c - lam * a * s
 
@@ -963,7 +996,7 @@ def _fd_generator(traj, params, bc, t, bands, h):
     vals_dt = (sides[1] - sides[0]) / (2 * h)  # d psi/dt at fixed x
     speeds = np.array([traj.v_minus(t), traj.v_plus(t)])
     vhat = _vhat_from_values(
-        now.omega, domega, now.f_term, bc, speeds, weights,
+        now.omega, domega, core.positivity_shift(params), bc, speeds, weights,
         (vals, dvals, vals_dt),
     )
     return vhat.astype(float), domega
@@ -997,11 +1030,30 @@ def _grid_values(terms, half, points):
     return (a * c + b * s, b * c - lam * a * s, rate), weights
 
 
-def _grid_vhat(traj, params, bc, t, bands, points):
-    """V-hat at t with every volume integral on ``_grid_values``."""
+def _long_grid_values(terms, half, points):
+    """``_grid_values`` in long double, on ``_long_gauss`` nodes: c and s
+    from ``_long_cs``, dc = -z s/2, and ds from a 30-term series in
+    u = lam z^2 where |u| < 1 and (z c - s)/(2 lam) elsewhere."""
+    nodes, weights = _long_gauss(-half, half, points)
+    z = np.append(nodes, [-half, half]).astype(np.longdouble)
+    lam = terms[1].astype(np.longdouble)[:, None]
+    c, s = _long_cs(z, lam)
+    u = lam * z * z
+    series = np.zeros_like(u)  # Horner's rule, n from 30 down to 1
+    for n in range(30, 0, -1):
+        series = series * -u - n / np.longdouble(math.factorial(2 * n + 1))
+    with np.errstate(all="ignore"):  # each branch is taken where it holds
+        ds = np.where(np.abs(u) < 1, z**3 * series, (z * c - s) / (2 * lam))
+    a, b, on_c, on_s, on_dc, on_ds = terms[3:9, :, None]
+    rate = on_c * c + on_s * s - on_dc * z * s / 2 + on_ds * ds
+    return (a * c + b * s, b * c - lam * a * s, rate), weights
+
+
+def _long_grid_vhat(traj, params, bc, t, bands, points):
+    """V-hat at t with every volume integral on ``_long_grid_values``."""
     terms, walls, speeds = _node_terms_at(traj, params, bc, t, bands)
     half = 0.5 * (walls[1] - walls[0])
-    values, weights = _grid_values(terms, half, points)
+    values, weights = _long_grid_values(terms, half, points)
     return _vhat_from_values(
         terms[0], terms[2], exact1d.positivity_shift(params), bc, speeds,
         weights, values,
@@ -1170,23 +1222,23 @@ def test_pair_overlaps_of_exactly_degenerate_modes(bc):
 @pytest.mark.parametrize("mass", [0.0, 1.5])
 def test_quadrature_rule_stays_at_round_off(bc, mass):
     # the generator from wall values against the grid path on a
-    # (16N + 64)-point reference, held to twice the deviation of the grid
-    # path's own 4N + 16 rule, or to 1e-12 of the scale
+    # (16N + 64)-point long double reference, which moves by 2e-18 of the
+    # scale with 32 more points.  Measured: at most 3.2e-14 of the scale
+    # (24 massless Neumann bands).  A float64 grid of that size is itself
+    # 4.6e-13 off (numpy's Gauss weights), which would hide any engine
+    # error below that
     params = FieldParams(mass=mass)
     for variant in DceVariant:
         traj = dce_trajectory(variant=variant, bc=bc, epsilon=0.05, mass=mass)
         for bands in (3, 12, 24):
             for t in (0.2, 0.7, 1.3):
                 window = (traj, params, bc, t, bands)
-                reference = _grid_vhat(*window, 16 * bands + 64)
+                reference = _long_grid_vhat(*window, 16 * bands + 64)
                 scale = np.max(np.abs(reference))
-                rule = np.max(np.abs(
-                    _grid_vhat(*window, 4 * bands + 16) - reference
-                ))
                 got = assemble_vhat(traj, params, bc, t, bands)
-                assert np.max(np.abs(got - reference)) <= max(
-                    2.0 * rule, 1e-12 * scale
-                ), (variant, bands, t)
+                assert np.max(np.abs(got - reference)) <= 1e-13 * scale, (
+                    variant, bands, t
+                )
 
 
 def test_degenerate_root_rate_raises(monkeypatch):

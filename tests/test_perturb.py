@@ -1,6 +1,7 @@
 """Tests for first-order couplings and perturbative Bogoliubov coefficients."""
 
 import cmath
+import dataclasses
 import math
 import warnings
 
@@ -110,13 +111,6 @@ def test_spec_rejects_non_finite_epsilon(epsilon):
         PerturbationSpec(epsilon=epsilon)
 
 
-def test_spec_addition_requires_matching_epsilon():
-    a = PerturbationSpec(epsilon=1e-3)
-    b = PerturbationSpec(epsilon=2e-3)
-    with pytest.raises(ValueError):
-        a + b
-
-
 # ---------------------------------------------------------------------------
 # couplings against the closed forms
 
@@ -145,7 +139,15 @@ def test_quadrature_matches_closed_form(variant, bc):
 def test_couplings_additive_in_spec():
     spec_a, _, basis = dce_setup(variant=DceVariant.RIGHT_ONLY)
     spec_b, _, _ = dce_setup(variant=DceVariant.BREATHING)
-    combined = spec_a + spec_b
+    # DCE specs move the walls only, so the sum merges their faces
+    zero = HarmonicSum.zero()
+    for spec in (spec_a, spec_b):
+        assert not spec.delta_o_coeffs and spec.delta_r.is_zero()
+        assert spec.delta_r_bar.is_zero()
+    combined = dataclasses.replace(spec_a, delta_x={
+        face: spec_a.delta_x.get(face, zero) + spec_b.delta_x.get(face, zero)
+        for face in {**spec_a.delta_x, **spec_b.delta_x}
+    })
     for (i, j) in [(0, 1), (1, 2), (2, 0)]:
         separate = coupling_alpha(spec_a, basis, i, j, D) + coupling_alpha(
             spec_b, basis, i, j, D
